@@ -30,7 +30,6 @@ from .linop import (
     read_matrix,
     resolvent,
     spectrum,
-    vector_norm,
     write_matrix,
 )
 from .semigroup import (
@@ -57,7 +56,6 @@ from .metrics import (
     yosida_distance,
 )
 from .evofam import (
-    BasisFamily,
     CallableFamily,
     ConstantFamily,
     DyadicPartition,

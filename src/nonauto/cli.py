@@ -240,7 +240,7 @@ def cmd_converge(args) -> int:
             columns,
             ([str(n), _fmt(d), _fmt(w), _fmt(bd)] for n, d, w, bd in exc.levels),
         )
-        print(f"tolerance {tol:g} not reached: best delta {exc.best_delta:.3e}", file=sys.stderr)
+        print(f"tolerance not reached: {exc}", file=sys.stderr)
         return 3
     _write_csv(
         f"{out}_converge.csv",

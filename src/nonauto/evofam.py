@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionViolated,
     ToleranceNotReached,
 )
-from .linop import NormKind, Operator, norm_of, op_norm
+from .linop import NormKind, Operator, norm_of, norm_stack, op_norm
 from .metrics import ANormEvaluator
 from .semigroup import GrowthBound, expm_stack
 
@@ -81,7 +82,9 @@ class PerturbationFamily:
         self.interval = (t0, t1)
         self.dim = int(dim)
         self.norm_kind = norm_kind
-        self._modulus_cache: dict = {}
+        # Per-evaluator memo of moduli and norms. Weak keys: a dead evaluator's
+        # entries die with it and cannot answer for a new one at the same id().
+        self._anorm_cache = weakref.WeakKeyDictionary()
 
     def __call__(self, t: float) -> Operator:
         t0, t1 = self.interval
@@ -96,6 +99,12 @@ class PerturbationFamily:
         """Entries of B(t) for each t, shape (len(ts), dim, dim)."""
         return np.stack([self(float(t)).entries for t in ts])
 
+    def _cached(self, anorm: ANormEvaluator, key, compute):
+        memo = self._anorm_cache.setdefault(anorm, {})
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def modulus(self, h: float, anorm: ANormEvaluator, rng=None, max_pairs: int = MODULUS_PAIR_CAP) -> float:
         """sup over sampled pairs |t - s| <= h of ||B(t) - B(s)||_A.
 
@@ -103,10 +112,7 @@ class PerturbationFamily:
         closed form. Results are cached per (h, anorm) since refinement asks
         for a whole ladder of h on one evaluator.
         """
-        key = (float(h), id(anorm))
-        if key not in self._modulus_cache:
-            self._modulus_cache[key] = self._modulus_sampled(h, anorm, rng, max_pairs)
-        return self._modulus_cache[key]
+        return self._cached(anorm, float(h), lambda: self._modulus_sampled(h, anorm, rng, max_pairs))
 
     def _modulus_sampled(self, h: float, anorm: ANormEvaluator, rng, max_pairs: int) -> float:
         t0, t1 = self.interval
@@ -208,48 +214,13 @@ class ScaledProfileFamily(PerturbationFamily):
         return float((windows.max(axis=1) - windows.min(axis=1)).max())
 
     def _b0_anorm(self, anorm) -> float:
-        key = ("b0", id(anorm))
-        if key not in self._modulus_cache:
-            self._modulus_cache[key] = anorm.value(self.b0).value
-        return self._modulus_cache[key]
+        return self._cached(anorm, "b0", lambda: anorm.value(self.b0).value)
 
     def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
-        key = (float(h), id(anorm))
-        if key not in self._modulus_cache:
-            self._modulus_cache[key] = self._profile_modulus(h) * self._b0_anorm(anorm)
-        return self._modulus_cache[key]
+        return self._cached(anorm, float(h), lambda: self._profile_modulus(h) * self._b0_anorm(anorm))
 
     def sup_anorm(self, anorm, samples: int = 65) -> float:
         return float(np.abs(self._profile_vals).max()) * self._b0_anorm(anorm)
-
-
-class BasisFamily(PerturbationFamily):
-    """B(t) = sum_k phi_k(t) C_k; modulus bounded by the sum of the parts."""
-
-    def __init__(self, interval, profiles, mats):
-        if len(profiles) != len(mats):
-            raise DimensionMismatch("profiles and matrices must pair up")
-        if not mats:
-            raise PreconditionViolated("BasisFamily wants at least one term")
-        super().__init__(interval, mats[0].dim, mats[0].norm_kind)
-        for m in mats[1:]:
-            mats[0]._check(m)
-        self.terms = [ScaledProfileFamily(interval, p, m) for p, m in zip(profiles, mats)]
-
-    def _value(self, t: float) -> Operator:
-        total = self.terms[0](t)
-        for term in self.terms[1:]:
-            total = total + term(t)
-        return total
-
-    def values_stack(self, ts: np.ndarray) -> np.ndarray:
-        total = self.terms[0].values_stack(ts)
-        for term in self.terms[1:]:
-            total = total + term.values_stack(ts)
-        return total
-
-    def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
-        return sum(term.modulus(h, anorm, rng=rng, max_pairs=max_pairs) for term in self.terms)
 
 
 class PiecewiseLinearFamily(PerturbationFamily):
@@ -281,14 +252,14 @@ class PiecewiseLinearFamily(PerturbationFamily):
         return Operator(entries, self.norm_kind)
 
     def _slopes(self, anorm: ANormEvaluator) -> np.ndarray:
-        key = ("slopes", id(anorm))
-        if key not in self._modulus_cache:
+        def compute():
             diffs = np.diff(self._stack, axis=0)
             widths = np.diff(self.nodes)
-            self._modulus_cache[key] = np.array(
+            return np.array(
                 [anorm.value(Operator(diffs[j], self.norm_kind)).value / widths[j] for j in range(len(widths))]
             )
-        return self._modulus_cache[key]
+
+        return self._cached(anorm, "slopes", compute)
 
     def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
         t0, t1 = self.interval
@@ -537,15 +508,13 @@ def refine_to_tolerance(
         )
     ts = np.linspace(t0, t1, probes)[1:]
     prev = euler_polygon(a, family, 0)
-    prev_vals = [op.entries for op in prev.evaluate_path(ts, t0)]
+    prev_vals = np.stack([op.entries for op in prev.evaluate_path(ts, t0)])
     levels = []
     below = 0
     for n in range(1, n_max + 1):
         cur = euler_polygon(a, family, n)
-        cur_vals = [op.entries for op in cur.evaluate_path(ts, t0)]
-        delta = max(
-            norm_of(cv - pv, a.norm_kind) for cv, pv in zip(cur_vals, prev_vals)
-        )
+        cur_vals = np.stack([op.entries for op in cur.evaluate_path(ts, t0)])
+        delta = norm_stack(cur_vals - prev_vals, a.norm_kind).max()
         omega_n = family.modulus((t1 - t0) * 2.0 ** (-n), evaluator, rng=rng)
         bound = (t1 - t0) * math.exp(4.0 * omega1) * omega_n
         levels.append((n, float(delta), float(omega_n), float(bound)))
@@ -553,10 +522,10 @@ def refine_to_tolerance(
         if below >= 2:
             return RefineResult(approx=cur, levels=tuple(levels), achieved_delta=float(delta), omega1=float(omega1))
         prev, prev_vals = cur, cur_vals
-    best = min(lv[1] for lv in levels) if levels else float("inf")
+    last = f"last increment {levels[-1][1]:.3e} at level {levels[-1][0]}" if levels else "no level refined"
     raise ToleranceNotReached(
-        f"increment {best:.3e} > tol {tol:.3e} after level {n_max}",
-        best_delta=best,
+        f"tol {tol:.3e} not met at two levels in a row by level {n_max}; {last}",
+        best_delta=min(lv[1] for lv in levels) if levels else float("inf"),
         levels=tuple(levels),
     )
 

@@ -19,7 +19,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, PreconditionViolated
 from .evofam import ScaledProfileFamily, oracle_solve, refine_to_tolerance
-from .linop import NormKind, Operator, norm_of
+from .linop import NormKind, Operator, norm_of, norm_stack
 from .metrics import AssumptionReport, check_assumptions
 from .semigroup import GrowthBound, expm_stack
 
@@ -231,8 +231,9 @@ class ExampleReport:
 
 
 def _contraction_norms(a: Operator, t_grid) -> tuple:
-    exps = expm_stack(np.asarray(t_grid, dtype=float)[:, None, None] * a.entries[None, :, :])
-    return tuple((float(t), float(norm_of(exps[i], a.norm_kind))) for i, t in enumerate(t_grid))
+    ts = np.asarray(t_grid, dtype=float)
+    norms = norm_stack(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind)
+    return tuple((float(t), float(v)) for t, v in zip(ts, norms))
 
 
 def _build_generator(which: str, g: GridSpec) -> Operator:

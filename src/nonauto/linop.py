@@ -7,7 +7,6 @@ not a coercion: a bound certified in one norm says nothing in another.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +18,6 @@ from .errors import DimensionMismatch, EigenFailure, NormKindMismatch, SingularR
 COND_LIMIT = 1e12
 # Residual allowance for (mu I - A) R = I, scaled by the condition estimate.
 RESOLVENT_RESIDUAL = 1e-10
-POWER_TOL = 1e-12
-POWER_MAXIT = 10_000
-# Gram squarings before iterating; each squaring squares the spectral ratios.
-POWER_SQUARINGS = 56
-SHARPEN_SETTLE_TOL = 1e-13
 
 
 class NormKind(enum.Enum):
@@ -101,149 +95,33 @@ def identity(dim: int, norm_kind: NormKind = NormKind.TWO) -> Operator:
     return Operator(np.eye(dim), norm_kind)
 
 
-def _sharpen(gram: np.ndarray) -> np.ndarray:
-    """Normalized repeated squaring of a PSD matrix.
-
-    Squaring squares the eigenvalue ratios, so power iteration on the
-    sharpened matrix converges in a handful of steps; the Rayleigh value is
-    still read off the original matrix. Squaring continues until the
-    normalized iterate stops moving; the per-step change bounds the width of
-    the surviving top eigenvalue cluster, so stopping at SHARPEN_SETTLE_TOL
-    keeps the later iteration count flat even when the two largest
-    eigenvalues agree to within 1e-15, without giving up value accuracy.
-    """
-    d = gram.shape[0]
-    floor = np.finfo(float).tiny * d
-    settle = max(SHARPEN_SETTLE_TOL, 8.0 * np.finfo(float).eps * d)
-    nrm = float(np.abs(gram).max())
-    if nrm <= floor:
-        return gram
-    sharp = gram / nrm
-    for _ in range(POWER_SQUARINGS):
-        nxt = sharp @ sharp
-        nrm = float(np.abs(nxt).max())
-        if nrm <= floor:
-            break
-        nxt = nxt / nrm
-        settled = float(np.abs(nxt - sharp).max()) <= settle
-        sharp = nxt
-        if settled:
-            break
-    return sharp
-
-
-def _power_run(gram: np.ndarray, v: np.ndarray) -> float:
-    """One power-iteration run on a Gram matrix; 0.0 if the start collapses."""
-    floor = np.finfo(float).tiny * gram.shape[0]
-    sharp = _sharpen(gram)
-    for _ in range(POWER_MAXIT):
-        w = sharp @ v
-        nw = math.sqrt(float(w @ w))
-        if nw <= floor:
-            return 0.0
-        w = w / nw
-        done = abs(float(w @ v)) >= 1.0 - POWER_TOL
-        v = w
-        if done:
-            break
-    return math.sqrt(max(float(v @ (gram @ v)), 0.0))
-
-
-def _two_norm(m: np.ndarray) -> float:
-    """Largest singular value by power iteration on m^T m.
-
-    The matrix is rescaled by its largest entry so sigma_1 of the iterate
-    lies in [1, d] and the convergence test is genuinely relative at any
-    input scale. The all-ones start can be annihilated or sit exactly in a
-    non-dominant eigenspace, so the result is certified against
-    max_i (m^T m)_{ii} <= sigma_1^2 and the iteration restarts from the
-    dominant coordinate direction when the certificate fails.
-    """
-    if not np.all(np.isfinite(m)):
-        return float("inf")
-    scale = float(np.abs(m).max(initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    m = m / scale
-    d = m.shape[0]
-    gram = m.T @ m
-    diag = np.diag(gram)
-    val = _power_run(gram, np.full(d, 1.0 / np.sqrt(d)))
-    certificate = float(diag.max())
-    if val * val < certificate * (1.0 - 1e-9):
-        retry = _power_run(gram, np.eye(d)[int(np.argmax(diag))])
-        val = max(val, retry, float(np.sqrt(certificate)))
-    return scale * val
-
-
 def two_norm_stack(ms: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (k, d, d) stack.
+    """Largest singular value of each matrix in a (k, d, d) stack (LAPACK gesdd).
 
-    Same sharpened power iteration and certificate as the scalar path, run
-    on all items at once; items whose certificate fails fall back to the
-    scalar routine with its restart.
+    An item with a non-finite entry has norm inf; gesdd refuses such input,
+    so only the finite items go to the SVD.
     """
     ms = np.asarray(ms, dtype=float)
-    k, d, _ = ms.shape
-    out = np.full(k, float("inf"))
+    out = np.full(ms.shape[0], float("inf"))
     finite = np.isfinite(ms).all(axis=(1, 2))
-    scale = np.abs(np.where(finite[:, None, None], ms, 0.0)).max(axis=(1, 2))
-    out[finite & (scale == 0.0)] = 0.0
-    act = finite & (scale > 0.0)
-    if not act.any():
-        return out
-    work = ms[act] / scale[act, None, None]
-    gram = np.swapaxes(work, 1, 2) @ work
-    floor = np.finfo(float).tiny * d
-    settle = max(SHARPEN_SETTLE_TOL, 8.0 * np.finfo(float).eps * d)
-    nrm = np.maximum(np.abs(gram).max(axis=(1, 2)), floor)
-    sharp = gram / nrm[:, None, None]
-    pending = np.arange(sharp.shape[0])
-    for _ in range(POWER_SQUARINGS):
-        part = sharp[pending]
-        nxt = part @ part
-        nrm = np.maximum(np.abs(nxt).max(axis=(1, 2)), floor)
-        nxt = nxt / nrm[:, None, None]
-        sharp[pending] = nxt
-        moving = np.abs(nxt - part).max(axis=(1, 2)) > settle
-        pending = pending[moving]
-        if pending.size == 0:
-            break
-    v = np.full((gram.shape[0], d), 1.0 / math.sqrt(d))
-    for _ in range(POWER_MAXIT):
-        w = np.einsum("kij,kj->ki", sharp, v)
-        nw = np.sqrt(np.einsum("ki,ki->k", w, w))
-        alive = nw > floor
-        w = np.where(alive[:, None], w / np.maximum(nw, floor)[:, None], v)
-        done = ~alive | (np.abs(np.einsum("ki,ki->k", v, w)) >= 1.0 - POWER_TOL)
-        v = w
-        if done.all():
-            break
-    lam = np.einsum("ki,kij,kj->k", v, gram, v)
-    vals = np.sqrt(np.maximum(lam, 0.0))
-    certificate = np.einsum("kii->ki", gram).max(axis=1)
-    bad = vals * vals < certificate * (1.0 - 1e-9)
-    for i in np.nonzero(bad)[0]:
-        vals[i] = _two_norm(work[i])
-    out[act] = vals * scale[act]
+    if finite.any():
+        out[finite] = np.linalg.svd(ms[finite], compute_uv=False)[:, 0]
     return out
 
 
-def vector_norm(x: np.ndarray, norm_kind: NormKind) -> float:
+def norm_stack(ms: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """Induced norm of each matrix in a (k, d, d) stack: column sums, SVD or row sums."""
+    ms = np.asarray(ms, dtype=float)
     if norm_kind is NormKind.ONE:
-        return float(np.abs(x).sum())
+        return np.abs(ms).sum(axis=1).max(axis=1)
     if norm_kind is NormKind.INF:
-        return float(np.abs(x).max())
-    return float(np.linalg.norm(x))
+        return np.abs(ms).sum(axis=2).max(axis=1)
+    return two_norm_stack(ms)
 
 
 def norm_of(entries: np.ndarray, norm_kind: NormKind) -> float:
-    """Induced norm of a raw matrix (internal fast path)."""
-    if norm_kind is NormKind.ONE:
-        return float(np.abs(entries).sum(axis=0).max())
-    if norm_kind is NormKind.INF:
-        return float(np.abs(entries).sum(axis=1).max())
-    return _two_norm(entries)
+    """Induced norm of one raw matrix: the one-item form of norm_stack."""
+    return float(norm_stack(np.asarray(entries, dtype=float)[None], norm_kind)[0])
 
 
 def op_norm(op: Operator) -> float:
@@ -253,7 +131,7 @@ def op_norm(op: Operator) -> float:
 
 def _condition_1norm(m: np.ndarray, lu, piv) -> float:
     """1-norm condition estimate kappa_1(m) from an existing LU factorisation."""
-    anorm = np.abs(m).sum(axis=0).max()
+    anorm = norm_of(m, NormKind.ONE)
     if anorm == 0.0:
         return float("inf")
     rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
@@ -280,7 +158,7 @@ def resolvent(a: Operator, mu: float) -> Operator:
     if not np.isfinite(kappa) or kappa > COND_LIMIT:
         raise SingularResolvent(f"condition estimate {kappa:.3e} exceeds {COND_LIMIT:.0e} at mu={mu!r}")
     r = scipy.linalg.lu_solve((lu, piv), np.eye(a.dim), check_finite=False)
-    residual = np.abs(m @ r - np.eye(a.dim)).sum(axis=0).max()
+    residual = norm_of(m @ r - np.eye(a.dim), NormKind.ONE)
     if residual > RESOLVENT_RESIDUAL * kappa:
         raise SingularResolvent(f"resolvent residual {residual:.3e} above {RESOLVENT_RESIDUAL:.0e} * kappa at mu={mu!r}")
     return Operator(r, a.norm_kind)

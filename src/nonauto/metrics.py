@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
-from .linop import NormKind, Operator, norm_of, op_norm, resolvent, spectrum, two_norm_stack
-from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, expm_stack
+from .linop import Operator, norm_of, norm_stack, op_norm, resolvent, spectrum
+from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, expm_stack, worst_ratio
 
 LAMBDA_CEILING = 1e8
 # Fraction of mu-grid points that may fail to solve before a_norm gives up.
@@ -88,14 +88,7 @@ class ANormEvaluator:
     def sweep(self, c: Operator) -> list:
         """Per-mu samples (mu, (mu - omega0) ||C R(mu, A)|| / M)."""
         self.a._check(c)
-        products = c.entries @ self._stack
-        kind = self.a.norm_kind
-        if kind is NormKind.ONE:
-            norms = np.abs(products).sum(axis=1).max(axis=1)
-        elif kind is NormKind.INF:
-            norms = np.abs(products).sum(axis=2).max(axis=1)
-        else:
-            norms = two_norm_stack(products)
+        norms = norm_stack(c.entries @ self._stack, self.a.norm_kind)
         scaled = self._weights * norms / self.gb.m
         return [(float(mu), float(v)) for mu, v in zip(self._mus, scaled)]
 
@@ -122,23 +115,16 @@ class ANormEvaluator:
             raise DimensionMismatch(f"expected a (k, {self.a.dim}, {self.a.dim}) stack, got {mats.shape}")
         if mats.shape[0] == 0:
             return np.zeros(0)
-        kind = self.a.norm_kind
+        kind, d = self.a.norm_kind, self.a.dim
         n_mu = self._stack.shape[0]
         # Cap the intermediate (chunk, n_mu, d, d) product tensor at ~64 MB.
-        chunk = max(1, int(8e6 / max(1, n_mu * self.a.dim**2)))
+        chunk = max(1, int(8e6 / max(1, n_mu * d**2)))
         out = np.empty(mats.shape[0])
         for lo in range(0, mats.shape[0], chunk):
             part = mats[lo : lo + chunk]
-            products = part[:, None] @ self._stack[None]
-            if kind is NormKind.ONE:
-                norms = np.abs(products).sum(axis=2).max(axis=2)
-                tails = np.abs(part).sum(axis=1).max(axis=1)
-            elif kind is NormKind.INF:
-                norms = np.abs(products).sum(axis=3).max(axis=2)
-                tails = np.abs(part).sum(axis=2).max(axis=1)
-            else:
-                norms = two_norm_stack(products.reshape(-1, *products.shape[2:])).reshape(products.shape[:2])
-                tails = two_norm_stack(part)
+            products = (part[:, None] @ self._stack[None]).reshape(-1, d, d)
+            norms = norm_stack(products, kind).reshape(len(part), n_mu)
+            tails = norm_stack(part, kind)
             scaled = (self._weights[None, :] * norms).max(axis=1)
             out[lo : lo + chunk] = np.maximum(scaled, tails) / self.gb.m
         return out
@@ -209,13 +195,8 @@ def check_generation_bound(
     rate = gb.omega0 + gb.m * gb.m * c_norm
     ts = np.linspace(0.0, tmax, grid)
     exps = expm_stack(ts[:, None, None] * (a.entries + c.entries)[None, :, :])
-    max_ratio, worst_t = 0.0, 0.0
-    for i, t in enumerate(ts):
-        lhs = norm_of(exps[i], a.norm_kind)
-        rhs = gb.m * math.exp(rate * t) * (1.0 + BOUND_SLACK)
-        if lhs / rhs > max_ratio:
-            max_ratio, worst_t = lhs / rhs, float(t)
-    return BoundCheck(passed=max_ratio <= 1.0, max_ratio=max_ratio, worst_t=worst_t)
+    rhs = gb.m * np.array([math.exp(rate * t) for t in ts]) * (1.0 + BOUND_SLACK)
+    return worst_ratio(norm_stack(exps, a.norm_kind) / rhs, ts)
 
 
 def fd_step(interval) -> float:

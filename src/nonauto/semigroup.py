@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Overflow, PreconditionViolated
-from .linop import NormKind, Operator, identity, norm_of, op_norm, resolvent, spectrum
+from .linop import NormKind, Operator, norm_of, norm_stack, op_norm, resolvent, spectrum
 
 # Safety inflation applied to a fitted M and to checked bounds.
 FIT_INFLATION = 1e-6
@@ -52,6 +52,14 @@ class BoundCheck:
     worst_t: float
 
 
+def worst_ratio(ratios: np.ndarray, ts: np.ndarray) -> BoundCheck:
+    """BoundCheck of sampled ratios lhs/rhs at times ts; worst_t stays 0 unless a ratio is positive."""
+    if not np.any(ratios > 0.0):
+        return BoundCheck(passed=True, max_ratio=0.0, worst_t=0.0)
+    i = int(np.argmax(ratios))
+    return BoundCheck(passed=bool(ratios[i] <= 1.0), max_ratio=float(ratios[i]), worst_t=float(ts[i]))
+
+
 def expm(a: Operator, t: float = 1.0) -> Operator:
     """e^{tA} by scaling and squaring with Pade approximants (scipy backend)."""
     if t < 0.0:
@@ -59,7 +67,7 @@ def expm(a: Operator, t: float = 1.0) -> Operator:
     arg = t * a.entries
     result = scipy.linalg.expm(arg)
     if not np.all(np.isfinite(result)):
-        anorm = float(np.abs(arg).sum(axis=0).max())
+        anorm = norm_of(arg, NormKind.ONE)
         squarings = max(0, math.ceil(math.log2(max(anorm, 1.0) / EXP_ARG_LIMIT)))
         raise Overflow(f"e^(tA) overflows doubles at t={t!r} (1-norm {anorm:.3e})", required_squarings=squarings)
     return Operator(result, a.norm_kind)
@@ -88,7 +96,7 @@ def expm_stack(mats: np.ndarray) -> np.ndarray:
         return mats.copy()
     if not np.all(np.isfinite(mats)):
         raise Overflow("a cell exponential overflows doubles")
-    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    norms = norm_stack(mats, NormKind.ONE)
     s = np.ceil(np.log2(np.maximum(norms, _PADE13_THETA) / _PADE13_THETA)).astype(int)
     x = mats / np.exp2(s)[:, None, None]
     b = _PADE13_B
@@ -121,7 +129,7 @@ def yosida_approx(a: Operator, lam: float) -> Operator:
 
 def _envelope_ratios(a: Operator, ts: np.ndarray, omega0: float) -> np.ndarray:
     exps = expm_stack(ts[:, None, None] * a.entries[None, :, :])
-    return np.array([norm_of(exps[i], a.norm_kind) * math.exp(-omega0 * t) for i, t in enumerate(ts)])
+    return norm_stack(exps, a.norm_kind) * np.array([math.exp(-omega0 * t) for t in ts])
 
 
 def fit_growth_bound(a: Operator, horizon: float = 5.0, grid_points: int = 257, margin: float = 1e-2) -> GrowthBound:
@@ -168,20 +176,18 @@ def semigroup_diff_bound_check(
     ts = np.linspace(0.0, tmax, grid)
     eg = expm_stack(ts[:, None, None] * g.entries[None, :, :])
     eh = expm_stack(ts[:, None, None] * h.entries[None, :, :])
-    for i, t in enumerate(ts):
-        envelope = m * math.exp(omega * t) * (1.0 + 1e-9)
-        if norm_of(eg[i], g.norm_kind) > envelope or norm_of(eh[i], g.norm_kind) > envelope:
-            raise PreconditionViolated(f"certificate (M={m}, omega={omega}) fails at t={t}")
+    envelope = m * np.array([math.exp(omega * t) for t in ts]) * (1.0 + 1e-9)
+    broken = (norm_stack(eg, g.norm_kind) > envelope) | (norm_stack(eh, g.norm_kind) > envelope)
+    if broken.any():
+        raise PreconditionViolated(f"certificate (M={m}, omega={omega}) fails at t={ts[np.argmax(broken)]}")
     if delta is None:
         delta = op_norm(g - h)
-    max_ratio, worst_t = 0.0, 0.0
-    for i, t in enumerate(ts[1:], start=1):
-        lhs = norm_of(eg[i] - eh[i], g.norm_kind)
-        rhs = t * m * m * math.exp(4.0 * omega * t) * delta * (1.0 + BOUND_SLACK)
-        ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else float("inf"))
-        if ratio > max_ratio:
-            max_ratio, worst_t = ratio, float(t)
-    return BoundCheck(passed=max_ratio <= 1.0, max_ratio=max_ratio, worst_t=worst_t)
+    ts = ts[1:]
+    lhs = norm_stack(eg[1:] - eh[1:], g.norm_kind)
+    rhs = ts * m * m * np.array([math.exp(4.0 * omega * t) for t in ts]) * delta * (1.0 + BOUND_SLACK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, float("inf")))
+    return worst_ratio(ratios, ts)
 
 
 def yosida_semigroup_limit(a: Operator, t: float, lambdas) -> list:

@@ -10,6 +10,7 @@ substantive claim.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,9 @@ from pathlib import Path
 import pytest
 
 import nonauto
+import nonauto.acceptance
 from nonauto.acceptance import run_criteria
+from nonauto.dichotomy import EpsSweepResult
 
 SEED = 7
 
@@ -72,6 +75,25 @@ def test_roughness_growth_adjusted_bound_holds(results):
     assert m is not None, r.detail
     assert float(m.group(1)) <= 1.0
     assert "hyperbolicity persisted True" in r.detail
+
+
+def test_roughness_refinement_failure_is_a_fail_verdict(monkeypatch):
+    # A sweep row whose refinement ran out of levels has no time-1 maps; the
+    # criterion must say FAIL and name the failure, not crash on the empty row.
+    failed = EpsSweepResult(
+        eps=1e-2,
+        rows=(),
+        persisted=False,
+        bound=math.exp(4e-2) * 1e-2,
+        gap_floor=0.5,
+        refine_error="tol 1.000e-04 not met at two levels in a row by level 14",
+        achieved_delta=3e-4,
+    )
+    monkeypatch.setattr(nonauto.acceptance, "roughness_sweep", lambda *args, **kwargs: [failed])
+    r = nonauto.acceptance.criterion_10(1)
+    assert not r.passed
+    assert "hyperbolicity persisted False" in r.detail
+    assert "refinement failed at eps 0.01: tol 1.000e-04 not met" in r.detail
 
 
 def _child_env():

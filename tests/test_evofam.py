@@ -30,7 +30,7 @@ from nonauto import (
     refine_to_tolerance,
     verify_generator_derivative,
 )
-from nonauto.metrics import ANormEvaluator
+from nonauto.metrics import ANormEvaluator, MuGrid
 
 from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, sin_modulus
 
@@ -101,6 +101,23 @@ class TestFamilies:
         ev = ANormEvaluator(a, GrowthBound(1.0, 0.0))
         fam = PiecewiseLinearFamily([0.0, 1.0, 2.0], [np.zeros((2, 2)), 2.0 * np.eye(2), np.eye(2)])
         assert fam.modulus(0.25, ev) == pytest.approx(0.5, rel=1e-9)
+
+    def test_modulus_cache_follows_the_evaluator(self):
+        # Evaluators with different certificates are built and dropped in
+        # turn, and CPython hands a new one the id() of a dead one. Every
+        # call must see its own evaluator's norm, as a fresh family does.
+        a = op2(np.diag([-1.0, -2.0]))
+        b0 = op2([[0.3, 1.0], [0.0, 0.5]])
+        fam = ScaledProfileFamily((0.0, 1.0), np.sin, b0)
+        grid = MuGrid(1e-2, 1e2, 2)
+        stale = []
+        for i in range(50):
+            ev = ANormEvaluator(a, GrowthBound(1.0 + i, 0.0), grid)
+            got = fam.modulus(0.1, ev)
+            if got != ScaledProfileFamily((0.0, 1.0), np.sin, b0).modulus(0.1, ev):
+                stale.append(i)
+            del ev
+        assert stale == []
 
     def test_piecewise_linear_guards(self):
         with pytest.raises(DimensionMismatch):
@@ -336,3 +353,18 @@ class TestRefine:
             refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-14, n_max=3)
         assert exc.value.best_delta > 1e-14
         assert len(exc.value.levels) >= 2
+
+    def test_budget_exhaustion_message_reports_last_increment(self):
+        # Both left nodes of level 1 sit at zeros of sin, so the level-1
+        # increment is a rounding-level accident (1.7e-18); the message must
+        # give the increment of the last level, not the smallest one.
+        a = op2(np.diag([-1.0, -2.0]))
+        fam = ScaledProfileFamily((0.0, 2.0 * math.pi), np.sin, op2(np.diag([0.5, 0.5])))
+        with pytest.raises(ToleranceNotReached) as exc:
+            refine_to_tolerance(a, fam, GrowthBound(1.0, 0.0), tol=1e-14, n_max=3)
+        n_last, last = exc.value.levels[-1][:2]
+        assert n_last == 3
+        assert last == pytest.approx(6.65e-2, rel=1e-3)
+        message = str(exc.value)
+        assert f"last increment {last:.3e} at level 3" in message
+        assert f"{exc.value.best_delta:.3e}" not in message

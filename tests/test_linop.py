@@ -18,7 +18,7 @@ from nonauto import (
     spectrum,
     write_matrix,
 )
-from nonauto.linop import norm_of, two_norm_stack
+from nonauto.linop import norm_of, norm_stack
 
 
 def op2(entries):
@@ -89,12 +89,22 @@ class TestNorms:
         m = np.array([[np.inf, 0.0], [0.0, 1.0]])
         assert norm_of(m, NormKind.TWO) == np.inf
 
-    def test_two_norm_stack_matches_scalar(self):
+    @pytest.mark.parametrize(
+        "kind, order", [(NormKind.ONE, 1), (NormKind.TWO, 2), (NormKind.INF, np.inf)], ids=["1", "2", "inf"]
+    )
+    def test_norm_stack_matches_numpy(self, kind, order):
+        # Scales 1e-12 to 1e12; item 3 holds an inf entry and item 7 is zero.
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((31, 3, 3)) * 10.0 ** rng.uniform(-12, 12, (31, 1, 1))
-        got = two_norm_stack(stack)
-        for i in range(31):
-            assert got[i] == pytest.approx(norm_of(stack[i], NormKind.TWO), rel=1e-10)
+        stack[3, 1, 2] = np.inf
+        stack[7] = 0.0
+        got = norm_stack(stack, kind)
+        assert got.shape == (31,)
+        assert got[3] == np.inf
+        assert got[7] == 0.0
+        finite = [i for i in range(31) if i != 3]
+        want = [np.linalg.norm(stack[i], order) for i in finite]
+        assert got[finite] == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
