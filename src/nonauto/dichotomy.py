@@ -239,7 +239,7 @@ def roughness_sweep(
                     bound=math.exp(4.0 * eps) * eps,
                     gap_floor=base.alpha / 2.0 - math.exp(4.0 * eps) * eps,
                     refine_error=str(exc),
-                    achieved_delta=float(exc.best_delta),
+                    achieved_delta=float(exc.levels[-1][1] if exc.levels else exc.best_delta),
                 )
             )
             continue

@@ -507,8 +507,7 @@ def refine_to_tolerance(
             omega1=float(omega1),
         )
     ts = np.linspace(t0, t1, probes)[1:]
-    prev = euler_polygon(a, family, 0)
-    prev_vals = np.stack([op.entries for op in prev.evaluate_path(ts, t0)])
+    prev_vals = np.stack([op.entries for op in euler_polygon(a, family, 0).evaluate_path(ts, t0)])
     levels = []
     below = 0
     for n in range(1, n_max + 1):
@@ -521,7 +520,10 @@ def refine_to_tolerance(
         below = below + 1 if delta <= tol else 0
         if below >= 2:
             return RefineResult(approx=cur, levels=tuple(levels), achieved_delta=float(delta), omega1=float(omega1))
-        prev, prev_vals = cur, cur_vals
+        # Only the probe values carry over: the next level is built without
+        # this polygon's frozen and cell-exponential stacks alive.
+        prev_vals = cur_vals
+        del cur
     last = f"last increment {levels[-1][1]:.3e} at level {levels[-1][0]}" if levels else "no level refined"
     raise ToleranceNotReached(
         f"tol {tol:.3e} not met at two levels in a row by level {n_max}; {last}",

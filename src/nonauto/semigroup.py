@@ -82,37 +82,98 @@ _PADE13_B = (
     960960.0, 16380.0, 182.0, 1.0,
 )
 _PADE13_THETA = 5.371920351148152
+# The cheaper degrees m = 3, 5, 7, 9 as (theta_m, (b_0, ..., b_m)): the
+# degree-m approximant is accurate to double precision for 1-norms up to
+# theta_m (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4), Table 2.3).
+_PADE_LOW = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068, (
+        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+    )),
+)
+# Bytes of one (block, d, d) temporary in expm_stack: each block's Pade
+# temporaries stay in cache instead of streaming whole-stack arrays.
+_BLOCK_BYTES = 256 * 1024
 
 
 def expm_stack(mats: np.ndarray) -> np.ndarray:
     """Batched e^{M_j} for a (k, d, d) stack of raw matrices (internal fast path).
 
-    Scaling and squaring with one order-13 Pade solve over the whole stack;
-    scipy's expm walks a stack matrix by matrix, whose per-call overhead
-    dominates dyadic refinement at small dimensions.
+    The stack is cut into blocks of at most _BLOCK_BYTES per (block, d, d)
+    array, at least one matrix each. A block whose largest 1-norm is within
+    theta_m for m in {3, 5, 7, 9} takes the lowest such Pade degree m;
+    otherwise it takes order 13 after scaling each matrix by 2^-s, then s
+    squarings. scipy's expm walks a stack matrix by matrix, whose per-call
+    overhead dominates dyadic refinement at small dimensions.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.shape[0] == 0:
         return mats.copy()
-    if not np.all(np.isfinite(mats)):
+    if not np.isfinite(mats).all():
         raise Overflow("a cell exponential overflows doubles")
+    step = max(1, _BLOCK_BYTES // (8 * mats.shape[-1] ** 2))
+    if mats.shape[0] <= step:
+        return _expm_block(mats)
+    out = np.empty(mats.shape)
+    for i in range(0, mats.shape[0], step):
+        out[i : i + step] = _expm_block(mats[i : i + step])
+    return out
+
+
+def _expm_block(mats: np.ndarray) -> np.ndarray:
+    """e^{M_j} for one block, at the lowest Pade degree its largest 1-norm allows."""
     norms = norm_stack(mats, NormKind.ONE)
+    top = norms.max()
+    for theta, b in _PADE_LOW:
+        if top <= theta:
+            out = _pade_low(mats, b)
+            break
+    else:
+        out = _pade13_squared(mats, norms)
+    if not np.isfinite(out).all():
+        raise Overflow("a cell exponential overflows doubles")
+    return out
+
+
+def _add_identity(m: np.ndarray, c: float) -> np.ndarray:
+    """m + c I in place on a C-contiguous (k, d, d) stack."""
+    m.reshape(m.shape[0], -1)[:, :: m.shape[-1] + 1] += c
+    return m
+
+
+def _pade_low(x: np.ndarray, b: tuple) -> np.ndarray:
+    """Degree len(b) - 1 Pade approximant r_m(x) = (v - u)^{-1} (v + u), m odd."""
+    powers = [x @ x]
+    while len(powers) < (len(b) - 1) // 2:
+        powers.append(powers[-1] @ powers[0])
+    odd = b[-1] * powers[-1]
+    even = b[-2] * powers[-1]
+    for j in range(len(powers) - 2, -1, -1):
+        odd += b[2 * j + 3] * powers[j]
+        even += b[2 * j + 2] * powers[j]
+    u = x @ _add_identity(odd, b[1])
+    v = _add_identity(even, b[0])
+    return np.linalg.solve(v - u, v + u)
+
+
+def _pade13_squared(mats: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Order-13 Pade approximant of mats / 2^s, squared s times per matrix."""
     s = np.ceil(np.log2(np.maximum(norms, _PADE13_THETA) / _PADE13_THETA)).astype(int)
     x = mats / np.exp2(s)[:, None, None]
     b = _PADE13_B
-    eye = np.eye(mats.shape[-1])
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x2 @ x4
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    u = x @ _add_identity(x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2, b[1])
+    v = _add_identity(x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2, b[0])
     out = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, int(s.max()) + 1):
             sel = s >= k
             out[sel] = out[sel] @ out[sel]
-    if not np.all(np.isfinite(out)):
-        raise Overflow("a cell exponential overflows doubles")
     return out
 
 

@@ -8,6 +8,8 @@ judged by its exit code and the artifacts it leaves behind: CSV files with a
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from nonauto import (
     write_matrix,
 )
 from nonauto.cli import main
+
+from test_acceptance import _child_env
 
 
 def _write_mat(path, entries, kind=NormKind.TWO):
@@ -301,6 +305,20 @@ class TestErrorPaths:
         }
         _write_config(tmp_path / "cfg.json", config)
         assert main(["evolve", "--config", "cfg.json"]) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_nonauto_runs_the_cli(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonauto", "--help"],
+            cwd=tmp_path,
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verify-all" in proc.stdout
 
 
 class TestDeterminism:

@@ -163,3 +163,13 @@ class TestRoughnessSweep:
         shape = ConstantFamily((0.0, 2.0), op2(np.zeros((2, 2))))
         with pytest.raises(PreconditionViolated):
             roughness_sweep(a, shape, [0.01])
+
+    def test_failed_refinement_reports_last_increment(self):
+        # The smallest increment of any level is the accidental level-1 zero
+        # here; a failed row must carry the last one, as its error names.
+        a = op2(np.diag([-1.0, 1.0]))
+        shape = ScaledProfileFamily((0.0, 2.0 * math.pi), np.sin, op2(np.diag([0.5, 0.5])))
+        (row,) = roughness_sweep(a, shape, [0.05], n_max=3)
+        assert row.rows == () and not row.persisted
+        assert row.achieved_delta > 0.0
+        assert f"last increment {row.achieved_delta:.3e} at level 3" in row.refine_error

@@ -58,15 +58,39 @@ class TestExpm:
 
     def test_stack_matches_scipy(self):
         rng = np.random.default_rng(11)
-        stack = rng.standard_normal((25, 4, 4)) * 10.0 ** rng.uniform(-6, 1, (25, 1, 1))
-        got = expm_stack(stack)
-        for i in range(25):
-            ref = scipy.linalg.expm(stack[i])
-            assert np.allclose(got[i], ref, rtol=1e-11, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+        def with_one_norms(norms, d):
+            m = rng.standard_normal((len(norms), d, d))
+            return m * (np.asarray(norms) / np.abs(m).sum(axis=1).max(axis=1))[:, None, None]
+
+        stacks = [rng.standard_normal((25, 4, 4)) * 10.0 ** rng.uniform(-6, 1, (25, 1, 1))]
+        # 1-norms just either side of the Pade thresholds theta_3, 5, 7, 9, 13,
+        # plus a tiny and a heavily scaled one: one matrix per call selects the
+        # degree from that norm alone, one stack of all of them mixes them.
+        thetas = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+        norms = [1e-8, 50.0] + [theta * f for theta in thetas for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+        for d in (2, 4, 16, 32):
+            mixed = with_one_norms(norms, d)
+            stacks += [mixed] + [m[None] for m in mixed]
+        # Spectral radius equal to the 1-norm: the largest truncation error.
+        stacks += [sign * n * np.eye(3)[None] for n in norms for sign in (1.0, -1.0)]
+        # Longer than one block, norms ascending so successive blocks take
+        # every degree.
+        stacks.append(with_one_norms(np.sort(10.0 ** rng.uniform(-9, 1.7, 3000)), 16))
+        for stack in stacks:
+            got = expm_stack(stack)
+            for g, m in zip(got, stack):
+                ref = scipy.linalg.expm(m)
+                assert np.allclose(g, ref, rtol=1e-11, atol=1e-13 * max(1.0, np.abs(ref).max()))
 
     def test_stack_overflow_raises(self):
         with pytest.raises(Overflow):
             expm_stack(np.array([[[800.0, 0.0], [0.0, 800.0]]]))
+        # Only the last matrix of a many-block stack overflows.
+        stack = np.zeros((3000, 16, 16))
+        stack[-1] = 800.0 * np.eye(16)
+        with pytest.raises(Overflow):
+            expm_stack(stack)
 
 
 class TestYosida:
