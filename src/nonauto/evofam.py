@@ -29,6 +29,7 @@ from .semigroup import GrowthBound, expm_stack
 
 MAX_LEVEL = 24
 MODULUS_PAIR_CAP = 4096
+SUP_SAMPLES = 65  # t-grid of the sampled sup_t ||B(t)||_A
 PROFILE_SAMPLES = 2049
 
 
@@ -70,8 +71,9 @@ class DyadicPartition:
 class PerturbationFamily:
     """Time-dependent perturbation t -> B(t) on a fixed interval.
 
-    Subclasses implement _value(t); evaluation outside the interval is an
-    error. modulus() estimates sup_{|t-s| <= h} ||B(t) - B(s)||_A and is
+    values_stack(ts) is the one way a family is evaluated, and B(t) is its
+    one-item form. Subclasses implement _values(ts) for a checked 1-D array
+    of times. modulus() estimates sup_{|t-s| <= h} ||B(t) - B(s)||_A and is
     exact for subclasses that can bound it structurally.
     """
 
@@ -87,17 +89,25 @@ class PerturbationFamily:
         self._anorm_cache = weakref.WeakKeyDictionary()
 
     def __call__(self, t: float) -> Operator:
+        return Operator(self.values_stack([t])[0], self.norm_kind)
+
+    def values_stack(self, ts) -> np.ndarray:
+        """Entries of B(t) for each t, a new (len(ts), dim, dim) array the caller may modify.
+
+        Any t outside the interval, NaN included, raises OutOfInterval; a
+        kind whose values are not dim x dim raises DimensionMismatch.
+        """
+        ts = np.asarray(ts, dtype=float)
         t0, t1 = self.interval
-        if not (t0 <= t <= t1):
-            raise OutOfInterval(f"t={t} outside [{t0}, {t1}]")
-        return self._value(float(t))
+        if len(ts) and not (t0 <= ts.min() and ts.max() <= t1):
+            raise OutOfInterval(f"t={ts[~((ts >= t0) & (ts <= t1))][0]} outside [{t0}, {t1}]")
+        out = self._values(ts)
+        if out.shape != (len(ts), self.dim, self.dim):
+            raise DimensionMismatch(f"family of dim {self.dim} gave values of shape {out.shape[1:]}")
+        return out
 
-    def _value(self, t: float) -> Operator:
+    def _values(self, ts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def values_stack(self, ts: np.ndarray) -> np.ndarray:
-        """Entries of B(t) for each t, shape (len(ts), dim, dim)."""
-        return np.stack([self(float(t)).entries for t in ts])
 
     def _cached(self, anorm: ANormEvaluator, key, compute):
         memo = self._anorm_cache.setdefault(anorm, {})
@@ -105,24 +115,24 @@ class PerturbationFamily:
             memo[key] = compute()
         return memo[key]
 
-    def modulus(self, h: float, anorm: ANormEvaluator, rng=None, max_pairs: int = MODULUS_PAIR_CAP) -> float:
+    def modulus(self, h: float, anorm: ANormEvaluator, rng=None) -> float:
         """sup over sampled pairs |t - s| <= h of ||B(t) - B(s)||_A.
 
         Sampled fallback; subclasses override where the sup is available in
         closed form. Results are cached per (h, anorm) since refinement asks
         for a whole ladder of h on one evaluator.
         """
-        return self._cached(anorm, float(h), lambda: self._modulus_sampled(h, anorm, rng, max_pairs))
+        return self._cached(anorm, float(h), lambda: self._modulus_sampled(h, anorm, rng))
 
-    def _modulus_sampled(self, h: float, anorm: ANormEvaluator, rng, max_pairs: int) -> float:
+    def _modulus_sampled(self, h: float, anorm: ANormEvaluator, rng) -> float:
         t0, t1 = self.interval
         h = min(float(h), t1 - t0)
         if h <= 0.0:
             return 0.0
         rng = np.random.default_rng(0) if rng is None else rng
-        count = min(max_pairs, max(16, math.ceil(4.0 * (t1 - t0) / h)))
+        count = min(MODULUS_PAIR_CAP, max(16, math.ceil(4.0 * (t1 - t0) / h)))
         # Adjacent mesh nodes at spacing h catch oscillations aligned to the mesh.
-        nodes = np.arange(t0, t1, h)[: max_pairs // 2]
+        nodes = np.arange(t0, t1, h)[: MODULUS_PAIR_CAP // 2]
         starts = rng.uniform(t0, t1, size=count)
         offsets = rng.uniform(-h, h, size=count)
         ts = np.concatenate([nodes, starts])
@@ -130,10 +140,10 @@ class PerturbationFamily:
         diffs = self.values_stack(ts) - self.values_stack(ss)
         return float(anorm.value_stack(diffs).max())
 
-    def sup_anorm(self, anorm: ANormEvaluator, samples: int = 65) -> float:
+    def sup_anorm(self, anorm: ANormEvaluator) -> float:
         """sup_t ||B(t)||_A over a uniform t-grid (exact where overridden)."""
         t0, t1 = self.interval
-        return float(anorm.value_stack(self.values_stack(np.linspace(t0, t1, samples))).max())
+        return float(anorm.value_stack(self.values_stack(np.linspace(t0, t1, SUP_SAMPLES))).max())
 
     def scale(self, c: float) -> "PerturbationFamily":
         return _Scaled(self, float(c))
@@ -147,17 +157,14 @@ class _Scaled(PerturbationFamily):
         self.base = base
         self.c = c
 
-    def _value(self, t: float) -> Operator:
-        return self.c * self.base(t)
-
-    def values_stack(self, ts: np.ndarray) -> np.ndarray:
+    def _values(self, ts: np.ndarray) -> np.ndarray:
         return self.c * self.base.values_stack(ts)
 
-    def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
-        return abs(self.c) * self.base.modulus(h, anorm, rng=rng, max_pairs=max_pairs)
+    def modulus(self, h, anorm, rng=None) -> float:
+        return abs(self.c) * self.base.modulus(h, anorm, rng=rng)
 
-    def sup_anorm(self, anorm, samples: int = 65) -> float:
-        return abs(self.c) * self.base.sup_anorm(anorm, samples=samples)
+    def sup_anorm(self, anorm) -> float:
+        return abs(self.c) * self.base.sup_anorm(anorm)
 
 
 class ConstantFamily(PerturbationFamily):
@@ -167,16 +174,13 @@ class ConstantFamily(PerturbationFamily):
         super().__init__(interval, b0.dim, b0.norm_kind)
         self.b0 = b0
 
-    def _value(self, t: float) -> Operator:
-        return self.b0
-
-    def values_stack(self, ts: np.ndarray) -> np.ndarray:
+    def _values(self, ts: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.b0.entries, (len(ts), self.dim, self.dim)).copy()
 
-    def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
+    def modulus(self, h, anorm, rng=None) -> float:
         return 0.0
 
-    def sup_anorm(self, anorm, samples: int = 65) -> float:
+    def sup_anorm(self, anorm) -> float:
         return anorm.value(self.b0).value
 
 
@@ -191,14 +195,10 @@ class ScaledProfileFamily(PerturbationFamily):
         super().__init__(interval, b0.dim, b0.norm_kind)
         self.profile = profile
         self.b0 = b0
-        ts = np.linspace(self.interval[0], self.interval[1], PROFILE_SAMPLES)
-        self._profile_ts = ts
-        self._profile_vals = np.array([float(profile(t)) for t in ts])
+        self._profile_vals = np.array([float(profile(t)) for t in np.linspace(*self.interval, PROFILE_SAMPLES)])
 
-    def _value(self, t: float) -> Operator:
-        return float(self.profile(t)) * self.b0
-
-    def values_stack(self, ts: np.ndarray) -> np.ndarray:
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        # One scalar call per t: a ufunc in its place can differ in the last bit.
         vals = np.array([float(self.profile(float(t))) for t in ts])
         return vals[:, None, None] * self.b0.entries[None, :, :]
 
@@ -216,10 +216,10 @@ class ScaledProfileFamily(PerturbationFamily):
     def _b0_anorm(self, anorm) -> float:
         return self._cached(anorm, "b0", lambda: anorm.value(self.b0).value)
 
-    def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
+    def modulus(self, h, anorm, rng=None) -> float:
         return self._cached(anorm, float(h), lambda: self._profile_modulus(h) * self._b0_anorm(anorm))
 
-    def sup_anorm(self, anorm, samples: int = 65) -> float:
+    def sup_anorm(self, anorm) -> float:
         return float(np.abs(self._profile_vals).max()) * self._b0_anorm(anorm)
 
 
@@ -241,38 +241,33 @@ class PiecewiseLinearFamily(PerturbationFamily):
         for m in mats[1:]:
             mats[0]._check(m)
         self.nodes = nodes
-        self.mats = [m for m in mats]
         self._stack = np.stack([m.entries for m in mats])
 
-    def _value(self, t: float) -> Operator:
-        j = min(int(np.searchsorted(self.nodes, t, side="right")) - 1, len(self.nodes) - 2)
-        j = max(j, 0)
-        w = (t - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j])
-        entries = (1.0 - w) * self._stack[j] + w * self._stack[j + 1]
-        return Operator(entries, self.norm_kind)
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        # Piece j holds [node_j, node_{j+1}); b maps to the last piece.
+        j = np.clip(np.searchsorted(self.nodes, ts, side="right") - 1, 0, len(self.nodes) - 2)
+        w = ((ts - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j]))[:, None, None]
+        out = (1.0 - w) * self._stack[j]
+        out += w * self._stack[j + 1]
+        return out
 
     def _slopes(self, anorm: ANormEvaluator) -> np.ndarray:
-        def compute():
-            diffs = np.diff(self._stack, axis=0)
-            widths = np.diff(self.nodes)
-            return np.array(
-                [anorm.value(Operator(diffs[j], self.norm_kind)).value / widths[j] for j in range(len(widths))]
-            )
+        return self._cached(
+            anorm, "slopes", lambda: anorm.value_stack(np.diff(self._stack, axis=0)) / np.diff(self.nodes)
+        )
 
-        return self._cached(anorm, "slopes", compute)
-
-    def modulus(self, h, anorm, rng=None, max_pairs=MODULUS_PAIR_CAP) -> float:
+    def modulus(self, h, anorm, rng=None) -> float:
         t0, t1 = self.interval
         h = min(float(h), t1 - t0)
         if h <= 0.0:
             return 0.0
         if h <= float(np.diff(self.nodes).min()):
             return float(h * self._slopes(anorm).max())
-        return self._modulus_sampled(h, anorm, rng, max_pairs)
+        return self._modulus_sampled(h, anorm, rng)
 
-    def sup_anorm(self, anorm, samples: int = 65) -> float:
+    def sup_anorm(self, anorm) -> float:
         # Convexity of the norm along each piece puts the sup at a node.
-        return max(anorm.value(m).value for m in self.mats)
+        return float(anorm.value_stack(self._stack).max())
 
 
 class CallableFamily(PerturbationFamily):
@@ -282,11 +277,9 @@ class CallableFamily(PerturbationFamily):
         super().__init__(interval, dim, norm_kind)
         self.fn = fn
 
-    def _value(self, t: float) -> Operator:
-        out = self.fn(t)
-        if isinstance(out, Operator):
-            return out
-        return Operator(np.asarray(out, dtype=float), self.norm_kind)
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        outs = (self.fn(float(t)) for t in ts)
+        return np.array([out.entries if isinstance(out, Operator) else out for out in outs], dtype=float)
 
 
 class TabulatedFamily(PiecewiseLinearFamily):
@@ -329,9 +322,11 @@ class EvolutionFamilyApprox:
         self.a = a
         self.family = family
         self.partition = partition
-        left_nodes = partition.nodes()[:-1]
-        self._frozen = a.entries[None, :, :] + family.values_stack(left_nodes)
-        self._cell_exp = expm_stack(partition.delta * self._frozen)
+        # delta (A + B(node_j)) built in place: with the exponentials, two whole-level stacks.
+        cells = family.values_stack(partition.nodes()[:-1])
+        cells += a.entries
+        cells *= partition.delta
+        self._cell_exp = expm_stack(cells)
 
     @property
     def level(self) -> int:
@@ -349,7 +344,8 @@ class EvolutionFamilyApprox:
             return np.eye(self.a.dim)
         if abs(tau - delta) <= 1e-12 * delta:
             return self._cell_exp[j]
-        return expm_stack(tau * self._frozen[j : j + 1])[0]
+        frozen = self.a.entries + self.family.values_stack([self.partition.node(j)])
+        return expm_stack(tau * frozen)[0]
 
     def evaluate(self, t: float, s: float) -> Operator:
         p = self.partition
@@ -521,7 +517,7 @@ def refine_to_tolerance(
         if below >= 2:
             return RefineResult(approx=cur, levels=tuple(levels), achieved_delta=float(delta), omega1=float(omega1))
         # Only the probe values carry over: the next level is built without
-        # this polygon's frozen and cell-exponential stacks alive.
+        # this polygon's cell-exponential stack alive.
         prev_vals = cur_vals
         del cur
     last = f"last increment {levels[-1][1]:.3e} at level {levels[-1][0]}" if levels else "no level refined"

@@ -58,6 +58,23 @@ class TestDyadicPartition:
             p.cell_of(1.5)
 
 
+def _tabulated_unit(tmp_path):
+    path = tmp_path / "unit.csv"
+    path.write_text("0.0, 1.0, 0.0, 0.0, 1.0\n1.0, 0.0, 1.0, 1.0, 0.0\n")
+    return TabulatedFamily(str(path))
+
+
+# One family of every kind on [0, 1], built from a scratch directory.
+_UNIT_FAMILIES = {
+    "constant": lambda tmp: ConstantFamily((0.0, 1.0), op2(np.eye(2))),
+    "sinusoid": lambda tmp: ScaledProfileFamily((0.0, 1.0), math.sin, op2(np.eye(2))),
+    "scaled": lambda tmp: ScaledProfileFamily((0.0, 1.0), math.sin, op2(np.eye(2))).scale(0.5),
+    "piecewise": lambda tmp: PiecewiseLinearFamily([0.0, 1.0], [np.zeros((2, 2)), np.eye(2)]),
+    "tabulated": _tabulated_unit,
+    "callable": lambda tmp: CallableFamily((0.0, 1.0), lambda t: t * np.eye(2), dim=2),
+}
+
+
 class TestFamilies:
     def test_call_outside_interval(self):
         fam = ConstantFamily((0.0, 1.0), op2(np.eye(2)))
@@ -93,6 +110,19 @@ class TestFamilies:
         assert np.allclose(fam(0.5).entries, 0.5 * np.eye(2))
         assert np.allclose(fam(2.0).entries, 2.0 * np.eye(2))
         assert np.allclose(fam(3.0).entries, 3.0 * np.eye(2))
+        # Non-collinear nodes make the piece choice visible: interior points,
+        # every node, and b, which belongs to the last piece.
+        kinked = PiecewiseLinearFamily([0.0, 1.0, 3.0], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]],
+                                                         [[0.0, 0.0], [4.0, 0.0]]])
+        got = kinked.values_stack([0.0, 0.25, 1.0, 2.0, 3.0])
+        want = [
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[0.75, 0.5], [0.0, 0.0]],
+            [[0.0, 2.0], [0.0, 0.0]],
+            [[0.0, 1.0], [2.0, 0.0]],
+            [[0.0, 0.0], [4.0, 0.0]],
+        ]
+        np.testing.assert_array_equal(got, want)
 
     def test_piecewise_linear_exact_modulus(self):
         # steepest piece has slope 2 I per unit time; for h <= 1 the modulus
@@ -163,6 +193,28 @@ class TestFamilies:
         path.write_text("0.0, 1.0\n2.0, 3.0\n")
         fam = family_from_spec({"kind": "tabulated", "path": str(path)})
         assert fam.interval == (0.0, 2.0)
+
+    @pytest.mark.parametrize("t", [5.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("kind", sorted(_UNIT_FAMILIES))
+    def test_evaluation_outside_interval_raises(self, kind, t, tmp_path):
+        fam = _UNIT_FAMILIES[kind](tmp_path)
+        with pytest.raises(OutOfInterval):
+            fam(t)
+        with pytest.raises(OutOfInterval):
+            fam.values_stack([0.5, t])
+        # The oracle wants t >= s, so a point below the interval is the start.
+        t_end, s = (1.0, t) if t < 0.0 else (t, 0.0)
+        with pytest.raises(OutOfInterval):
+            oracle_solve(op2(np.diag([-1.0, -2.0])), fam, t_end, s)
+
+    def test_callable_of_wrong_dimension_raises(self):
+        fam = CallableFamily((0.0, 1.0), lambda t: np.eye(3), dim=2)
+        with pytest.raises(DimensionMismatch):
+            fam(0.5)
+        with pytest.raises(DimensionMismatch):
+            euler_polygon(op2(np.diag([-1.0, -2.0])), fam, 2)
+        with pytest.raises(DimensionMismatch):
+            oracle_solve(op2(np.diag([-1.0, -2.0])), fam, 1.0, 0.0)
 
     def test_family_from_spec_unknown_kind(self):
         with pytest.raises(PreconditionViolated):

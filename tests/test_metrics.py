@@ -13,7 +13,9 @@ from nonauto import (
     check_assumptions,
     check_generation_bound,
     lemma32_decay,
+    norm_of,
     op_norm,
+    resolvent,
     yosida_distance,
 )
 from nonauto.evofam import CallableFamily, ConstantFamily, ScaledProfileFamily
@@ -179,6 +181,21 @@ class TestAssumptions:
         )
         report = check_assumptions(fam, a, GrowthBound(1.0, -1.0))
         assert not report.a1_pass
+
+    def test_a2_column_matches_pointwise_loop(self):
+        # The stacked a2 column against one difference quotient and one norm
+        # per (mu, t), the same arithmetic in a loop: equal to the bit.
+        a = op2([[-1.0, 0.4], [0.0, -2.0]])
+        fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2([[0.5, 1.0], [-0.3, 0.2]]))
+        report = check_assumptions(fam, a, GrowthBound(1.0, -1.0), t_samples=9)
+        h = report.h_fd
+        for mu, sup in report.a2_derivative_sup:
+            r = resolvent(a, mu).entries
+            want = max(
+                norm_of((fam(t + h).entries - fam(t - h).entries) / (2.0 * h) @ r, NormKind.TWO)
+                for t in np.linspace(h, 1.0 - h, 9)
+            )
+            assert sup == want
 
 
 class TestLemma32Decay:
