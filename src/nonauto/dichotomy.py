@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .errors import NotInvertible, OutOfInterval, PreconditionViolated, ToleranceNotReached
+from .errors import NotInvertible, OutOfInterval, PreconditionViolated, SingularResolvent, ToleranceNotReached
 from .evofam import EvolutionFamilyApprox, PerturbationFamily, refine_to_tolerance
-from .linop import COND_LIMIT, Operator, norm_of, _condition_1norm
+from .linop import Operator, norm_of, resolvent_stack
 from .metrics import ANormEvaluator
 from .semigroup import GrowthBound, expm, fit_growth_bound
 
@@ -45,14 +44,11 @@ class DichotomyReport:
 
 
 def _inverse(m: np.ndarray) -> np.ndarray:
-    lu, piv = lu_factor(m)
-    diag = np.abs(np.diag(lu))
-    if np.any(diag == 0.0):
-        raise NotInvertible("time-1 operator is exactly singular")
-    cond = _condition_1norm(m, lu, piv)
-    if cond > COND_LIMIT:
-        raise NotInvertible(f"time-1 operator condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return lu_solve((lu, piv), np.eye(m.shape[0]))
+    """m^{-1} as the resolvent R(0, -m), under resolvent_stack's singularity, condition and residual guards."""
+    try:
+        return resolvent_stack(-m, 0.0)[0][0]
+    except SingularResolvent as exc:
+        raise NotInvertible(f"time-1 operator T refused as R(0, -T): {exc}") from exc
 
 
 def check_hyperbolic(t1: Operator, k_max: int = K_MAX) -> DichotomyReport:

@@ -6,18 +6,22 @@ not a coercion: a bound certified in one norm says nothing in another.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, EigenFailure, NormKindMismatch, SingularResolvent
 
-# Resolvent solves are rejected above this 1-norm condition estimate.
+# Resolvent solves are rejected above this 1-norm condition number.
 COND_LIMIT = 1e12
-# Residual allowance for (mu I - A) R = I, scaled by the condition estimate.
+# Residual allowance for (mu I - A) R = I, scaled by the condition number.
 RESOLVENT_RESIDUAL = 1e-10
+# Bytes of one (block, d, d) temporary in the stacked kernels (resolvent_stack,
+# semigroup.expm_stack): each block's temporaries stay in cache instead of
+# streaming whole-stack arrays.
+BLOCK_BYTES = 256 * 1024
 
 
 class NormKind(enum.Enum):
@@ -129,39 +133,55 @@ def op_norm(op: Operator) -> float:
     return norm_of(op.entries, op.norm_kind)
 
 
-def _condition_1norm(m: np.ndarray, lu, piv) -> float:
-    """1-norm condition estimate kappa_1(m) from an existing LU factorisation."""
-    anorm = norm_of(m, NormKind.ONE)
-    if anorm == 0.0:
-        return float("inf")
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond <= 0.0:
-        return float("inf")
-    return float(1.0 / rcond)
+def _inverse_items(m: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack, one at a time: all NaN where one is exactly singular."""
+    out = np.full(m.shape, np.nan)
+    for i, item in enumerate(m):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            out[i] = np.linalg.inv(item)
+    return out
+
+
+def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
+    """(mu_j I - M_j)^{-1} for one (d, d) M against k mus, or a (k, d, d) stack against one mu.
+
+    One batched LU inverse per block of BLOCK_BYTES. An item is refused when
+    mu I - M is exactly singular, when its exact 1-norm condition number
+    kappa = ||mu I - M||_1 ||R||_1 exceeds COND_LIMIT, or when the residual
+    ||(mu I - M) R - I||_1 exceeds RESOLVENT_RESIDUAL * kappa. Returns
+    (r, kept): the kept resolvents in item order and a boolean mask over the
+    items. The first refused item raises SingularResolvent unless skip is set.
+    """
+    ms, mus = np.asarray(ms, dtype=float), np.atleast_1d(np.asarray(mus, dtype=float))
+    k, d = (ms.shape[0] if ms.ndim == 3 else mus.shape[0]), ms.shape[-1]
+    ms, mus = np.broadcast_to(ms, (k, d, d)), np.broadcast_to(mus, (k,))
+    out, kept = np.empty((k, d, d)), np.ones(k, dtype=bool)
+    step = max(1, BLOCK_BYTES // (8 * d * d))
+    for lo in range(0, k, step):
+        m = mus[lo : lo + step, None, None] * np.eye(d) - ms[lo : lo + step]
+        try:
+            r = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            r = _inverse_items(m)
+        kappa = norm_stack(m, NormKind.ONE) * norm_stack(r, NormKind.ONE)
+        residual = norm_stack(m @ r - np.eye(d), NormKind.ONE)
+        ok = (kappa <= COND_LIMIT) & (residual <= RESOLVENT_RESIDUAL * kappa)
+        if not (skip or ok.all()):
+            j = int(np.argmin(ok))
+            reason = (
+                "mu I - A is exactly singular or not finite" if np.isnan(kappa[j])
+                else f"condition number {kappa[j]:.3e} exceeds {COND_LIMIT:.0e}" if kappa[j] > COND_LIMIT
+                else f"resolvent residual {residual[j]:.3e} above {RESOLVENT_RESIDUAL:.0e} * kappa"
+            )
+            raise SingularResolvent(f"{reason} at mu={float(mus[lo + j])!r}")
+        kept[lo : lo + len(m)] = ok
+        out[lo : lo + len(m)] = r
+    return (out if kept.all() else out[kept]), kept
 
 
 def resolvent(a: Operator, mu: float) -> Operator:
-    """R(mu, A) = (mu I - A)^{-1} by LU with partial pivoting.
-
-    Refuses to answer when the 1-norm condition estimate of mu I - A exceeds
-    COND_LIMIT, or when the residual ||(mu I - A) R - I||_1 comes out above
-    RESOLVENT_RESIDUAL times the condition estimate.
-    """
-    m = float(mu) * np.eye(a.dim) - a.entries
-    try:
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    except Exception as exc:  # LinAlgError from LAPACK
-        raise SingularResolvent(f"mu I - A could not be factorised at mu={mu!r}: {exc}") from exc
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularResolvent(f"mu I - A is exactly singular at mu={mu!r}")
-    kappa = _condition_1norm(m, lu, piv)
-    if not np.isfinite(kappa) or kappa > COND_LIMIT:
-        raise SingularResolvent(f"condition estimate {kappa:.3e} exceeds {COND_LIMIT:.0e} at mu={mu!r}")
-    r = scipy.linalg.lu_solve((lu, piv), np.eye(a.dim), check_finite=False)
-    residual = norm_of(m @ r - np.eye(a.dim), NormKind.ONE)
-    if residual > RESOLVENT_RESIDUAL * kappa:
-        raise SingularResolvent(f"resolvent residual {residual:.3e} above {RESOLVENT_RESIDUAL:.0e} * kappa at mu={mu!r}")
-    return Operator(r, a.norm_kind)
+    """R(mu, A) = (mu I - A)^{-1}: resolvent_stack's one-item form, under its exact-kappa_1 guards."""
+    return Operator(resolvent_stack(a.entries, mu)[0][0], a.norm_kind)
 
 
 def spectrum(a: Operator) -> Spectrum:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
-from .linop import Operator, norm_of, norm_stack, op_norm, resolvent, spectrum
+from .linop import Operator, norm_stack, op_norm, resolvent_stack, spectrum
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, expm_stack, worst_ratio
 
 LAMBDA_CEILING = 1e8
@@ -24,6 +24,9 @@ LAMBDA_CEILING = 1e8
 SKIP_BUDGET = 0.10
 TAIL_REL = 1e-3
 TAIL_ABS = 1e-9
+# Bytes of the C R(mu, A) products one evaluator block forms (norm_stack
+# makes one more array of that size).
+PRODUCT_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,9 @@ class ANormResult:
 class ANormEvaluator:
     """Shared mu-grid resolvents of a fixed A, reused across many C.
 
-    Building the grid costs one resolvent solve per mu; each evaluation is
-    then a batched multiply. Grid points whose resolvent cannot be solved are
+    Building the grid is one resolvent_stack call: one batched inverse per
+    block of mu points. Each evaluation then multiplies C against the grid in
+    blocks of PRODUCT_BYTES. Grid points whose resolvent is refused are
     skipped and counted; more than SKIP_BUDGET of them is an error.
     """
 
@@ -66,47 +70,43 @@ class ANormEvaluator:
         self.a = a
         self.gb = gb
         self.grid = grid or MuGrid()
-        offsets = self.grid.offsets()
-        kept_mus, kept_res, skipped = [], [], 0
-        for off in offsets:
-            mu = gb.omega0 + float(off)
-            try:
-                kept_res.append(resolvent(a, mu).entries)
-                kept_mus.append(mu)
-            except SingularResolvent:
-                skipped += 1
-        if skipped > SKIP_BUDGET * len(offsets):
+        mus = gb.omega0 + self.grid.offsets()
+        self._stack, kept = resolvent_stack(a.entries, mus, skip=True)
+        self.total, self.skipped = len(mus), int(np.count_nonzero(~kept))
+        if self.skipped > SKIP_BUDGET * self.total:
             raise SingularResolvent(
-                f"{skipped} of {len(offsets)} mu-grid points unsolvable; grid does not cover (omega0, inf)"
+                f"{self.skipped} of {self.total} mu-grid points unsolvable; grid does not cover (omega0, inf)"
             )
-        self.skipped = skipped
-        self.total = len(offsets)
-        self._mus = np.array(kept_mus)
-        self._stack = np.stack(kept_res) if kept_res else np.zeros((0, a.dim, a.dim))
+        self._mus = mus[kept]
         self._weights = self._mus - gb.omega0
+
+    def _grid_norms(self, mats: np.ndarray) -> np.ndarray:
+        """(k, n_mu) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack, PRODUCT_BYTES of products at a time."""
+        d, n_mu = self.a.dim, self._stack.shape[0]
+        cols = max(1, min(n_mu, PRODUCT_BYTES // (8 * d * d)))
+        rows = max(1, PRODUCT_BYTES // (8 * d * d * cols))
+        out = np.empty((mats.shape[0], n_mu))
+        for lo in range(0, mats.shape[0], rows):
+            for mlo in range(0, n_mu, cols):
+                products = mats[lo : lo + rows, None] @ self._stack[None, mlo : mlo + cols]
+                norms = norm_stack(products.reshape(-1, d, d), self.a.norm_kind)
+                out[lo : lo + rows, mlo : mlo + cols] = norms.reshape(products.shape[:2])
+        return out
 
     def sweep(self, c: Operator) -> list:
         """Per-mu samples (mu, (mu - omega0) ||C R(mu, A)|| / M)."""
         self.a._check(c)
-        norms = norm_stack(c.entries @ self._stack, self.a.norm_kind)
+        norms = self._grid_norms(c.entries[None])[0]
         scaled = self._weights * norms / self.gb.m
         return [(float(mu), float(v)) for mu, v in zip(self._mus, scaled)]
 
     def value(self, c: Operator) -> ANormResult:
         samples = self.sweep(c)
-        tail = op_norm(c) / self.gb.m
-        best_mu, best = float("inf"), tail
+        best_mu, best = float("inf"), op_norm(c) / self.gb.m
         for mu, v in samples:
             if v > best:
                 best_mu, best = mu, v
-        return ANormResult(
-            value=best,
-            argmax_mu=best_mu,
-            m=self.gb.m,
-            omega0=self.gb.omega0,
-            skipped=self.skipped,
-            total=self.total,
-        )
+        return ANormResult(best, best_mu, self.gb.m, self.gb.omega0, self.skipped, self.total)
 
     def value_stack(self, mats: np.ndarray) -> np.ndarray:
         """Norm values for a whole (k, d, d) stack at once; no argmax bookkeeping."""
@@ -115,19 +115,8 @@ class ANormEvaluator:
             raise DimensionMismatch(f"expected a (k, {self.a.dim}, {self.a.dim}) stack, got {mats.shape}")
         if mats.shape[0] == 0:
             return np.zeros(0)
-        kind, d = self.a.norm_kind, self.a.dim
-        n_mu = self._stack.shape[0]
-        # Cap the intermediate (chunk, n_mu, d, d) product tensor at ~64 MB.
-        chunk = max(1, int(8e6 / max(1, n_mu * d**2)))
-        out = np.empty(mats.shape[0])
-        for lo in range(0, mats.shape[0], chunk):
-            part = mats[lo : lo + chunk]
-            products = (part[:, None] @ self._stack[None]).reshape(-1, d, d)
-            norms = norm_stack(products, kind).reshape(len(part), n_mu)
-            tails = norm_stack(part, kind)
-            scaled = (self._weights[None, :] * norms).max(axis=1)
-            out[lo : lo + chunk] = np.maximum(scaled, tails) / self.gb.m
-        return out
+        scaled = (self._weights[None, :] * self._grid_norms(mats)).max(axis=1)
+        return np.maximum(scaled, norm_stack(mats, self.a.norm_kind)) / self.gb.m
 
 
 def a_norm(c: Operator, a: Operator, gb: GrowthBound, grid: MuGrid | None = None) -> ANormResult:
@@ -163,12 +152,9 @@ def yosida_distance(a: Operator, b: Operator, lambdas=None) -> YosidaDistance:
         raise PreconditionViolated("yosida_distance wants at least 3 lambda samples")
     if lams[-1] > LAMBDA_CEILING * (1.0 + 1e-12):
         raise PreconditionViolated(f"lambda grid exceeds ceiling {LAMBDA_CEILING:.0e}")
-    diff = a.entries - b.entries
-    samples = []
-    for lam in lams:
-        ra = resolvent(a, float(lam)).entries
-        rb = resolvent(b, float(lam)).entries
-        samples.append((float(lam), float(lam) ** 2 * norm_of(ra @ diff @ rb, a.norm_kind)))
+    ra, rb = (resolvent_stack(m.entries, lams)[0] for m in (a, b))
+    norms = norm_stack(ra @ (a.entries - b.entries) @ rb, a.norm_kind)
+    samples = [(float(lam), float(lam) ** 2 * float(v)) for lam, v in zip(lams, norms)]
     tail = [v for _, v in samples[-3:]]
     value = samples[-1][1]
     spread = max(tail) - min(tail)
@@ -243,10 +229,8 @@ def check_assumptions(
     mus = gb.omega0 + np.geomspace(10.0, 1e6, 11)
     ts = np.linspace(t0 + h_fd, t1 - h_fd, t_samples)
     dbdt = (family.values_stack(ts + h_fd) - family.values_stack(ts - h_fd)) / (2.0 * h_fd)
-    a2 = []
-    for mu in mus:
-        r = resolvent(a, float(mu)).entries
-        a2.append((float(mu), float(norm_stack(dbdt @ r, a.norm_kind).max(initial=0.0))))
+    rs, _ = resolvent_stack(a.entries, mus)
+    a2 = [(float(mu), float(norm_stack(dbdt @ r, a.norm_kind).max(initial=0.0))) for mu, r in zip(mus, rs)]
     med = float(np.median([v for _, v in a2]))
     a2_pass = a2[-1][1] <= 2.0 * med + 1e-300
     return AssumptionReport(
@@ -283,24 +267,24 @@ def lemma32_decay(
     t0, t1 = family.interval
     if mus is None:
         mus = gb.omega0 + np.geomspace(10.0, 1e4, 13)
+    mus = np.asarray(mus, dtype=float)
     h_fd = fd_step(family.interval)
     ts = np.linspace(t0 + h_fd, t1 - h_fd, t_samples)
-    eye = np.eye(a.dim)
+    kind, d = a.norm_kind, a.dim
     b_plus, b_minus, b_mid = family.values_stack(ts + h_fd), family.values_stack(ts - h_fd), family.values_stack(ts)
+    a._check(Operator(np.zeros((family.dim, family.dim)), family.norm_kind))
+    # A + B(t + h), A + B(t - h) and A + B(t), interleaved per t.
+    perturbed = (a.entries + np.stack([b_plus, b_minus, b_mid], axis=1)).reshape(-1, d, d)
     samples = []
     worst_residual = 0.0
-    for mu in mus:
-        mu = float(mu)
-        ra = resolvent(a, mu).entries
-        sup = 0.0
-        for bp, bm, b in zip(b_plus, b_minus, b_mid):
-            rp = resolvent(a + Operator(bp, family.norm_kind), mu).entries
-            rm = resolvent(a + Operator(bm, family.norm_kind), mu).entries
-            sup = max(sup, norm_of((rp - rm) / (2.0 * h_fd), a.norm_kind))
-            r0 = resolvent(a + Operator(b, family.norm_kind), mu).entries
-            factored = ra @ np.linalg.inv(eye - b @ ra)
-            worst_residual = max(worst_residual, norm_of(r0 - factored, a.norm_kind) / max(norm_of(r0, a.norm_kind), 1e-300))
-        samples.append((mu, sup))
+    for mu, ra in zip(mus, resolvent_stack(a.entries, mus)[0]):
+        r = resolvent_stack(perturbed, mu)[0].reshape(len(ts), 3, d, d)
+        rp, rm, r0 = r[:, 0], r[:, 1], r[:, 2]
+        sup = float(norm_stack((rp - rm) / (2.0 * h_fd), kind).max(initial=0.0))
+        factored = ra @ np.linalg.inv(np.eye(d) - b_mid @ ra)
+        residuals = norm_stack(r0 - factored, kind) / np.maximum(norm_stack(r0, kind), 1e-300)
+        worst_residual = max(worst_residual, float(residuals.max(initial=0.0)))
+        samples.append((float(mu), sup))
     values = np.array([v for _, v in samples])
     if np.all(values > 0.0):
         slope = float(np.polyfit(np.log(np.array([m for m, _ in samples])), np.log(values), 1)[0])

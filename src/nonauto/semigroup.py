@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Overflow, PreconditionViolated
-from .linop import NormKind, Operator, norm_of, norm_stack, op_norm, resolvent, spectrum
+from .linop import BLOCK_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm, resolvent_stack, spectrum
 
 # Safety inflation applied to a fitted M and to checked bounds.
 FIT_INFLATION = 1e-6
@@ -94,15 +94,12 @@ _PADE_LOW = (
         2162160.0, 110880.0, 3960.0, 90.0, 1.0,
     )),
 )
-# Bytes of one (block, d, d) temporary in expm_stack: each block's Pade
-# temporaries stay in cache instead of streaming whole-stack arrays.
-_BLOCK_BYTES = 256 * 1024
 
 
 def expm_stack(mats: np.ndarray) -> np.ndarray:
     """Batched e^{M_j} for a (k, d, d) stack of raw matrices (internal fast path).
 
-    The stack is cut into blocks of at most _BLOCK_BYTES per (block, d, d)
+    The stack is cut into blocks of at most BLOCK_BYTES per (block, d, d)
     array, at least one matrix each. A block whose largest 1-norm is within
     theta_m for m in {3, 5, 7, 9} takes the lowest such Pade degree m;
     otherwise it takes order 13 after scaling each matrix by 2^-s, then s
@@ -114,7 +111,7 @@ def expm_stack(mats: np.ndarray) -> np.ndarray:
         return mats.copy()
     if not np.isfinite(mats).all():
         raise Overflow("a cell exponential overflows doubles")
-    step = max(1, _BLOCK_BYTES // (8 * mats.shape[-1] ** 2))
+    step = max(1, BLOCK_BYTES // (8 * mats.shape[-1] ** 2))
     if mats.shape[0] <= step:
         return _expm_block(mats)
     out = np.empty(mats.shape)
@@ -184,8 +181,14 @@ def yosida_approx(a: Operator, lam: float) -> Operator:
     converge to e^{tA} as lambda grows. lam must exceed the growth bound
     omega0 of A, otherwise the resolvent solve itself refuses.
     """
-    r = resolvent(a, lam)
-    return Operator(lam * lam * r.entries - lam * np.eye(a.dim), a.norm_kind)
+    return Operator(_yosida_stack(a, lam)[0], a.norm_kind)
+
+
+def _yosida_stack(a: Operator, lams) -> np.ndarray:
+    """Yosida approximants lambda^2 R(lambda, A) - lambda I of A for each lambda, as a stack."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lam = lams[:, None, None]
+    return lam * lam * resolvent_stack(a.entries, lams)[0] - lam * np.eye(a.dim)
 
 
 def _envelope_ratios(a: Operator, ts: np.ndarray, omega0: float) -> np.ndarray:
@@ -254,8 +257,5 @@ def semigroup_diff_bound_check(
 def yosida_semigroup_limit(a: Operator, t: float, lambdas) -> list:
     """Sample ||e^{t A_lambda} - e^{tA}|| over a lambda grid; decays like 1/lambda."""
     target = expm(a, t)
-    out = []
-    for lam in lambdas:
-        approx = expm(yosida_approx(a, float(lam)), t)
-        out.append((float(lam), op_norm(approx - target)))
-    return out
+    approx = _yosida_stack(a, lambdas)
+    return [(float(lam), op_norm(expm(Operator(m, a.norm_kind), t) - target)) for lam, m in zip(lambdas, approx)]

@@ -2,9 +2,13 @@
 
 Every constant here was computed from a closed form stated next to it, not
 from the library under test, and is frozen so a regression in the library
-cannot silently move the expectation.
+cannot silently move the expectation. lu_resolvent is the one reference
+implementation: the per-mu LU rule that linop.resolvent_stack replaced.
 """
 import math
+
+import numpy as np
+import scipy.linalg
 
 # Diagonal nonautonomous system A = diag(-1, -2), B(t) = sin(t) diag(0.5, 0.3)
 # on [0, 1]: the equation decouples into scalars u' = (a + c sin t) u, whose
@@ -32,3 +36,26 @@ SPIKE_MASS_3 = 1.3611111111111112
 # symmetric pair around a peak).
 def sin_modulus(h: float) -> float:
     return 2.0 * math.sin(h / 2.0)
+
+
+def lu_resolvent(a, mu):
+    """Reference R(mu, A) as one LU solve with a dgecon condition estimate.
+
+    Returns (r, kappa_estimate); r is None where this rule refuses mu: an
+    exactly zero pivot, an estimate above 1e12 (COND_LIMIT), or a residual
+    ||(mu I - A) R - I||_1 above 1e-10 (RESOLVENT_RESIDUAL) times the estimate.
+    """
+    d = a.shape[0]
+    m = float(mu) * np.eye(d) - a
+    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    if np.any(np.diag(lu) == 0.0):
+        return None, float("inf")
+    anorm = np.abs(m).sum(axis=0).max()
+    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    kappa = float(1.0 / rcond) if info == 0 and np.isfinite(rcond) and rcond > 0.0 else float("inf")
+    if kappa > 1e12:
+        return None, kappa
+    r = scipy.linalg.lu_solve((lu, piv), np.eye(d), check_finite=False)
+    if np.abs(m @ r - np.eye(d)).sum(axis=0).max() > 1e-10 * kappa:
+        return None, kappa
+    return r, kappa

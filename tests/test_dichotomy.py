@@ -52,6 +52,11 @@ class TestCheckHyperbolic:
         with pytest.raises(NotInvertible):
             check_hyperbolic(op2(np.diag([1.0, 0.0])))
 
+    def test_ill_conditioned_map_refused(self):
+        # kappa_1 = 1e14 is above COND_LIMIT although the map is invertible
+        with pytest.raises(NotInvertible, match="condition number 1.000e"):
+            check_hyperbolic(op2(np.diag([1.0, 1e-14])))
+
     def test_projector_invariants_on_random_maps(self):
         rng = np.random.default_rng(31)
         checked = 0

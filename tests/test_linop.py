@@ -18,7 +18,11 @@ from nonauto import (
     spectrum,
     write_matrix,
 )
-from nonauto.linop import norm_of, norm_stack
+from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
+from nonauto.linop import COND_LIMIT, norm_of, norm_stack, resolvent_stack
+from nonauto.metrics import MuGrid
+
+from oracles import lu_resolvent
 
 
 def op2(entries):
@@ -147,6 +151,51 @@ class TestResolvent:
         mu, nu = 1.5, 4.0
         rmu, rnu = resolvent(a, mu).entries, resolvent(a, nu).entries
         assert np.allclose(rmu - rnu, (nu - mu) * rmu @ rnu, atol=1e-12)
+
+
+class TestResolventStack:
+    @pytest.mark.parametrize("which", ["heat", "translation"])
+    def test_matches_lu_reference_on_default_grid(self, which):
+        # The batched inverse against one LU solve per mu: the same
+        # resolvents to the bit, and the same points refused, except where
+        # the exact kappa crosses COND_LIMIT and the (smaller) estimate did not.
+        if which == "heat":
+            a = build_heat_generator(GridSpec(8.0, 64, Domain.LINE)).entries
+        else:
+            a = build_translation_generator(GridSpec(8.0, 64, Domain.HALF_LINE)).entries
+        mus = MuGrid().offsets()
+        r, kept = resolvent_stack(a, mus, skip=True)
+        want = [lu_resolvent(a, mu) for mu in mus]
+        for i in np.flatnonzero(kept != [ref is not None for ref, _ in want]):
+            assert not kept[i]
+            ref = want[i][0]
+            exact = norm_of(mus[i] * np.eye(64) - a, NormKind.ONE) * norm_of(ref, NormKind.ONE)
+            assert want[i][1] <= COND_LIMIT < exact
+        assert np.array_equal(r, np.stack([ref for ref, _ in want])[kept])
+
+    def test_stack_against_one_mu_matches_one_item_calls(self):
+        rng = np.random.default_rng(5)
+        ms = rng.standard_normal((7, 4, 4))
+        r, kept = resolvent_stack(ms, 6.0)
+        assert kept.all()
+        for m, got in zip(ms, r):
+            assert np.array_equal(got, resolvent(op2(m), 6.0).entries)
+
+    def test_one_singular_item_leaves_its_block(self):
+        # mu = 2 is an eigenvalue of A: only that item is refused, and the
+        # others equal the one-item calls to the bit.
+        a = op2(np.diag([2.0, -1.0, 0.5]))
+        mus = np.array([1.0, 1.5, 2.0, 3.0, 10.0])
+        r, kept = resolvent_stack(a.entries, mus, skip=True)
+        assert kept.tolist() == [True, True, False, True, True]
+        for mu, got in zip(mus[kept], r):
+            assert np.array_equal(got, resolvent(a, mu).entries)
+        with pytest.raises(SingularResolvent, match="exactly singular or not finite at mu=2.0"):
+            resolvent_stack(a.entries, mus)
+
+    def test_empty_grid(self):
+        r, kept = resolvent_stack(np.eye(3), np.zeros(0))
+        assert r.shape == (0, 3, 3) and kept.shape == (0,)
 
 
 class TestSpectrum:

@@ -18,7 +18,9 @@ from nonauto import (
     resolvent,
     yosida_distance,
 )
+from nonauto import metrics
 from nonauto.evofam import CallableFamily, ConstantFamily, ScaledProfileFamily
+from nonauto.linop import norm_stack
 from nonauto.metrics import ANormEvaluator
 
 from oracles import YDIST_DIAG_LIMIT
@@ -95,6 +97,42 @@ class TestANorm:
         assert np.all(np.diff(mus) > 0)
         vals = np.array([v for _, v in rows])
         assert np.all(vals >= 0) and vals.max() <= 1.0 + 1e-9
+
+
+class TestEvaluatorBlocks:
+    # A 2-norm evaluator on a 3 x 3 generator; caps of 5 products (the grid
+    # in column blocks), 3 whole grids per block, and the default.
+    @pytest.mark.parametrize("products", [5, 3 * 221, None])
+    def test_blocked_products_match_whole_grid(self, monkeypatch, products):
+        if products is not None:
+            monkeypatch.setattr(metrics, "PRODUCT_BYTES", 8 * 9 * products)
+        a = op2([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -0.5]])
+        gb = GrowthBound(2.0, -0.4)
+        ev = ANormEvaluator(a, gb)
+        mats = np.random.default_rng(4).standard_normal((7, 3, 3))
+        mus = np.array([mu for mu, _ in ev.sweep(op2(mats[0]))])
+        grid = np.stack([resolvent(a, mu).entries for mu in mus])
+        whole = np.stack([(mus - gb.omega0) * norm_stack(c @ grid, NormKind.TWO) for c in mats])
+        assert [v for _, v in ev.sweep(op2(mats[0]))] == (whole[0] / gb.m).tolist()
+        tails = norm_stack(mats, NormKind.TWO)
+        assert np.array_equal(ev.value_stack(mats), np.maximum(whole.max(axis=1), tails) / gb.m)
+
+    def test_sweep_allocates_one_block_not_the_grid(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(metrics, "PRODUCT_BYTES", 1 << 20)
+        a = op2(np.diag(-np.linspace(1.0, 2.0, 64)))
+        ev = ANormEvaluator(a, GrowthBound(1.0, -1.0))
+        c = op2(np.random.default_rng(2).standard_normal((64, 64)))
+        tracemalloc.start()
+        try:
+            ev.sweep(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole (221, 64, 64) product is 7.2 MB; a block and its
+        # norm_stack copy are 2 MB.
+        assert peak < 3 << 20
 
 
 class TestYosidaDistance:
