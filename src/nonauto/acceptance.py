@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dichotomy import roughness_sweep
 from .evofam import (
@@ -27,17 +28,19 @@ from .evofam import (
     verify_generator_derivative,
 )
 from .examples import (
+    NO_GROWTH_FACTOR,
     Domain,
     GridSpec,
     build_heat_generator,
     build_spiky_b,
     decade_maxima,
     heat_resolvent_green,
+    no_growth,
     scaled_resolvent_sweep,
 )
 from .linop import NormKind, Operator, norm_of, op_norm, resolvent
 from .metrics import ANormEvaluator, a_norm, check_generation_bound, lemma32_decay, yosida_distance
-from .semigroup import GrowthBound, expm, fit_growth_bound, semigroup_diff_bound_check
+from .semigroup import GrowthBound, fit_growth_bound, semigroup_diff_bound_check
 
 CONTRACTION_GB = GrowthBound(m=1.0, omega0=0.0)
 
@@ -85,7 +88,8 @@ def criterion_01(seed: int) -> CriterionResult:
         a = _dissipative(rng, dim)
         b0 = _random_op(rng, dim, 0.5)
         family = ConstantFamily((0.0, 1.0), b0)
-        target = expm(a + b0, 1.0).entries
+        # scipy's expm, not the library's, so the check has an independent reference.
+        target = scipy.linalg.expm((a + b0).entries)
         for n in (0, 2, 4, 6):
             u = euler_polygon(a, family, n).evaluate(1.0, 0.0).entries
             worst = max(worst, norm_of(u - target, NormKind.TWO))
@@ -314,17 +318,13 @@ def criterion_11(seed: int) -> CriterionResult:
 def criterion_12(seed: int) -> CriterionResult:
     """Scaled spiky sweep mu ||B R(mu, G)||_1 stays bounded across decades."""
     g = GridSpec(8.0, 4096, Domain.HALF_LINE)
-    multiplier, _ = build_spiky_b(g, 3)
-    sweep = scaled_resolvent_sweep("translation", g, multiplier.values, np.geomspace(1.0, 1e4, 81))
-    decades = decade_maxima(sweep)
-    middle = decades[len(decades) // 2][1]
-    last = decades[-1][1]
-    ok = last <= 1.5 * middle
+    sweep = scaled_resolvent_sweep("translation", g, build_spiky_b(g, 3).values, np.geomspace(1.0, 1e4, 81))
+    ok, last, middle = no_growth(decade_maxima(sweep))
     return CriterionResult(
         12,
         "spiky-sweep-bounded",
-        bool(ok),
-        f"last-decade max {last:.4f} vs 1.5 x middle {middle:.4f}",
+        ok,
+        f"last-decade max {last:.4f} vs {NO_GROWTH_FACTOR:g} x middle {middle:.4f}",
     )
 
 

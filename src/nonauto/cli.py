@@ -36,7 +36,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .evofam import euler_polygon, family_from_spec, refine_to_tolerance
-from .examples import Domain, GridSpec, build_heat_generator, build_translation_generator, verify_example_bounds
+from .examples import Domain, GridSpec, build_generator, verify_example_bounds
 from .linop import NormKind, Operator, read_matrix, write_matrix
 from .metrics import ANormEvaluator, MuGrid, yosida_distance
 from .semigroup import GrowthBound, fit_growth_bound
@@ -230,24 +230,19 @@ def cmd_converge(args) -> int:
     seed = int(config.get("seed", 0))
     rng = np.random.default_rng(seed)
     out = config.get("out") or "run"
-    columns = ["level", "delta", "omega_n", "bound"]
     try:
         result = refine_to_tolerance(a, family, gb, tol, n_max=n_max, rng=rng)
     except ToleranceNotReached as exc:
-        _write_csv(
-            f"{out}_converge.csv",
-            _header(config, seed),
-            columns,
-            ([str(n), _fmt(d), _fmt(w), _fmt(bd)] for n, d, w, bd in exc.levels),
-        )
-        print(f"tolerance not reached: {exc}", file=sys.stderr)
-        return 3
+        result = exc
     _write_csv(
         f"{out}_converge.csv",
         _header(config, seed),
-        columns,
+        ["level", "delta", "omega_n", "bound"],
         ([str(n), _fmt(d), _fmt(w), _fmt(bd)] for n, d, w, bd in result.levels),
     )
+    if isinstance(result, ToleranceNotReached):
+        print(f"tolerance not reached: {result}", file=sys.stderr)
+        return 3
     _write_json(
         f"{out}_converge.json",
         {
@@ -327,8 +322,7 @@ def cmd_examples(args) -> int:
     }
     report = verify_example_bounds(which, g, n_max=args.nmax, pipeline=not args.no_pipeline)
     matrix_grid = g.coarsened(512)
-    builder = build_translation_generator if which == "translation" else build_heat_generator
-    write_matrix(f"{args.out}_generator.txt", builder(matrix_grid))
+    write_matrix(f"{args.out}_generator.txt", build_generator(which, matrix_grid))
     _write_csv(
         f"{args.out}_sweep.csv",
         _header(config, args.seed),

@@ -204,7 +204,8 @@ def roughness_sweep(
     hyperbolic with spectral gap at least alpha/2 - e^{4 eps} eps. Refinement
     failures are recorded on the row and the sweep continues.
     """
-    base = autonomous_dichotomy(a)
+    e_a = expm(a, 1.0)
+    base = check_hyperbolic(e_a)
     if not base.hyperbolic:
         raise PreconditionViolated("unperturbed generator has spectrum on the unit circle")
     gb = gb or fit_growth_bound(a)
@@ -218,7 +219,6 @@ def roughness_sweep(
         if t1 - t0 < 1.0:
             raise OutOfInterval("interval shorter than 1; no time-1 map fits")
         t_samples = np.linspace(t0 + 1.0, t1, 5)
-    e_a = expm(a, 1.0).entries
     out = []
     for eps in eps_list:
         eps = float(eps)
@@ -247,7 +247,7 @@ def roughness_sweep(
                 SweepRow(
                     t=float(t),
                     report=check_hyperbolic(t1_op),
-                    sup_diff=float(norm_of(t1_op.entries - e_a, a.norm_kind)),
+                    sup_diff=float(norm_of(t1_op.entries - e_a.entries, a.norm_kind)),
                 )
             )
         floor = base.alpha / 2.0 - math.exp(4.0 * eps) * eps

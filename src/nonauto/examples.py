@@ -19,9 +19,9 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, PreconditionViolated
 from .evofam import ScaledProfileFamily, oracle_solve, refine_to_tolerance
-from .linop import NormKind, Operator, norm_of, norm_stack
+from .linop import NormKind, Operator, norm_of
 from .metrics import AssumptionReport, check_assumptions
-from .semigroup import GrowthBound, expm_stack
+from .semigroup import GrowthBound, envelope_ratios
 
 CONTRACTION_SLACK = 1e-10
 NO_GROWTH_FACTOR = 1.5
@@ -126,6 +126,10 @@ class SpikyMultiplier:
     unresolved: tuple
     mass: float
 
+    def operator(self) -> Operator:
+        """The multiplier as a dense diagonal Operator in the induced 1-norm."""
+        return Operator(np.diag(self.values), NormKind.ONE)
+
 
 def _spike_sum(x: np.ndarray, n_max: int) -> np.ndarray:
     out = np.zeros_like(x)
@@ -135,13 +139,12 @@ def _spike_sum(x: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def build_spiky_b(g: GridSpec, n_max: int, mirror: bool = False, dense: bool = True):
+def build_spiky_b(g: GridSpec, n_max: int, mirror: bool = False) -> SpikyMultiplier:
     """Diagonal multiplier from the truncated spike sum, optionally mirrored.
 
-    Returns (SpikyMultiplier, Operator); with dense=False the Operator slot
-    is None, for fine grids where a materialized diagonal would not fit and
-    only the banded sweep path is wanted. mirror adds b(-x) and needs the
-    symmetric line domain.
+    Only the grid samples are kept; SpikyMultiplier.operator() materializes
+    the dense diagonal where a dense diagnostic needs it. mirror adds b(-x)
+    and needs the symmetric line domain.
     """
     if n_max < 1:
         raise PreconditionViolated("n_max must be at least 1")
@@ -156,13 +159,7 @@ def build_spiky_b(g: GridSpec, n_max: int, mirror: bool = False, dense: bool = T
     if mirror:
         values = values + _spike_sum(-x, n_max)
     unresolved = tuple(n for n in range(1, n_max + 1) if g.h >= float(n) ** -4)
-    multiplier = SpikyMultiplier(
-        n_max=n_max,
-        values=values,
-        unresolved=unresolved,
-        mass=float(g.h * values.sum()),
-    )
-    return multiplier, Operator(np.diag(values), NormKind.ONE) if dense else None
+    return SpikyMultiplier(n_max=n_max, values=values, unresolved=unresolved, mass=float(g.h * values.sum()))
 
 
 def _transpose_banded(which: str, g: GridSpec, mu: float):
@@ -212,6 +209,13 @@ def decade_maxima(samples) -> list:
     return [(10.0**k, buckets[k]) for k in sorted(buckets)]
 
 
+def no_growth(decades) -> tuple:
+    """(passed, last, middle): the last decade maximum against NO_GROWTH_FACTOR x the middle one's."""
+    middle = decades[len(decades) // 2][1]
+    last = decades[-1][1]
+    return bool(last <= NO_GROWTH_FACTOR * middle), last, middle
+
+
 @dataclass(frozen=True)
 class ExampleReport:
     """Outcome of the bound checks for one model problem."""
@@ -230,13 +234,8 @@ class ExampleReport:
     pipeline_agreement: float | None
 
 
-def _contraction_norms(a: Operator, t_grid) -> tuple:
-    ts = np.asarray(t_grid, dtype=float)
-    norms = norm_stack(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind)
-    return tuple((float(t), float(v)) for t, v in zip(ts, norms))
-
-
-def _build_generator(which: str, g: GridSpec) -> Operator:
+def build_generator(which: str, g: GridSpec) -> Operator:
+    """The named model generator ("translation" or "heat") on grid g."""
     return build_translation_generator(g) if which == "translation" else build_heat_generator(g)
 
 
@@ -254,44 +253,40 @@ def verify_example_bounds(
 
     The sweep (mu - omega0) ||B R(mu, G)||_1 runs at full grid resolution via
     banded solves; its fitted constant is the sweep maximum and the
-    no-growth verdict compares the last decade's maximum against 1.5x the
-    middle decade's. Dense diagnostics (contraction norms, continuity and
-    derivative assumptions for sin(t) B, and for the heat problem the
-    polygon-vs-integrator pipeline) run on a grid capped at REDUCED_POINTS
-    or pipeline_points cells.
+    no-growth verdict is no_growth of its decade maxima. Dense diagnostics
+    (contraction norms, continuity and derivative assumptions for sin(t) B,
+    and for the heat problem the polygon-vs-integrator pipeline) run on a
+    grid capped at REDUCED_POINTS or pipeline_points cells.
     """
     if which not in ("translation", "heat"):
         raise PreconditionViolated(f"unknown example {which!r}")
     mirror = which == "heat"
-    multiplier, _ = build_spiky_b(g, n_max, mirror=mirror, dense=False)
+    multiplier = build_spiky_b(g, n_max, mirror=mirror)
     sweep = scaled_resolvent_sweep(
         which, g, multiplier.values, np.geomspace(1.0, 1e4, 81) if mus is None else mus
     )
     fitted_k = max(v for _, v in sweep)
     decades = decade_maxima(sweep)
-    middle = decades[len(decades) // 2][1]
-    no_growth = decades[-1][1] <= NO_GROWTH_FACTOR * middle
+    bounded = no_growth(decades)[0]
 
     # Dense diagnostics at reduced resolution; both generators carry the
     # explicit certificate (M, omega0) = (1, 0) from their Metzler structure.
     gr = g.coarsened(REDUCED_POINTS)
-    a_r = _build_generator(which, gr)
+    a_r = build_generator(which, gr)
     metzler = np.all(a_r.entries - np.diag(np.diag(a_r.entries)) >= 0.0)
     colsums = np.all(a_r.entries.sum(axis=0) <= 1e-9 / gr.h)
-    norms = _contraction_norms(a_r, t_grid)
+    norms = tuple((float(t), float(v)) for t, v in zip(t_grid, envelope_ratios(a_r, t_grid, 0.0)))
     contraction = bool(metzler and colsums and all(v <= 1.0 + CONTRACTION_SLACK for _, v in norms))
     gb = GrowthBound(m=1.0, omega0=0.0)
-    _, b_r = build_spiky_b(gr, n_max, mirror=mirror)
-    family_r = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, b_r)
+    family_r = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(gr, n_max, mirror=mirror).operator())
     assumptions = check_assumptions(family_r, a_r, gb)
 
     pipeline_levels = None
     pipeline_agreement = None
     if pipeline and which == "heat":
         gp = g.coarsened(pipeline_points)
-        a_p = _build_generator(which, gp)
-        _, b_p = build_spiky_b(gp, n_max, mirror=True)
-        family = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, b_p)
+        a_p = build_generator(which, gp)
+        family = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(gp, n_max, mirror=True).operator())
         refined = refine_to_tolerance(a_p, family, gb, tol=pipeline_tol, n_max=12)
         reference = oracle_solve(a_p, family, 2.0 * math.pi, 0.0, rk_steps=4096)
         diff = refined.approx.evaluate(2.0 * math.pi, 0.0).entries - reference.entries
@@ -307,7 +302,7 @@ def verify_example_bounds(
         sweep=tuple(sweep),
         fitted_k=float(fitted_k),
         decades=tuple(decades),
-        no_growth_pass=bool(no_growth),
+        no_growth_pass=bounded,
         assumptions=assumptions,
         pipeline_levels=pipeline_levels,
         pipeline_agreement=pipeline_agreement,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
 from .linop import Operator, norm_stack, op_norm, resolvent_stack, spectrum
-from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, expm_stack, worst_ratio
+from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
 LAMBDA_CEILING = 1e8
 # Fraction of mu-grid points that may fail to solve before a_norm gives up.
@@ -180,9 +180,7 @@ def check_generation_bound(
     c_norm = a_norm(c, a, gb, mu_grid).value
     rate = gb.omega0 + gb.m * gb.m * c_norm
     ts = np.linspace(0.0, tmax, grid)
-    exps = expm_stack(ts[:, None, None] * (a.entries + c.entries)[None, :, :])
-    rhs = gb.m * np.array([math.exp(rate * t) for t in ts]) * (1.0 + BOUND_SLACK)
-    return worst_ratio(norm_stack(exps, a.norm_kind) / rhs, ts)
+    return worst_ratio(envelope_ratios(a + c, ts, rate) / (gb.m * (1.0 + BOUND_SLACK)), ts)
 
 
 def fd_step(interval) -> float:

@@ -2,13 +2,18 @@
 
 Every constant here was computed from a closed form stated next to it, not
 from the library under test, and is frozen so a regression in the library
-cannot silently move the expectation. lu_resolvent is the one reference
-implementation: the per-mu LU rule that linop.resolvent_stack replaced.
+cannot silently move the expectation. lu_resolvent and two_grid_fit are
+the reference implementations: the per-mu LU rule that
+linop.resolvent_stack replaced, and the coarse-plus-fine growth fit that
+semigroup.fit_growth_bound reduced to its fine grid.
 """
 import math
 
 import numpy as np
 import scipy.linalg
+
+from nonauto.linop import norm_stack, spectrum
+from nonauto.semigroup import expm_stack
 
 # Diagonal nonautonomous system A = diag(-1, -2), B(t) = sin(t) diag(0.5, 0.3)
 # on [0, 1]: the equation decouples into scalars u' = (a + c sin t) u, whose
@@ -59,3 +64,19 @@ def lu_resolvent(a, mu):
     if np.abs(m @ r - np.eye(d)).sum(axis=0).max() > 1e-10 * kappa:
         return None, kappa
     return r, kappa
+
+
+def two_grid_fit(a, margin=1e-2, horizon=5.0, grid_points=257):
+    """Reference growth constant M: the max of ||e^{tA}|| e^{-omega0 t} over two grids.
+
+    The grids are linspace(0, horizon, grid_points) and the 2x finer
+    linspace(0, horizon, 2 grid_points - 1); omega0 is the spectral abscissa
+    plus margin, and M is clamped to >= 1 and inflated by 1 + 1e-6.
+    """
+    omega0 = spectrum(a).abscissa + margin
+    best = 1.0
+    for n in (grid_points, 2 * grid_points - 1):
+        ts = np.linspace(0.0, horizon, n)
+        norms = norm_stack(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind)
+        best = max(best, float((norms * np.array([math.exp(-omega0 * t) for t in ts])).max()))
+    return best * (1.0 + 1e-6)

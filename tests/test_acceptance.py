@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,17 @@ def test_roughness_refinement_failure_is_a_fail_verdict(monkeypatch):
     assert not r.passed
     assert "hyperbolicity persisted False" in r.detail
     assert "refinement failed at eps 0.01: tol 1.000e-04 not met" in r.detail
+
+
+def test_spiky_sweep_criterion_forms_no_dense_diagonal():
+    # Criterion 12 runs on 4096 cells; a dense diagonal there is 134 MB.
+    tracemalloc.start()
+    try:
+        nonauto.acceptance.criterion_12(SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _child_env():

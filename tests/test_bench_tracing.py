@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 
 import nonauto.linop
+import nonauto.semigroup
 from nonauto import GrowthBound, NormKind, Operator
 from nonauto.evofam import EvolutionFamilyApprox, PerturbationFamily
 from nonauto.metrics import ANormEvaluator
@@ -15,7 +16,8 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
-    functions = [(nonauto.linop, "norm_of"), (nonauto.linop, "resolvent")]
+    functions = [(nonauto.linop, "norm_of"), (nonauto.linop, "resolvent"), (nonauto.semigroup, "expm"),
+                 (nonauto.semigroup, "expm_stack"), (nonauto.semigroup, "fit_growth_bound")]
     originals = [getattr(mod, name) for mod, name in functions]
     # The tracer wraps values_stack only where a class body defines it, so
     # the family entry point must live on the base class.

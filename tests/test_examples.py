@@ -119,7 +119,8 @@ class TestHeatGreenKernel:
 class TestSpikyMultiplier:
     def test_single_spike_support(self):
         g = GridSpec(8.0, 8192, Domain.HALF_LINE)
-        mult, op = build_spiky_b(g, 1)
+        mult = build_spiky_b(g, 1)
+        op = mult.operator()
         x = g.centers()
         inside = (x >= 1.0) & (x <= 2.0)
         assert set(np.unique(mult.values[inside])) == {1.0}
@@ -129,19 +130,18 @@ class TestSpikyMultiplier:
     def test_peak_value_when_resolved(self):
         # spike 3 has width 3^-4 = 1/81; h < 1/81 resolves it and the peak 9
         g = GridSpec(8.0, 2**16, Domain.HALF_LINE)
-        mult, op = build_spiky_b(g, 3, dense=False)
-        assert op is None
+        mult = build_spiky_b(g, 3)
         assert mult.values.max() == 9.0
         assert mult.unresolved == ()
 
     def test_unresolved_spikes_reported(self):
         g = GridSpec(8.0, 64, Domain.HALF_LINE)  # h = 1/8 > 2^-4 > 3^-4
-        mult, _ = build_spiky_b(g, 3)
+        mult = build_spiky_b(g, 3)
         assert mult.unresolved == (2, 3)
 
     def test_mass_converges_to_partial_zeta(self):
         g = GridSpec(8.0, 2**18, Domain.HALF_LINE)
-        mult, _ = build_spiky_b(g, 3, dense=False)
+        mult = build_spiky_b(g, 3)
         # midpoint rule error per spike n is at most 2 h n^2
         assert mult.mass == pytest.approx(SPIKE_MASS_3, abs=2.0 * g.h * 9.0 * 3.0)
 
@@ -155,7 +155,7 @@ class TestSpikyMultiplier:
 
     def test_mirror_symmetric(self):
         g = GridSpec(10.0, 500, Domain.LINE)
-        mult, _ = build_spiky_b(g, 2, mirror=True)
+        mult = build_spiky_b(g, 2, mirror=True)
         assert np.allclose(mult.values, mult.values[::-1])
 
     def test_nmax_guard(self):
@@ -203,7 +203,7 @@ class TestANormHomogeneity:
     def test_profile_scales_anorm(self):
         g = GridSpec(8.0, 48, Domain.HALF_LINE)
         gen = build_translation_generator(g)
-        _, b = build_spiky_b(g, 1)
+        b = build_spiky_b(g, 1).operator()
         gb = GrowthBound(1.0, 0.0)
         base = a_norm(b, gen, gb).value
         scaled = a_norm(Operator(math.sin(1.0) * b.entries, NormKind.ONE), gen, gb).value

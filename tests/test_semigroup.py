@@ -20,7 +20,7 @@ from nonauto import (
 )
 from nonauto.semigroup import expm_stack
 
-from oracles import YOSIDA_SCALAR
+from oracles import YOSIDA_SCALAR, two_grid_fit
 
 
 def op2(entries):
@@ -55,6 +55,14 @@ class TestExpm:
         with pytest.raises(Overflow) as exc:
             expm(op2(np.diag([800.0, 800.0])), 1.0)
         assert exc.value.required_squarings >= 1
+
+    def test_one_item_form_of_stack(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 5, 12):
+            for scale in (1e-3, 0.3, 2.0, 40.0):
+                a = op2(rng.standard_normal((d, d)) * scale)
+                for t in (0.0, 0.25, 1.0, 3.0):
+                    assert np.array_equal(expm(a, t).entries, expm_stack(t * a.entries[None])[0])
 
     def test_stack_matches_scipy(self):
         rng = np.random.default_rng(11)
@@ -123,6 +131,16 @@ class TestYosida:
         assert values == sorted(values, reverse=True)
         assert values[-1] <= 1e-3
 
+    def test_semigroup_limit_matches_scipy_loop(self):
+        a = op2([[0.0, 1.0], [-2.0, -0.3]])
+        lambdas = [5.0, 20.0, 100.0, 1000.0]
+        target = scipy.linalg.expm(0.8 * a.entries)
+        for (lam, got), ref_lam in zip(yosida_semigroup_limit(a, 0.8, lambdas), lambdas):
+            ya = yosida_approx(a, ref_lam).entries
+            ref = np.linalg.norm(scipy.linalg.expm(0.8 * ya) - target, 2)
+            assert lam == ref_lam
+            assert got == pytest.approx(ref, rel=1e-12)
+
     def test_semigroup_limit_rotation(self):
         a = op2([[0.0, 1.0], [-1.0, 0.0]])
         samples = yosida_semigroup_limit(a, 1.0, [100.0, 10000.0])
@@ -149,6 +167,20 @@ class TestFitGrowthBound:
         gb = fit_growth_bound(a)
         for t in np.linspace(0.0, gb.verified_horizon, 83):
             assert op_norm(expm(a, float(t))) <= gb.envelope(float(t)) * (1.0 + 1e-9)
+
+    def test_single_grid_equals_two_grid_fit(self):
+        # Every node of the old 257-point grid is a node of the 513-point grid,
+        # so dropping the coarse pass must leave M unchanged to the bit.
+        cases = [(op2(np.diag([-1.0, 1.0])), 1e-2), (op2(np.diag([-1.0, -2.0])), 0.0), (op2(np.zeros((2, 2))), 0.0),
+                 (op2([[-1.0, 10.0], [0.0, -1.0]]), 0.1), (op2([[-1.0, 4.0], [0.0, -2.0]]), 1e-2)]
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            m = rng.standard_normal((d, d))
+            for kind in (NormKind.TWO, NormKind.ONE):
+                cases.append((Operator(m, kind), 1e-2))
+        for a, margin in cases:
+            assert fit_growth_bound(a, margin=margin).m == two_grid_fit(a, margin=margin)
 
     def test_m_below_one_refused(self):
         with pytest.raises(PreconditionViolated):
