@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
     ToleranceNotReached,
 )
-from .linop import NormKind, Operator, norm_of, norm_stack, op_norm
+from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm
 from .metrics import ANormEvaluator
 from .semigroup import GrowthBound, expm_stack
 
@@ -307,7 +307,8 @@ class EvolutionFamilyApprox:
     """Propagators of the frozen-coefficient scheme at one dyadic level.
 
     All 2^n cell exponentials exp(delta (A + B(node_j))) are built eagerly in
-    one batched call. evaluate(t, s) multiplies a partial cell on each end
+    one batched call, in place over the frozen generators: a level holds one
+    (2^n, d, d) stack. evaluate(t, s) multiplies a partial cell on each end
     with the full cells between, factors ordered by decreasing node index.
     """
 
@@ -322,11 +323,11 @@ class EvolutionFamilyApprox:
         self.a = a
         self.family = family
         self.partition = partition
-        # delta (A + B(node_j)) built in place: with the exponentials, two whole-level stacks.
+        # delta (A + B(node_j)) built in place, then exponentiated in place.
         cells = family.values_stack(partition.nodes()[:-1])
         cells += a.entries
         cells *= partition.delta
-        self._cell_exp = expm_stack(cells)
+        self._cell_exp = expm_stack(cells, out=cells)
 
     @property
     def level(self) -> int:
@@ -392,12 +393,27 @@ def _chain_desc(block: np.ndarray) -> np.ndarray:
     """Descending-index product block[-1] @ ... @ block[0] by pairwise reduction.
 
     Associativity regrouping only; log-many batched matmuls instead of a
-    sequential pass.
+    sequential pass. A stack longer than the largest power-of-two chunk of
+    at most PRODUCT_BYTES is reduced chunk by chunk, and then the chunk
+    products the same way. Chunks start at multiples of their power-of-two
+    length, so this is the flat pairing tree, bit for bit, with temporaries
+    bounded by one chunk instead of half the stack.
     """
+    chunk = 1 << (max(2, PRODUCT_BYTES // block[0].nbytes).bit_length() - 1)
+    while len(block) > chunk:
+        block = np.stack([_pairwise(block[i : i + chunk]) for i in range(0, len(block), chunk)])
+    return _pairwise(block)
+
+
+def _pairwise(block: np.ndarray) -> np.ndarray:
+    """block[-1] @ ... @ block[0], pairing neighbours level by level; an odd last item carries over."""
     while len(block) > 1:
-        m = len(block) // 2
-        merged = block[1 : 2 * m : 2] @ block[0 : 2 * m : 2]
-        block = np.concatenate([merged, block[2 * m :]]) if len(block) % 2 else merged
+        m, odd = divmod(len(block), 2)
+        merged = np.empty((m + odd,) + block.shape[1:])
+        np.matmul(block[1 : 2 * m : 2], block[0 : 2 * m : 2], out=merged[:m])
+        if odd:
+            merged[m] = block[-1]
+        block = merged
     return block[0]
 
 
@@ -416,24 +432,32 @@ def oracle_solve(
 ) -> Operator:
     """Classical fourth-order Runge-Kutta for M'(tau) = (A + B(tau)) M(tau), M(s) = I.
 
-    Independent of the polygon scheme; used as a reference solution.
+    Independent of the polygon scheme; used as a reference solution. The
+    equation is linear, so step i is M <- S_i M with
+    S_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4), k1 = G0, k2 = Gm (I + h/2 k1),
+    k3 = Gm (I + h/2 k2), k4 = G1 (I + h k3) at the step's left, middle and
+    right stage times. The S_i are built a block of steps at a time, each
+    block's (steps, d, d) arrays within BLOCK_BYTES, and folded into M with
+    _chain_desc.
     """
     if t < s:
         raise PreconditionViolated(f"oracle wants t >= s, got t={t} < s={s}")
     steps = max(64, int(rk_steps))
-    m = np.eye(a.dim)
+    m = eye = np.eye(a.dim)
     if t == s:
         return Operator(m, a.norm_kind)
     h = (t - s) / steps
-    # Stage times land on a half-step grid; batch the generator evaluations.
-    gens = a.entries[None, :, :] + family.values_stack(np.linspace(s, t, 2 * steps + 1))
-    for i in range(steps):
-        g0, gm, g1 = gens[2 * i], gens[2 * i + 1], gens[2 * i + 2]
-        k1 = g0 @ m
-        k2 = gm @ (m + h / 2.0 * k1)
-        k3 = gm @ (m + h / 2.0 * k2)
-        k4 = g1 @ (m + h * k3)
-        m = m + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # Stage times land on a half-step grid.
+    taus = np.linspace(s, t, 2 * steps + 1)
+    per_block = max(1, BLOCK_BYTES // (8 * a.dim * a.dim))
+    for i in range(0, steps, per_block):
+        gens = family.values_stack(taus[2 * i : 2 * min(i + per_block, steps) + 1])
+        gens += a.entries
+        g0, gm, g1 = gens[:-1:2], gens[1::2], gens[2::2]
+        k2 = gm @ (eye + h / 2.0 * g0)
+        k3 = gm @ (eye + h / 2.0 * k2)
+        k4 = g1 @ (eye + h * k3)
+        m = _chain_desc(eye + h / 6.0 * (g0 + 2.0 * k2 + 2.0 * k3 + k4)) @ m
     return Operator(m, a.norm_kind)
 
 
@@ -455,11 +479,8 @@ def product_difference_bound(a_factors, b_factors):
         ref._check(f)
     k = max(1.0, max(op_norm(f) for f in list(a_factors) + list(b_factors)))
     delta = max(op_norm(fa - fb) for fa, fb in zip(a_factors, b_factors))
-    prod_a = a_factors[-1].entries
-    prod_b = b_factors[-1].entries
-    for j in range(n - 2, -1, -1):
-        prod_a = prod_a @ a_factors[j].entries
-        prod_b = prod_b @ b_factors[j].entries
+    prod_a = _chain_desc(np.stack([f.entries for f in a_factors]))
+    prod_b = _chain_desc(np.stack([f.entries for f in b_factors]))
     lhs = norm_of(prod_a - prod_b, ref.norm_kind)
     return float(lhs), float(n * delta * k ** (n - 1))
 

@@ -26,6 +26,10 @@ from .semigroup import GrowthBound, envelope_ratios
 CONTRACTION_SLACK = 1e-10
 NO_GROWTH_FACTOR = 1.5
 REDUCED_POINTS = 256
+# Level budget of the heat pipeline's refinement: at its default 128 cells
+# and tolerance 1e-3 the increments first fall below the tolerance at levels
+# 12 and 13 (6.9e-4 and 3.5e-4; 1.4e-3 at level 11).
+PIPELINE_MAX_LEVEL = 13
 
 
 class Domain(enum.Enum):
@@ -287,7 +291,7 @@ def verify_example_bounds(
         gp = g.coarsened(pipeline_points)
         a_p = build_generator(which, gp)
         family = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(gp, n_max, mirror=True).operator())
-        refined = refine_to_tolerance(a_p, family, gb, tol=pipeline_tol, n_max=12)
+        refined = refine_to_tolerance(a_p, family, gb, tol=pipeline_tol, n_max=PIPELINE_MAX_LEVEL)
         reference = oracle_solve(a_p, family, 2.0 * math.pi, 0.0, rk_steps=4096)
         diff = refined.approx.evaluate(2.0 * math.pi, 0.0).entries - reference.entries
         pipeline_levels = refined.levels

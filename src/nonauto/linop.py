@@ -19,9 +19,13 @@ COND_LIMIT = 1e12
 # Residual allowance for (mu I - A) R = I, scaled by the condition number.
 RESOLVENT_RESIDUAL = 1e-10
 # Bytes of one (block, d, d) temporary in the stacked kernels (resolvent_stack,
-# semigroup.expm_stack): each block's temporaries stay in cache instead of
-# streaming whole-stack arrays.
+# semigroup.expm_stack, the RK4 steps of evofam.oracle_solve): each block's
+# temporaries stay in cache instead of streaming whole-stack arrays.
 BLOCK_BYTES = 256 * 1024
+# Bytes of the products one reduction block forms (metrics.ANormEvaluator's
+# C R(mu, A) blocks, evofam._chain_desc's chunks): a bound on the temporaries
+# of a product over a whole grid or a whole level.
+PRODUCT_BYTES = 8 * 1024 * 1024
 
 
 class NormKind(enum.Enum):

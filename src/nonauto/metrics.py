@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
-from .linop import Operator, norm_stack, op_norm, resolvent_stack, spectrum
+from .linop import PRODUCT_BYTES, Operator, norm_stack, op_norm, resolvent_stack, spectrum
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
 LAMBDA_CEILING = 1e8
@@ -24,9 +24,6 @@ LAMBDA_CEILING = 1e8
 SKIP_BUDGET = 0.10
 TAIL_REL = 1e-3
 TAIL_ABS = 1e-9
-# Bytes of the C R(mu, A) products one evaluator block forms (norm_stack
-# makes one more array of that size).
-PRODUCT_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)

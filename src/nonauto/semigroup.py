@@ -71,6 +71,8 @@ def expm(a: Operator, t: float = 1.0) -> Operator:
     try:
         return Operator(expm_stack(arg[None])[0], a.norm_kind)
     except Overflow:
+        if not np.isfinite(arg).all():
+            raise Overflow(f"e^(tA) at t={t!r}: the input tA has a non-finite entry") from None
         anorm = norm_of(arg, NormKind.ONE)
         squarings = max(0, math.ceil(math.log2(max(anorm, 1.0) / EXP_ARG_LIMIT)))
         message = f"e^(tA) overflows doubles at t={t!r} (1-norm {anorm:.3e})"
@@ -100,7 +102,7 @@ _PADE_LOW = (
 )
 
 
-def expm_stack(mats: np.ndarray) -> np.ndarray:
+def expm_stack(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Batched e^{M_j} for a (k, d, d) stack of raw matrices: the package's one exponential kernel.
 
     The stack is cut into blocks of at most BLOCK_BYTES per (block, d, d)
@@ -109,16 +111,22 @@ def expm_stack(mats: np.ndarray) -> np.ndarray:
     otherwise it takes order 13 after scaling each matrix by 2^-s, then s
     squarings. scipy's expm walks a stack matrix by matrix, whose per-call
     overhead dominates dyadic refinement at small dimensions.
+
+    With out, a float64 array of the stack's shape, each block's result is
+    written there and out is returned. out may be mats itself: a block is
+    computed in full before it is written back, so a caller that owns the
+    stack holds one stack, not two. After an Overflow, out is undefined.
     """
     mats = np.asarray(mats, dtype=float)
+    if out is not None and out.shape != mats.shape:
+        raise PreconditionViolated(f"expm_stack out has shape {out.shape}, the stack {mats.shape}")
     if mats.shape[0] == 0:
-        return mats.copy()
-    if not np.isfinite(mats).all():
-        raise Overflow("a cell exponential overflows doubles")
+        return mats.copy() if out is None else out
     step = max(1, BLOCK_BYTES // (8 * mats.shape[-1] ** 2))
-    if mats.shape[0] <= step:
-        return _expm_block(mats)
-    out = np.empty(mats.shape)
+    if out is None:
+        if mats.shape[0] <= step:
+            return _expm_block(mats)
+        out = np.empty(mats.shape)
     for i in range(0, mats.shape[0], step):
         out[i : i + step] = _expm_block(mats[i : i + step])
     return out
@@ -126,6 +134,8 @@ def expm_stack(mats: np.ndarray) -> np.ndarray:
 
 def _expm_block(mats: np.ndarray) -> np.ndarray:
     """e^{M_j} for one block, at the lowest Pade degree its largest 1-norm allows."""
+    if not np.isfinite(mats).all():
+        raise Overflow("a cell exponential overflows doubles")
     norms = norm_stack(mats, NormKind.ONE)
     top = norms.max()
     for theta, b in _PADE_LOW:

@@ -2,10 +2,12 @@
 
 Every constant here was computed from a closed form stated next to it, not
 from the library under test, and is frozen so a regression in the library
-cannot silently move the expectation. lu_resolvent and two_grid_fit are
-the reference implementations: the per-mu LU rule that
-linop.resolvent_stack replaced, and the coarse-plus-fine growth fit that
-semigroup.fit_growth_bound reduced to its fine grid.
+cannot silently move the expectation. lu_resolvent, two_grid_fit,
+rk4_step_loop and flat_chain_desc are the reference implementations: the
+per-mu LU rule that linop.resolvent_stack replaced, the coarse-plus-fine
+growth fit that semigroup.fit_growth_bound reduced to its fine grid, the
+per-step RK4 loop that evofam.oracle_solve streams in blocks, and the
+one-pass pairwise product that evofam._chain_desc bounds in chunks.
 """
 import math
 
@@ -80,3 +82,31 @@ def two_grid_fit(a, margin=1e-2, horizon=5.0, grid_points=257):
         norms = norm_stack(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind)
         best = max(best, float((norms * np.array([math.exp(-omega0 * t) for t in ts])).max()))
     return best * (1.0 + 1e-6)
+
+
+def rk4_step_loop(a, family, t, s, steps):
+    """Reference M(t) of M' = (A + B(tau)) M, M(s) = I: classical RK4, one step at a time.
+
+    Each step applies k1..k4 to the current M, with the generator taken at
+    the step's left, middle and right times on linspace(s, t, 2 steps + 1).
+    """
+    h = (t - s) / steps
+    gens = a.entries[None, :, :] + family.values_stack(np.linspace(s, t, 2 * steps + 1))
+    m = np.eye(a.dim)
+    for i in range(steps):
+        g0, gm, g1 = gens[2 * i], gens[2 * i + 1], gens[2 * i + 2]
+        k1 = g0 @ m
+        k2 = gm @ (m + h / 2.0 * k1)
+        k3 = gm @ (m + h / 2.0 * k2)
+        k4 = g1 @ (m + h * k3)
+        m = m + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return m
+
+
+def flat_chain_desc(block):
+    """Reference block[-1] @ ... @ block[0]: pairwise reduction of the whole stack at each level."""
+    while len(block) > 1:
+        m = len(block) // 2
+        merged = block[1 : 2 * m : 2] @ block[0 : 2 * m : 2]
+        block = np.concatenate([merged, block[2 * m :]]) if len(block) % 2 else merged
+    return block[0]

@@ -307,6 +307,20 @@ class TestErrorPaths:
         assert main(["evolve", "--config", "cfg.json"]) == 1
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_matrix_exits_numerical(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[bad, 0.0], [0.0, 1.0]],
+            "m": 1.0,
+            "omega0": 1.0,
+            "family": {"kind": "sinusoid", "interval": [0.0, 3.0], "entries": [[1.0, 0.0], [0.0, 1.0]]},
+        }
+        _write_config(tmp_path / "cfg.json", config)
+        assert main(["dichotomy", "--config", "cfg.json"]) == 3
+        assert "non-finite entry" in capsys.readouterr().err
+
+
 class TestModuleEntryPoint:
     def test_python_m_nonauto_runs_the_cli(self, tmp_path):
         proc = subprocess.run(

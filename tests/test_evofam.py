@@ -1,5 +1,6 @@
 """Dyadic partitions, perturbation families, and the frozen-coefficient scheme."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,13 +31,33 @@ from nonauto import (
     refine_to_tolerance,
     verify_generator_derivative,
 )
+from nonauto import evofam
+from nonauto.examples import Domain, GridSpec, build_heat_generator, build_spiky_b
 from nonauto.metrics import ANormEvaluator, MuGrid
+from nonauto.semigroup import expm_stack
 
-from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, sin_modulus
+from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, flat_chain_desc, rk4_step_loop, sin_modulus
 
 
 def op2(entries):
     return Operator(np.asarray(entries, dtype=float), NormKind.TWO)
+
+
+def dense_problem(d=32):
+    """A dissipative d x d generator and a sin(t) B0 family on [0, 1]."""
+    rng = np.random.default_rng(0)
+    a = op2(-np.eye(d) + 0.1 * rng.standard_normal((d, d)))
+    return a, ScaledProfileFamily((0.0, 1.0), math.sin, op2(0.2 * rng.standard_normal((d, d))))
+
+
+def traced_peak(fn):
+    """(result, peak bytes tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDyadicPartition:
@@ -301,6 +322,55 @@ class TestEvolutionFamily:
             assert op_norm(approx.evaluate(t, s)) <= bound * (1.0 + 1e-6)
 
 
+class TestOneLevelStack:
+    def test_cells_equal_out_of_place_exponentials(self):
+        a, fam = dense_problem(5)
+        u = euler_polygon(a, fam, 6)
+        p = u.partition
+        ref = expm_stack(p.delta * (a.entries + fam.values_stack(p.nodes()[:-1])))
+        assert np.array_equal(u._cell_exp, ref)
+
+    def test_polygon_build_holds_one_stack(self):
+        a, fam = dense_problem()
+        u, peak = traced_peak(lambda: euler_polygon(a, fam, 12))
+        assert peak < 1.25 * u._cell_exp.nbytes
+
+    def test_full_span_evaluate_is_bounded(self):
+        a, fam = dense_problem()
+        u = euler_polygon(a, fam, 12)
+        _, peak = traced_peak(lambda: u.evaluate(1.0, 0.0))
+        assert peak < 0.25 * u._cell_exp.nbytes
+
+
+class TestChainDesc:
+    @staticmethod
+    def rotations(rng, k, d):
+        # Orthogonal factors keep long products finite.
+        return np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("chunk", [2, 4, 8])
+    def test_chunked_equals_flat(self, monkeypatch, d, chunk):
+        rng = np.random.default_rng(d * 100 + chunk)
+        # A budget short of the next power of two still reduces in chunks of `chunk`.
+        monkeypatch.setattr(evofam, "PRODUCT_BYTES", (2 * chunk - 1) * 8 * d * d)
+        for length in range(1, 3 * chunk + 2):
+            stack = self.rotations(rng, length, d)
+            assert np.array_equal(evofam._chain_desc(stack), flat_chain_desc(stack))
+
+    def test_budget_below_one_matrix_reduces_in_pairs(self, monkeypatch):
+        monkeypatch.setattr(evofam, "PRODUCT_BYTES", 8)
+        stack = self.rotations(np.random.default_rng(3), 11, 4)
+        assert np.array_equal(evofam._chain_desc(stack), flat_chain_desc(stack))
+
+    def test_default_budget_equals_flat(self):
+        # 1024 matrices of 32 x 32 fill PRODUCT_BYTES: one chunk, then several.
+        rng = np.random.default_rng(4)
+        for length in (1023, 1024, 1025, 3073):
+            stack = self.rotations(rng, length, 32)
+            assert np.array_equal(evofam._chain_desc(stack), flat_chain_desc(stack))
+
+
 class TestOracle:
     def test_unperturbed_matches_semigroup(self):
         a = op2([[-1.0, 1.0], [0.0, -2.0]])
@@ -322,6 +392,40 @@ class TestOracle:
         fam = ConstantFamily((0.0, 1.0), op2(np.zeros((1, 1))))
         with pytest.raises(PreconditionViolated):
             oracle_solve(a, fam, 0.2, 0.8)
+
+    @staticmethod
+    def assert_close_to_step_loop(a, fam, t, s, steps, rk_steps=None):
+        got = oracle_solve(a, fam, t, s, rk_steps=steps if rk_steps is None else rk_steps).entries
+        ref = rk4_step_loop(a, fam, t, s, steps)
+        assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+    def test_streamed_matches_step_loop(self):
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 4):
+            a = op2(rng.standard_normal((d, d)) - 2.0 * np.eye(d))
+            profile = ScaledProfileFamily((0.0, 1.0), lambda t: math.sin(3.0 * t + 0.4), op2(rng.standard_normal((d, d))))
+            piecewise = PiecewiseLinearFamily([0.0, 0.3, 1.0], [rng.standard_normal((d, d)) for _ in range(3)])
+            for fam in (profile, piecewise):
+                self.assert_close_to_step_loop(a, fam, 1.0, 0.0, 4096)
+                self.assert_close_to_step_loop(a, fam, 0.9, 0.25, 257)
+                # Fewer than 64 steps run 64.
+                self.assert_close_to_step_loop(a, fam, 0.7, 0.1, 64, rk_steps=5)
+            assert np.array_equal(oracle_solve(a, profile, 0.5, 0.5).entries, np.eye(d))
+        # At d = 3 a block holds 3640 steps: three blocks, the last one partial.
+        a3 = op2(rng.standard_normal((3, 3)) - 2.0 * np.eye(3))
+        fam3 = ScaledProfileFamily((0.0, 1.0), math.cos, op2(rng.standard_normal((3, 3))))
+        self.assert_close_to_step_loop(a3, fam3, 1.0, 0.0, 10000)
+
+    def test_streamed_matches_step_loop_on_heat(self):
+        g = GridSpec(8.0, 32, Domain.LINE)
+        a = build_heat_generator(g)
+        fam = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(g, 3, mirror=True).operator())
+        self.assert_close_to_step_loop(a, fam, 2.0 * math.pi, 0.0, 4096)
+
+    def test_streams_its_steps(self):
+        a, fam = dense_problem()
+        _, peak = traced_peak(lambda: oracle_solve(a, fam, 1.0, 0.0, rk_steps=4096))
+        assert peak < 32 * 2**20
 
 
 class TestProductDifference:

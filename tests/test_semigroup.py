@@ -56,6 +56,11 @@ class TestExpm:
             expm(op2(np.diag([800.0, 800.0])), 1.0)
         assert exc.value.required_squarings >= 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_raises_typed_overflow(self, bad):
+        with pytest.raises(Overflow, match="non-finite entry"):
+            expm(op2([[bad, 0.0], [0.0, 1.0]]), 1.0)
+
     def test_one_item_form_of_stack(self):
         rng = np.random.default_rng(5)
         for d in (1, 2, 5, 12):
@@ -90,6 +95,20 @@ class TestExpm:
             for g, m in zip(got, stack):
                 ref = scipy.linalg.expm(m)
                 assert np.allclose(g, ref, rtol=1e-11, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+    def test_stack_in_place(self):
+        # Three blocks of 16 x 16, norms ascending through every Pade degree.
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((3000, 16, 16))
+        m *= (np.sort(10.0 ** rng.uniform(-9, 1.7, 3000)) / np.abs(m).sum(axis=1).max(axis=1))[:, None, None]
+        ref = expm_stack(m.copy())
+        out = np.empty_like(m)
+        assert expm_stack(m, out=out) is out
+        assert np.array_equal(out, ref)
+        assert expm_stack(m, out=m) is m
+        assert np.array_equal(m, ref)
+        with pytest.raises(PreconditionViolated):
+            expm_stack(m, out=m[:-1])
 
     def test_stack_overflow_raises(self):
         with pytest.raises(Overflow):
