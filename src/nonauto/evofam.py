@@ -247,8 +247,14 @@ class PiecewiseLinearFamily(PerturbationFamily):
         # Piece j holds [node_j, node_{j+1}); b maps to the last piece.
         j = np.clip(np.searchsorted(self.nodes, ts, side="right") - 1, 0, len(self.nodes) - 2)
         w = ((ts - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j]))[:, None, None]
-        out = (1.0 - w) * self._stack[j]
-        out += w * self._stack[j + 1]
+        # Filled a BLOCK_BYTES slice at a time, so the gathered node matrices
+        # never form whole-stack temporaries.
+        out = np.empty((len(ts), self.dim, self.dim))
+        step = max(1, BLOCK_BYTES // (8 * self.dim * self.dim))
+        for i in range(0, len(ts), step):
+            s = slice(i, i + step)
+            np.multiply(1.0 - w[s], self._stack[j[s]], out=out[s])
+            out[s] += w[s] * self._stack[j[s] + 1]
         return out
 
     def _slopes(self, anorm: ANormEvaluator) -> np.ndarray:

@@ -37,6 +37,22 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert [cls.__dict__[name] for cls, name in methods] == before
 
 
+def test_block_pool_workers_call_nothing_traced(monkeypatch):
+    # expm_stack's pool workers run _expm_block; the tracer keeps one span
+    # stack, so nothing a worker calls may be wrapped.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    names = ("_expm_block", "_pade_low", "_pade13_squared", "norm_stack")
+    originals = [getattr(nonauto.semigroup, name) for name in names]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert [getattr(nonauto.semigroup, name) for name in names] == originals
+    finally:
+        tracer.uninstall()
+
+
 def test_evaluator_keeps_the_counted_attributes():
     # The build counter reads evaluator.total and evaluator.skipped.
     a = Operator(np.diag([-1.0, -2.0]), NormKind.TWO)

@@ -335,6 +335,23 @@ class TestOneLevelStack:
         u, peak = traced_peak(lambda: euler_polygon(a, fam, 12))
         assert peak < 1.25 * u._cell_exp.nbytes
 
+    def test_piecewise_family_fills_one_stack(self):
+        d = 32
+        rng = np.random.default_rng(4)
+        a = op2(-np.eye(d) + 0.1 * rng.standard_normal((d, d)))
+        fam = PiecewiseLinearFamily([0.0, 0.4, 1.0], 0.2 * rng.standard_normal((3, d, d)))
+        ts = np.linspace(0.0, 1.0, 4096)
+        vals, peak = traced_peak(lambda: fam.values_stack(ts))
+        assert peak < 1.25 * vals.nbytes
+        # Bitwise the whole-stack interpolation.
+        j = np.clip(np.searchsorted(fam.nodes, ts, side="right") - 1, 0, 1)
+        w = ((ts - fam.nodes[j]) / (fam.nodes[j + 1] - fam.nodes[j]))[:, None, None]
+        ref = (1.0 - w) * fam._stack[j]
+        ref += w * fam._stack[j + 1]
+        assert np.array_equal(vals, ref)
+        u, peak = traced_peak(lambda: euler_polygon(a, fam, 12))
+        assert peak < 1.25 * u._cell_exp.nbytes
+
     def test_full_span_evaluate_is_bounded(self):
         a, fam = dense_problem()
         u = euler_polygon(a, fam, 12)
