@@ -192,7 +192,7 @@ def criterion_06(seed: int) -> CriterionResult:
         dim = int(rng.integers(2, 6))
         a = _dissipative(rng, dim)
         c = _random_op(rng, dim, 0.5)
-        check = check_generation_bound(a, c, CONTRACTION_GB, tmax=2.0, grid=41)
+        check = check_generation_bound(a, c, CONTRACTION_GB)
         worst = max(worst, check.max_ratio)
     return CriterionResult(6, "growth-bound", worst <= 1.0, f"worst norm/envelope {worst:.4f}")
 
@@ -268,7 +268,7 @@ def criterion_10(seed: int) -> CriterionResult:
         e = rng.normal(size=(2, 2))
         e_op = Operator(e / norm_of(e, NormKind.TWO), NormKind.TWO)
         shape = ScaledProfileFamily((0.0, 4.0), math.sin, e_op)
-        for result in roughness_sweep(a, shape, [1e-3, 1e-2], gb=gb, rng=rng):
+        for result in roughness_sweep(a, shape, [1e-3, 1e-2], gb=gb):
             eps = result.eps
             if result.refine_error is not None:
                 # No time-1 maps to test: persistence is unverified.

@@ -228,10 +228,9 @@ def cmd_converge(args) -> int:
     tol = float(config.get("tol", 1e-4))
     n_max = int(config.get("n_max", 14))
     seed = int(config.get("seed", 0))
-    rng = np.random.default_rng(seed)
     out = config.get("out") or "run"
     try:
-        result = refine_to_tolerance(a, family, gb, tol, n_max=n_max, rng=rng)
+        result = refine_to_tolerance(a, family, gb, tol, n_max=n_max)
     except ToleranceNotReached as exc:
         result = exc
     _write_csv(
@@ -267,8 +266,7 @@ def cmd_dichotomy(args) -> int:
     ts = _t_grid(config.get("t_grid"), np.linspace(t0 + 1.0, t1, 5))
     gb = _growth_bound(config, a)
     seed = int(config.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    results = roughness_sweep(a, shape, eps_list, t_samples=ts, gb=gb, n_max=int(config.get("n_max", 14)), rng=rng)
+    results = roughness_sweep(a, shape, eps_list, t_samples=ts, gb=gb, n_max=int(config.get("n_max", 14)))
     rows = []
     summary = []
     for res in results:
@@ -401,17 +399,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ydist)
 
-    for name, fn, help_text in (
-        ("evolve", cmd_evolve, "evaluate the polygon family at a fixed dyadic level"),
-        ("converge", cmd_converge, "refine the dyadic level to a target increment"),
-        ("dichotomy", cmd_dichotomy, "roughness sweep over perturbation sizes"),
+    for name, fn, help_text, flags in (
+        ("evolve", cmd_evolve, "evaluate the polygon family at a fixed dyadic level", [("--level", int)]),
+        ("converge", cmd_converge, "refine the dyadic level to a target increment",
+         [("--tol", float), ("--n-max", int)]),
+        ("dichotomy", cmd_dichotomy, "roughness sweep over perturbation sizes", [("--n-max", int)]),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--n-max", dest="n_max", type=int, default=None)
-        p.add_argument("--level", type=int, default=None)
+        for flag, kind in flags:
+            p.add_argument(flag, type=kind, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(func=fn)
 
@@ -434,7 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a check ran and failed.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except NUMERICAL_ERRORS as exc:

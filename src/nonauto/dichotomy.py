@@ -51,13 +51,13 @@ def _inverse(m: np.ndarray) -> np.ndarray:
         raise NotInvertible(f"time-1 operator T refused as R(0, -T): {exc}") from exc
 
 
-def check_hyperbolic(t1: Operator, k_max: int = K_MAX) -> DichotomyReport:
+def check_hyperbolic(t1: Operator) -> DichotomyReport:
     """Dichotomy report for a time-1 propagator.
 
     The stable projector sums the spectral projectors of eigenvalues inside
     the unit circle and is symmetrized against its complement. The constant
     m_dich is fitted as the smallest M with ||T^k P|| <= M e^{-alpha k} and
-    ||T^{-k}(I - P)|| <= M e^{-alpha k} for k up to k_max.
+    ||T^{-k}(I - P)|| <= M e^{-alpha k} for k up to K_MAX.
     """
     t1_inv = _inverse(t1.entries)
     eigvals, vecs = np.linalg.eig(t1.entries)
@@ -79,7 +79,7 @@ def check_hyperbolic(t1: Operator, k_max: int = K_MAX) -> DichotomyReport:
     m_dich = 0.0
     p_pow = p.copy()
     u_pow = np.eye(t1.dim) - p
-    for k in range(k_max + 1):
+    for k in range(K_MAX + 1):
         decay = math.exp(-alpha * k)
         m_dich = max(
             m_dich,
@@ -127,25 +127,14 @@ class ProximityReport:
         return iter((self.sup_diff, self.bound))
 
 
-def perturbation_proximity(
-    u: EvolutionFamilyApprox,
-    a: Operator,
-    t_samples=None,
-    gb: GrowthBound | None = None,
-    anorm: ANormEvaluator | None = None,
-) -> ProximityReport:
-    """sup_t ||U(t, t-1) - e^A|| against e^{4 omega1} omega1."""
+def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBound | None = None) -> ProximityReport:
+    """sup_t ||U(t, t-1) - e^A|| against e^{4 omega1} omega1, t on 9 equispaced points of [a + 1, b]."""
     p = u.partition
-    if t_samples is None:
-        if p.b - p.a < 1.0:
-            raise OutOfInterval("interval shorter than 1; no time-1 map fits")
-        t_samples = np.linspace(p.a + 1.0, p.b, 9)
-    for t in t_samples:
-        if not (p.a <= t - 1.0 and t <= p.b):
-            raise OutOfInterval(f"t={t} needs [t-1, t] inside [{p.a}, {p.b}]")
+    if p.b - p.a < 1.0:
+        raise OutOfInterval("interval shorter than 1; no time-1 map fits")
+    t_samples = np.linspace(p.a + 1.0, p.b, 9)
     gb = gb or fit_growth_bound(a)
-    evaluator = anorm or ANormEvaluator(a, gb)
-    omega1 = u.family.sup_anorm(evaluator)
+    omega1 = u.family.sup_anorm(ANormEvaluator(a, gb))
     e_a = expm(a, 1.0).entries
     samples = []
     sup_diff = 0.0
@@ -193,7 +182,6 @@ def roughness_sweep(
     t_samples=None,
     gb: GrowthBound | None = None,
     n_max: int = 14,
-    rng=None,
 ) -> list:
     """Scale a unit-size perturbation shape by each eps and test persistence.
 
@@ -225,7 +213,7 @@ def roughness_sweep(
         family = unit.scale(eps)
         tol = min(1e-4, eps / 100.0) if eps > 0.0 else 1e-4
         try:
-            refined = refine_to_tolerance(a, family, gb, tol, n_max=n_max, rng=rng, anorm=evaluator)
+            refined = refine_to_tolerance(a, family, gb, tol, n_max=n_max, anorm=evaluator)
         except ToleranceNotReached as exc:
             out.append(
                 EpsSweepResult(

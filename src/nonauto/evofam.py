@@ -115,21 +115,21 @@ class PerturbationFamily:
             memo[key] = compute()
         return memo[key]
 
-    def modulus(self, h: float, anorm: ANormEvaluator, rng=None) -> float:
+    def modulus(self, h: float, anorm: ANormEvaluator) -> float:
         """sup over sampled pairs |t - s| <= h of ||B(t) - B(s)||_A.
 
         Sampled fallback; subclasses override where the sup is available in
-        closed form. Results are cached per (h, anorm) since refinement asks
-        for a whole ladder of h on one evaluator.
+        closed form. Pairs come from a fixed seed; results are cached per
+        (h, anorm) since refinement asks for a whole ladder of h on one evaluator.
         """
-        return self._cached(anorm, float(h), lambda: self._modulus_sampled(h, anorm, rng))
+        return self._cached(anorm, float(h), lambda: self._modulus_sampled(h, anorm))
 
-    def _modulus_sampled(self, h: float, anorm: ANormEvaluator, rng) -> float:
+    def _modulus_sampled(self, h: float, anorm: ANormEvaluator) -> float:
         t0, t1 = self.interval
         h = min(float(h), t1 - t0)
         if h <= 0.0:
             return 0.0
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(0)
         count = min(MODULUS_PAIR_CAP, max(16, math.ceil(4.0 * (t1 - t0) / h)))
         # Adjacent mesh nodes at spacing h catch oscillations aligned to the mesh.
         nodes = np.arange(t0, t1, h)[: MODULUS_PAIR_CAP // 2]
@@ -160,8 +160,8 @@ class _Scaled(PerturbationFamily):
     def _values(self, ts: np.ndarray) -> np.ndarray:
         return self.c * self.base.values_stack(ts)
 
-    def modulus(self, h, anorm, rng=None) -> float:
-        return abs(self.c) * self.base.modulus(h, anorm, rng=rng)
+    def modulus(self, h, anorm) -> float:
+        return abs(self.c) * self.base.modulus(h, anorm)
 
     def sup_anorm(self, anorm) -> float:
         return abs(self.c) * self.base.sup_anorm(anorm)
@@ -177,7 +177,7 @@ class ConstantFamily(PerturbationFamily):
     def _values(self, ts: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.b0.entries, (len(ts), self.dim, self.dim)).copy()
 
-    def modulus(self, h, anorm, rng=None) -> float:
+    def modulus(self, h, anorm) -> float:
         return 0.0
 
     def sup_anorm(self, anorm) -> float:
@@ -216,7 +216,7 @@ class ScaledProfileFamily(PerturbationFamily):
     def _b0_anorm(self, anorm) -> float:
         return self._cached(anorm, "b0", lambda: anorm.value(self.b0).value)
 
-    def modulus(self, h, anorm, rng=None) -> float:
+    def modulus(self, h, anorm) -> float:
         return self._cached(anorm, float(h), lambda: self._profile_modulus(h) * self._b0_anorm(anorm))
 
     def sup_anorm(self, anorm) -> float:
@@ -262,14 +262,14 @@ class PiecewiseLinearFamily(PerturbationFamily):
             anorm, "slopes", lambda: anorm.value_stack(np.diff(self._stack, axis=0)) / np.diff(self.nodes)
         )
 
-    def modulus(self, h, anorm, rng=None) -> float:
+    def modulus(self, h, anorm) -> float:
         t0, t1 = self.interval
         h = min(float(h), t1 - t0)
         if h <= 0.0:
             return 0.0
         if h <= float(np.diff(self.nodes).min()):
             return float(h * self._slopes(anorm).max())
-        return self._modulus_sampled(h, anorm, rng)
+        return super().modulus(h, anorm)
 
     def sup_anorm(self, anorm) -> float:
         # Convexity of the norm along each piece puts the sup at a node.
@@ -354,10 +354,14 @@ class EvolutionFamilyApprox:
         frozen = self.a.entries + self.family.values_stack([self.partition.node(j)])
         return expm_stack(tau * frozen)[0]
 
-    def evaluate(self, t: float, s: float) -> Operator:
+    def _check_span(self, t: float, s: float) -> None:
         p = self.partition
         if not (p.a <= s <= p.b and p.a <= t <= p.b):
             raise OutOfInterval(f"(t, s)=({t}, {s}) outside [{p.a}, {p.b}]")
+
+    def evaluate(self, t: float, s: float) -> Operator:
+        p = self.partition
+        self._check_span(t, s)
         if t < s:
             raise PreconditionViolated(f"propagator wants t >= s, got t={t} < s={s}")
         if t == s:
@@ -383,6 +387,7 @@ class EvolutionFamilyApprox:
         last = float(s)
         for t in ts:
             t = float(t)
+            self._check_span(t, last)
             if t < last:
                 raise PreconditionViolated("evaluate_path wants ascending t starting at s")
             if t > last:
@@ -446,6 +451,9 @@ def oracle_solve(
     block's (steps, d, d) arrays within BLOCK_BYTES, and folded into M with
     _chain_desc.
     """
+    t0, t1 = family.interval
+    if not (t0 <= s <= t1 and t0 <= t <= t1):
+        raise OutOfInterval(f"(t, s)=({t}, {s}) outside [{t0}, {t1}]")
     if t < s:
         raise PreconditionViolated(f"oracle wants t >= s, got t={t} < s={s}")
     steps = max(64, int(rk_steps))
@@ -507,29 +515,28 @@ def refine_to_tolerance(
     gb: GrowthBound,
     tol: float,
     n_max: int = 14,
-    rng=None,
-    probes: int = 17,
     anorm: ANormEvaluator | None = None,
 ) -> RefineResult:
     """Refine the dyadic level until successive approximations differ by <= tol.
 
     The increment between levels n and n+1 is measured as the max difference
-    of U(t, t0) over a probe grid. Stops once two consecutive increments sit
-    below tol, guarding against accidental zeros on coarse dyadic grids. Each
-    level also records the a-priori bound (b - a) e^{4 omega1} Omega_n.
+    of U(t, t0) over 16 equispaced probe times t in (t0, t1]. Stops once two
+    consecutive increments sit below tol, guarding against accidental zeros
+    on coarse dyadic grids. Each level also records the a-priori bound
+    (b - a) e^{4 omega1} Omega_n.
     """
     t0, t1 = family.interval
     evaluator = anorm or ANormEvaluator(a, gb)
     omega1 = family.sup_anorm(evaluator)
     # A family constant in ||.||_A is propagated exactly at level 0.
-    if family.modulus(t1 - t0, evaluator, rng=rng) == 0.0:
+    if family.modulus(t1 - t0, evaluator) == 0.0:
         return RefineResult(
             approx=euler_polygon(a, family, 0),
             levels=((0, 0.0, 0.0, 0.0),),
             achieved_delta=0.0,
             omega1=float(omega1),
         )
-    ts = np.linspace(t0, t1, probes)[1:]
+    ts = np.linspace(t0, t1, 17)[1:]
     prev_vals = np.stack([op.entries for op in euler_polygon(a, family, 0).evaluate_path(ts, t0)])
     levels = []
     below = 0
@@ -537,7 +544,7 @@ def refine_to_tolerance(
         cur = euler_polygon(a, family, n)
         cur_vals = np.stack([op.entries for op in cur.evaluate_path(ts, t0)])
         delta = norm_stack(cur_vals - prev_vals, a.norm_kind).max()
-        omega_n = family.modulus((t1 - t0) * 2.0 ** (-n), evaluator, rng=rng)
+        omega_n = family.modulus((t1 - t0) * 2.0 ** (-n), evaluator)
         bound = (t1 - t0) * math.exp(4.0 * omega1) * omega_n
         levels.append((n, float(delta), float(omega_n), float(bound)))
         below = below + 1 if delta <= tol else 0

@@ -25,6 +25,7 @@ from .semigroup import GrowthBound, envelope_ratios
 
 CONTRACTION_SLACK = 1e-10
 NO_GROWTH_FACTOR = 1.5
+CONTRACTION_TIMES = (0.1, 1.0, 5.0)
 REDUCED_POINTS = 256
 # Level budget of the heat pipeline's refinement: at its default 128 cells
 # and tolerance 1e-3 the increments first fall below the tolerance at levels
@@ -183,8 +184,8 @@ def _transpose_banded(which: str, g: GridSpec, mu: float):
     raise PreconditionViolated(f"unknown example {which!r}")
 
 
-def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus, omega0: float = 0.0) -> list:
-    """(mu - omega0) ||B R(mu, G)||_1 for diagonal B >= 0, via banded solves.
+def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -> list:
+    """mu ||B R(mu, G)||_1 for diagonal B >= 0, via banded solves.
 
     mu I - G is an M-matrix for mu > 0, so R(mu, G) is entrywise nonnegative
     and the induced 1-norm of B R is the largest entry of (mu I - G)^{-T} b.
@@ -196,11 +197,11 @@ def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus, o
     out = []
     for mu in mus:
         mu = float(mu)
-        if mu <= omega0:
-            raise PreconditionViolated(f"sweep needs mu > omega0, got mu={mu}")
+        if mu <= 0.0:
+            raise PreconditionViolated(f"sweep needs mu > 0, got mu={mu}")
         lu, ab = _transpose_banded(which, g, mu)
         col_sums = solve_banded(lu, ab, b)
-        out.append((mu, float((mu - omega0) * col_sums.max())))
+        out.append((mu, float(mu * col_sums.max())))
     return out
 
 
@@ -247,28 +248,34 @@ def verify_example_bounds(
     which: str,
     g: GridSpec,
     n_max: int = 3,
-    mus=None,
-    t_grid=(0.1, 1.0, 5.0),
     pipeline: bool = True,
     pipeline_points: int = 128,
     pipeline_tol: float = 1e-3,
 ) -> ExampleReport:
     """Check the model-problem bounds: contraction, bounded scaled sweep, assumptions.
 
-    The sweep (mu - omega0) ||B R(mu, G)||_1 runs at full grid resolution via
-    banded solves; its fitted constant is the sweep maximum and the
-    no-growth verdict is no_growth of its decade maxima. Dense diagnostics
-    (contraction norms, continuity and derivative assumptions for sin(t) B,
-    and for the heat problem the polygon-vs-integrator pipeline) run on a
-    grid capped at REDUCED_POINTS or pipeline_points cells.
+    The sweep mu ||B R(mu, G)||_1 runs over [1, 10^K] at 20 points per
+    decade and full grid resolution via banded solves; its fitted constant is
+    the sweep maximum and the no-growth verdict is no_growth of its decade
+    maxima. Dense diagnostics (contraction norms, continuity and derivative
+    assumptions for sin(t) B, and for the heat problem the
+    polygon-vs-integrator pipeline) run on a grid capped at REDUCED_POINTS
+    or pipeline_points cells.
     """
     if which not in ("translation", "heat"):
         raise PreconditionViolated(f"unknown example {which!r}")
     mirror = which == "heat"
     multiplier = build_spiky_b(g, n_max, mirror=mirror)
-    sweep = scaled_resolvent_sweep(
-        which, g, multiplier.values, np.geomspace(1.0, 1e4, 81) if mus is None else mus
-    )
+    # The sweep stops growing once the resolvent kernel, of width mu^(-1/order),
+    # is narrower than the narrowest spike n_max^-4: from mu_s = n_max^(4 order)
+    # on. K is the smallest K >= 4 whose middle decade, the one no_growth reads,
+    # starts at or past mu_s.
+    order = 1 if which == "translation" else 2
+    k = 4
+    while 10 ** ((k + 1) // 2) < n_max ** (4 * order):
+        k += 1
+    mus = np.geomspace(1.0, 10.0**k, 20 * k + 1)
+    sweep = scaled_resolvent_sweep(which, g, multiplier.values, mus)
     fitted_k = max(v for _, v in sweep)
     decades = decade_maxima(sweep)
     bounded = no_growth(decades)[0]
@@ -279,7 +286,8 @@ def verify_example_bounds(
     a_r = build_generator(which, gr)
     metzler = np.all(a_r.entries - np.diag(np.diag(a_r.entries)) >= 0.0)
     colsums = np.all(a_r.entries.sum(axis=0) <= 1e-9 / gr.h)
-    norms = tuple((float(t), float(v)) for t, v in zip(t_grid, envelope_ratios(a_r, t_grid, 0.0)))
+    ratios = envelope_ratios(a_r, CONTRACTION_TIMES, 0.0)
+    norms = tuple((float(t), float(v)) for t, v in zip(CONTRACTION_TIMES, ratios))
     contraction = bool(metzler and colsums and all(v <= 1.0 + CONTRACTION_SLACK for _, v in norms))
     gb = GrowthBound(m=1.0, omega0=0.0)
     family_r = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(gr, n_max, mirror=mirror).operator())

@@ -20,6 +20,7 @@ from .linop import PRODUCT_BYTES, Operator, norm_stack, op_norm, resolvent_stack
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
 LAMBDA_CEILING = 1e8
+LAMBDA_POINTS_PER_DECADE = 4
 # Fraction of mu-grid points that may fail to solve before a_norm gives up.
 SKIP_BUDGET = 0.10
 TAIL_REL = 1e-3
@@ -116,9 +117,9 @@ class ANormEvaluator:
         return np.maximum(scaled, norm_stack(mats, self.a.norm_kind)) / self.gb.m
 
 
-def a_norm(c: Operator, a: Operator, gb: GrowthBound, grid: MuGrid | None = None) -> ANormResult:
+def a_norm(c: Operator, a: Operator, gb: GrowthBound) -> ANormResult:
     """||C||_A over the sampled mu-grid plus the exact tail op_norm(C)/M."""
-    return ANormEvaluator(a, gb, grid).value(c)
+    return ANormEvaluator(a, gb).value(c)
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,10 @@ class YosidaDistance:
     samples: tuple
 
 
-def default_lambda_grid(a: Operator, b: Operator, points_per_decade: int = 4) -> np.ndarray:
+def default_lambda_grid(a: Operator, b: Operator) -> np.ndarray:
     lo = max(10.0, 4.0 * max(spectrum(a).abscissa, spectrum(b).abscissa, 0.25))
     decades = math.log10(LAMBDA_CEILING / lo)
-    return np.geomspace(lo, LAMBDA_CEILING, max(4, round(decades * points_per_decade) + 1))
+    return np.geomspace(lo, LAMBDA_CEILING, max(4, round(decades * LAMBDA_POINTS_PER_DECADE) + 1))
 
 
 def yosida_distance(a: Operator, b: Operator, lambdas=None) -> YosidaDistance:
@@ -164,19 +165,12 @@ def yosida_distance(a: Operator, b: Operator, lambdas=None) -> YosidaDistance:
     return YosidaDistance(value=value, uncertainty=spread, samples=tuple(samples))
 
 
-def check_generation_bound(
-    a: Operator,
-    c: Operator,
-    gb: GrowthBound,
-    tmax: float = 2.0,
-    grid: int = 41,
-    mu_grid: MuGrid | None = None,
-) -> BoundCheck:
-    """Check ||e^{t(A+C)}|| <= M e^{(omega0 + M^2 ||C||_A) t} (1 + slack) on a t-grid."""
+def check_generation_bound(a: Operator, c: Operator, gb: GrowthBound) -> BoundCheck:
+    """Check ||e^{t(A+C)}|| <= M e^{(omega0 + M^2 ||C||_A) t} (1 + slack) at 41 points of [0, 2]."""
     a._check(c)
-    c_norm = a_norm(c, a, gb, mu_grid).value
+    c_norm = a_norm(c, a, gb).value
     rate = gb.omega0 + gb.m * gb.m * c_norm
-    ts = np.linspace(0.0, tmax, grid)
+    ts = np.linspace(0.0, 2.0, 41)
     return worst_ratio(envelope_ratios(a + c, ts, rate) / (gb.m * (1.0 + BOUND_SLACK)), ts)
 
 
@@ -200,23 +194,20 @@ def check_assumptions(
     family,
     a: Operator,
     gb: GrowthBound,
-    grid: MuGrid | None = None,
-    rng=None,
-    ladder_levels: int = 8,
     t_samples: int = 33,
 ) -> AssumptionReport:
     """Diagnose continuity of t -> B(t) in ||.||_A and boundedness of its derivative.
 
     a1: the modulus Omega(h) = sup_{|t-s| <= h} ||B(t) - B(s)||_A is tabulated
-    on a halving ladder of h spanning two decades; it should trend to zero
+    at 8 values of h halving from (t1 - t0)/4; it should trend to zero
     (last below a quarter of the first), with identically-zero moduli passing
     outright. a2: sup_t ||d/dt B(t) R(mu, A)|| is tabulated over a mu ladder
     and should stay bounded (last at most twice the median).
     """
     t0, t1 = family.interval
-    evaluator = ANormEvaluator(a, gb, grid)
-    hs = [(t1 - t0) * 2.0 ** (-k) for k in range(2, 2 + ladder_levels)]
-    a1 = [(h, family.modulus(h, evaluator, rng=rng)) for h in hs]
+    evaluator = ANormEvaluator(a, gb)
+    hs = [(t1 - t0) * 2.0 ** (-k) for k in range(2, 10)]
+    a1 = [(h, family.modulus(h, evaluator)) for h in hs]
     floor = 1e-12 * (1.0 + a1[0][1])
     a1_pass = a1[-1][1] <= max(a1[0][1] / 4.0, floor)
 
@@ -251,9 +242,8 @@ def lemma32_decay(
     family,
     gb: GrowthBound,
     mus=None,
-    t_samples: int = 49,
 ) -> Lemma32Result:
-    """Tabulate sup_t ||d/dt R(mu, A + B(t))|| over mu; the sup decays like mu^{-2}.
+    """Tabulate sup_t ||d/dt R(mu, A + B(t))|| (49 t-samples) over mu; the sup decays like mu^{-2}.
 
     Every sampled resolvent of the perturbed generator is cross-checked
     against the factorisation R(mu, A + B(t)) = R(mu, A) [I - B(t) R(mu, A)]^{-1}
@@ -264,7 +254,7 @@ def lemma32_decay(
         mus = gb.omega0 + np.geomspace(10.0, 1e4, 13)
     mus = np.asarray(mus, dtype=float)
     h_fd = fd_step(family.interval)
-    ts = np.linspace(t0 + h_fd, t1 - h_fd, t_samples)
+    ts = np.linspace(t0 + h_fd, t1 - h_fd, 49)
     kind, d = a.norm_kind, a.dim
     b_plus, b_minus, b_mid = family.values_stack(ts + h_fd), family.values_stack(ts - h_fd), family.values_stack(ts)
     a._check(Operator(np.zeros((family.dim, family.dim)), family.norm_kind))

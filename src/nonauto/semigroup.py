@@ -71,8 +71,10 @@ class GrowthBound:
     margin: float = 0.0
 
     def __post_init__(self):
-        if not (self.m >= 1.0):
-            raise PreconditionViolated(f"growth constant m must be >= 1, got {self.m}")
+        if not (1.0 <= self.m < math.inf and math.isfinite(self.omega0)):
+            raise PreconditionViolated(
+                f"growth bound wants finite m >= 1 and omega0, got m={self.m}, omega0={self.omega0}"
+            )
 
     def envelope(self, t: float) -> float:
         return self.m * math.exp(self.omega0 * t)

@@ -7,9 +7,12 @@ judged by its exit code and the artifacts it leaves behind: CSV files with a
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from nonauto import (
     read_matrix,
     write_matrix,
 )
-from nonauto.cli import main
+from nonauto.cli import _build_parser, main
 
 from test_acceptance import _child_env
 
@@ -107,6 +110,18 @@ class TestAnormCommand:
             GrowthBound(1.0, -1.0),
         )
         assert payload["value"] == expected.value
+
+    @pytest.mark.parametrize("m, omega0", [("inf", "-1"), ("1", "nan"), ("1", "inf")])
+    def test_non_finite_certificate_exits_config(self, tmp_path, monkeypatch, capsys, m, omega0):
+        # m = inf made every value read 0, and omega0 = nan blamed A for a
+        # mu-grid no resolvent could solve.
+        monkeypatch.chdir(tmp_path)
+        _write_mat(tmp_path / "a.txt", np.diag([-1.0, -2.0]))
+        _write_mat(tmp_path / "c.txt", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        argv = ["anorm", "--matrix-file", "a.txt", "--perturb-file", "c.txt", "--m", m, "--omega0", omega0]
+        assert main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "run_anorm.json").exists()
 
 
 class TestYdistCommand:
@@ -222,6 +237,35 @@ class TestConvergeCommand:
         # Deltas compare successive levels, so the partial table starts at 1.
         assert [row[0] for row in rows] == ["1", "2"]
 
+    def test_seed_only_labels_the_run(self, tmp_path, monkeypatch):
+        # Pieces of 0.2 leave the modulus at h = 1, 0.5 and 0.25 to sampling,
+        # whose draws must not depend on the seed.
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[-1.0, 0.0], [0.0, -2.0]],
+            "m": 1.0,
+            "omega0": -1.0,
+            "family": {
+                "kind": "piecewise",
+                "nodes": [0.0, 0.2, 0.6, 1.0],
+                "mats": [
+                    [[0.0, 0.3], [0.0, 0.0]],
+                    [[0.2, 0.0], [0.1, 0.0]],
+                    [[0.0, 0.0], [0.3, 0.1]],
+                    [[0.1, 0.1], [0.0, 0.0]],
+                ],
+            },
+            "tol": 1e-3,
+        }
+        _write_config(tmp_path / "cfg.json", config)
+        bodies = []
+        for seed in ("1", "2"):
+            assert main(["converge", "--config", "cfg.json", "--seed", seed, "--out", f"s{seed}"]) == 0
+            lines = (tmp_path / f"s{seed}_converge.csv").read_text().splitlines()
+            assert lines[0].endswith(f"seed={seed}")
+            bodies.append(lines[1:])
+        assert bodies[0] == bodies[1]
+
 
 class TestDichotomyCommand:
     def test_saddle_sweep_artifacts(self, tmp_path, monkeypatch):
@@ -319,6 +363,73 @@ class TestErrorPaths:
         _write_config(tmp_path / "cfg.json", config)
         assert main(["dichotomy", "--config", "cfg.json"]) == 3
         assert "non-finite entry" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    CONFIGS = {
+        "evolve": {
+            "matrix": [[-1.0]],
+            "family": {"kind": "constant", "interval": [0.0, 1.0], "entries": [[0.0]]},
+            "t_grid": [0.0, 1.0],
+        },
+        "converge": {
+            "matrix": [[-1.0]],
+            "m": 1.0,
+            "omega0": 0.0,
+            "family": {"kind": "constant", "interval": [0.0, 1.0], "entries": [[0.0]]},
+        },
+        "dichotomy": {
+            "matrix": [[-1.0, 0.0], [0.0, 1.0]],
+            "m": 1.0,
+            "omega0": 1.0,
+            "family": {"kind": "sinusoid", "interval": [0.0, 2.0], "entries": [[1.0, 0.0], [0.0, 1.0]]},
+            "eps_list": [0.0],
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["examples", "--which", "foo"],
+            ["verify-all", "--bogus"],
+            ["evolve", "--tol", "7"],
+            ["evolve", "--n-max", "3"],
+            ["converge", "--level", "2"],
+            ["dichotomy", "--tol", "1e-3"],
+            ["dichotomy", "--level", "2"],
+        ],
+    )
+    def test_usage_error_exits_config(self, tmp_path, monkeypatch, capsys, argv):
+        # Exit 2 is reserved for a check that ran and failed. The config is
+        # valid, so only the flag can make the command exit 1.
+        monkeypatch.chdir(tmp_path)
+        if argv[0] in self.CONFIGS:
+            argv = argv[:1] + ["--config", _write_config(tmp_path / "cfg.json", self.CONFIGS[argv[0]])] + argv[1:]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["converge", "--help"]) == 0
+        assert "--tol" in capsys.readouterr().out
+
+
+class TestReadmeUsage:
+    def test_usage_lines_list_every_flag(self):
+        # The README's usage block names each subcommand's flags, no more and no fewer.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().replace("\\\n", " ")
+        documented = {}
+        for line in readme.splitlines():
+            if line.startswith("nonauto "):
+                name = line.split()[1]
+                documented[name] = set(re.findall(r"--[a-z][a-z0-9-]*", line))
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert documented == accepted
 
 
 class TestModuleEntryPoint:

@@ -294,6 +294,20 @@ class TestEvolutionFamily:
         for t, u in zip(ts, path):
             assert np.allclose(u.entries, approx.evaluate(t, 0.2).entries, atol=1e-13)
 
+    def test_equal_times_outside_interval_raise(self):
+        a = op2(np.diag([-1.0, -2.0]))
+        fam = ConstantFamily((0.0, 1.0), op2(np.eye(2)))
+        approx = euler_polygon(a, fam, 3)
+        for t in (5.0, -0.5):
+            with pytest.raises(OutOfInterval):
+                approx.evaluate(t, t)
+            with pytest.raises(OutOfInterval):
+                approx.evaluate_path([t], t)
+            with pytest.raises(OutOfInterval):
+                oracle_solve(a, fam, t, t)
+        with pytest.raises(OutOfInterval):
+            approx.evaluate_path([0.5, 1.5], 0.0)
+
     def test_evaluate_path_needs_ascending(self):
         a = op2(np.diag([-1.0, -2.0]))
         approx = euler_polygon(a, ConstantFamily((0.0, 1.0), op2(np.eye(2))), 3)

@@ -232,6 +232,24 @@ class TestVerifyExampleBounds:
         deltas = [row[1] for row in report.pipeline_levels]
         assert deltas[-1] <= 2e-3
 
+    @pytest.mark.parametrize(
+        "which, domain, decades, middle_floor",
+        [("translation", Domain.HALF_LINE, 4, 8.8), ("heat", Domain.LINE, 7, 7.5)],
+    )
+    def test_sweep_window_reaches_saturation(self, which, domain, decades, middle_floor):
+        # Default grid and n_max = 3: the window ends at 10^K with K the
+        # smallest K >= 4 whose middle decade starts at or past n_max^(4 order),
+        # 81 for translation (K = 4) and 6561 for heat (K = 7).
+        report = verify_example_bounds(which, GridSpec(8.0, 2048, domain), pipeline=False)
+        mus = [mu for mu, _ in report.sweep]
+        assert len(mus) == 20 * decades + 1
+        assert mus[0] == 1.0 and mus[-1] == pytest.approx(10.0**decades, rel=1e-12)
+        assert len(report.decades) == decades + 1
+        middle = report.decades[len(report.decades) // 2]
+        assert middle[0] == 10.0 ** ((decades + 1) // 2)
+        assert middle[1] >= middle_floor
+        assert report.no_growth_pass
+
     def test_unknown_example_refused(self):
         with pytest.raises(PreconditionViolated):
             verify_example_bounds("advection", GridSpec(8.0, 64, Domain.HALF_LINE))

@@ -373,6 +373,13 @@ class TestFitGrowthBound:
         with pytest.raises(PreconditionViolated):
             GrowthBound(m=0.5, omega0=0.0)
 
+    @pytest.mark.parametrize("m, omega0", [(math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_certificate_refused(self, m, omega0):
+        # m = inf would make every ||C||_A read 0, and omega0 = nan a mu-grid
+        # that no resolvent solves.
+        with pytest.raises(PreconditionViolated):
+            GrowthBound(m=m, omega0=omega0)
+
 
 class TestDiffBoundCheck:
     def test_equal_pair(self):
