@@ -276,7 +276,7 @@ def criterion_10(seed: int) -> CriterionResult:
                 failure = failure or f"; refinement failed at eps {eps:g}: {result.refine_error}"
                 continue
             sup = max(row.sup_diff for row in result.rows)
-            literal = math.exp(4.0 * eps) * eps * (1.0 + 1e-3)
+            literal = result.bound * (1.0 + 1e-3)
             adjusted = eps * gb.m**2 * math.exp(gb.omega0 + gb.m**2 * eps)
             worst_literal = max(worst_literal, sup / literal)
             worst_adjusted = max(worst_adjusted, sup / adjusted)

@@ -66,15 +66,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _header(config: dict, seed: int) -> str:
-    return f"# config_hash={_config_hash(config)} seed={seed}\n"
-
-
 def _write_csv(path: str, header: str, columns, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header)
@@ -93,20 +84,38 @@ def _load_config(args) -> dict:
     with open(args.config) as fh:
         config = json.load(fh)
     for key in ("seed", "tol", "n_max", "level", "out"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     return config
 
 
-def _operator_from_config(config: dict, norm_kind: NormKind) -> Operator:
+class _Artifacts:
+    """Writes one run's files <out>_<name>.csv and .json, each tagged with the config hash and seed."""
+
+    def __init__(self, config: dict, seed, out: str):
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+        self.tag = {"config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16], "seed": seed}
+        self.out = out
+
+    def csv(self, name: str, columns, rows) -> None:
+        header = f"# config_hash={self.tag['config_hash']} seed={self.tag['seed']}\n"
+        _write_csv(f"{self.out}_{name}.csv", header, columns, rows)
+
+    def json(self, name: str, payload: dict) -> None:
+        _write_json(f"{self.out}_{name}.json", {**self.tag, **payload})
+
+
+def _load_run(args):
+    """(config, artifact writer, A, family) of a config-driven command."""
+    config = _load_config(args)
+    kind = NormKind.parse(config.get("norm", "2"))
     if "matrix_file" in config:
-        return read_matrix(config["matrix_file"], norm_kind)
-    return Operator(np.asarray(config["matrix"], dtype=float), norm_kind)
-
-
-def _norm_kind(config: dict) -> NormKind:
-    return NormKind.parse(config.get("norm", "2"))
+        a = read_matrix(config["matrix_file"], kind)
+    else:
+        a = Operator(np.asarray(config["matrix"], dtype=float), kind)
+    family = family_from_spec(config["family"], kind)
+    return config, _Artifacts(config, int(config.get("seed", 0)), config.get("out") or "run"), a, family
 
 
 def _growth_bound(config: dict, a: Operator) -> GrowthBound:
@@ -141,17 +150,11 @@ def cmd_anorm(args) -> int:
     evaluator = ANormEvaluator(a, gb, grid)
     samples = evaluator.sweep(c)
     result = evaluator.value(c)
-    _write_csv(
-        f"{args.out}_anorm.csv",
-        _header(config, args.seed),
-        ["mu", "scaled_norm"],
-        ([_fmt(mu), _fmt(v)] for mu, v in samples),
-    )
-    _write_json(
-        f"{args.out}_anorm.json",
+    artifacts = _Artifacts(config, args.seed, args.out)
+    artifacts.csv("anorm", ["mu", "scaled_norm"], ([_fmt(mu), _fmt(v)] for mu, v in samples))
+    artifacts.json(
+        "anorm",
         {
-            "config_hash": _config_hash(config),
-            "seed": args.seed,
             "value": result.value,
             "argmax_mu": None if math.isinf(result.argmax_mu) else result.argmax_mu,
             "tail_attained": math.isinf(result.argmax_mu),
@@ -176,30 +179,15 @@ def cmd_ydist(args) -> int:
         "norm": args.norm,
     }
     result = yosida_distance(a, b)
-    _write_csv(
-        f"{args.out}_ydist.csv",
-        _header(config, args.seed),
-        ["lambda", "scaled_difference"],
-        ([_fmt(lam), _fmt(v)] for lam, v in result.samples),
-    )
-    _write_json(
-        f"{args.out}_ydist.json",
-        {
-            "config_hash": _config_hash(config),
-            "seed": args.seed,
-            "value": result.value,
-            "uncertainty": result.uncertainty,
-        },
-    )
+    artifacts = _Artifacts(config, args.seed, args.out)
+    artifacts.csv("ydist", ["lambda", "scaled_difference"], ([_fmt(lam), _fmt(v)] for lam, v in result.samples))
+    artifacts.json("ydist", {"value": result.value, "uncertainty": result.uncertainty})
     print(f"yosida distance {result.value:.12g} (spread {result.uncertainty:.3g})")
     return 0
 
 
 def cmd_evolve(args) -> int:
-    config = _load_config(args)
-    kind = _norm_kind(config)
-    a = _operator_from_config(config, kind)
-    family = family_from_spec(config["family"], kind)
+    config, artifacts, a, family = _load_run(args)
     level = int(config.get("level", 8))
     u = euler_polygon(a, family, level)
     t0, t1 = family.interval
@@ -212,41 +200,31 @@ def cmd_evolve(args) -> int:
         [_fmt(t)] + [_fmt(v) for v in op.entries.reshape(-1)]
         for t, op in zip(ts, ops)
     )
-    seed = int(config.get("seed", 0))
-    out = config.get("out") or "run"
-    _write_csv(f"{out}_evolve.csv", _header(config, seed), columns, rows)
+    artifacts.csv("evolve", columns, rows)
     print(f"evolved level {level} at {len(ts)} samples")
     return 0
 
 
 def cmd_converge(args) -> int:
-    config = _load_config(args)
-    kind = _norm_kind(config)
-    a = _operator_from_config(config, kind)
-    family = family_from_spec(config["family"], kind)
+    config, artifacts, a, family = _load_run(args)
     gb = _growth_bound(config, a)
     tol = float(config.get("tol", 1e-4))
     n_max = int(config.get("n_max", 14))
-    seed = int(config.get("seed", 0))
-    out = config.get("out") or "run"
     try:
         result = refine_to_tolerance(a, family, gb, tol, n_max=n_max)
     except ToleranceNotReached as exc:
         result = exc
-    _write_csv(
-        f"{out}_converge.csv",
-        _header(config, seed),
+    artifacts.csv(
+        "converge",
         ["level", "delta", "omega_n", "bound"],
         ([str(n), _fmt(d), _fmt(w), _fmt(bd)] for n, d, w, bd in result.levels),
     )
     if isinstance(result, ToleranceNotReached):
         print(f"tolerance not reached: {result}", file=sys.stderr)
         return 3
-    _write_json(
-        f"{out}_converge.json",
+    artifacts.json(
+        "converge",
         {
-            "config_hash": _config_hash(config),
-            "seed": seed,
             "n_final": result.approx.level,
             "achieved_delta": result.achieved_delta,
             "omega1": result.omega1,
@@ -257,15 +235,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
-    config = _load_config(args)
-    kind = _norm_kind(config)
-    a = _operator_from_config(config, kind)
-    shape = family_from_spec(config["family"], kind)
-    eps_list = [float(e) for e in config.get("eps_list", [0.0, 0.01, 0.05])]
+    config, artifacts, a, shape = _load_run(args)
+    eps_list = config.get("eps_list", [0.0, 0.01, 0.05])
     t0, t1 = shape.interval
     ts = _t_grid(config.get("t_grid"), np.linspace(t0 + 1.0, t1, 5))
     gb = _growth_bound(config, a)
-    seed = int(config.get("seed", 0))
     results = roughness_sweep(a, shape, eps_list, t_samples=ts, gb=gb, n_max=int(config.get("n_max", 14)))
     rows = []
     summary = []
@@ -291,18 +265,13 @@ def cmd_dichotomy(args) -> int:
                 "refine_error": res.refine_error,
             }
         )
-    out = config.get("out") or "run"
-    _write_csv(
-        f"{out}_dichotomy.csv",
-        _header(config, seed),
+    artifacts.csv(
+        "dichotomy",
         ["eps", "t", "hyperbolic", "spectral_gap", "stable_rank", "sup_diff", "bound_e4w1w1"],
         rows,
     )
-    _write_json(
-        f"{out}_dichotomy.json",
-        {"config_hash": _config_hash(config), "seed": seed, "sweep": summary},
-    )
-    print(f"swept {len(eps_list)} eps values, {len(rows)} rows")
+    artifacts.json("dichotomy", {"sweep": summary})
+    print(f"swept {len(results)} eps values, {len(rows)} rows")
     return 0
 
 
@@ -321,17 +290,11 @@ def cmd_examples(args) -> int:
     report = verify_example_bounds(which, g, n_max=args.nmax, pipeline=not args.no_pipeline)
     matrix_grid = g.coarsened(512)
     write_matrix(f"{args.out}_generator.txt", build_generator(which, matrix_grid))
-    _write_csv(
-        f"{args.out}_sweep.csv",
-        _header(config, args.seed),
-        ["mu", "scaled_norm"],
-        ([_fmt(mu), _fmt(v)] for mu, v in report.sweep),
-    )
-    _write_json(
-        f"{args.out}_summary.json",
+    artifacts = _Artifacts(config, args.seed, args.out)
+    artifacts.csv("sweep", ["mu", "scaled_norm"], ([_fmt(mu), _fmt(v)] for mu, v in report.sweep))
+    artifacts.json(
+        "summary",
         {
-            "config_hash": _config_hash(config),
-            "seed": args.seed,
             "which": which,
             "grid_points": g.points,
             "matrix_points": matrix_grid.points,
@@ -352,10 +315,8 @@ def cmd_examples(args) -> int:
 
 def cmd_verify_all(args) -> int:
     rows = verify_all_rows(args.seed)
-    config = {"command": "verify-all", "seed": args.seed}
-    _write_csv(
-        f"{args.out}_criteria.csv",
-        _header(config, args.seed),
+    _Artifacts({"command": "verify-all", "seed": args.seed}, args.seed, args.out).csv(
+        "criteria",
         ["index", "name", "passed", "detail"],
         ([str(r.index), r.name, str(int(r.passed)), r.detail] for r in rows),
     )

@@ -127,29 +127,32 @@ class ProximityReport:
         return iter((self.sup_diff, self.bound))
 
 
+def _time1_maps(u: EvolutionFamilyApprox, e_a: Operator, t_samples):
+    """(t, U(t, t-1), ||U(t, t-1) - e^A||) for each sample t."""
+    for t in t_samples:
+        t1_op = u.evaluate(float(t), float(t) - 1.0)
+        yield float(t), t1_op, float(norm_of(t1_op.entries - e_a.entries, e_a.norm_kind))
+
+
+def _proximity_bound(omega1: float) -> float:
+    """The literal time-1 proximity estimate e^{4 omega1} omega1."""
+    return math.exp(4.0 * omega1) * omega1
+
+
 def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBound | None = None) -> ProximityReport:
     """sup_t ||U(t, t-1) - e^A|| against e^{4 omega1} omega1, t on 9 equispaced points of [a + 1, b]."""
     p = u.partition
     if p.b - p.a < 1.0:
         raise OutOfInterval("interval shorter than 1; no time-1 map fits")
-    t_samples = np.linspace(p.a + 1.0, p.b, 9)
     gb = gb or fit_growth_bound(a)
     omega1 = u.family.sup_anorm(ANormEvaluator(a, gb))
-    e_a = expm(a, 1.0).entries
-    samples = []
-    sup_diff = 0.0
-    for t in t_samples:
-        d = norm_of(u.evaluate(float(t), float(t) - 1.0).entries - e_a, a.norm_kind)
-        samples.append((float(t), float(d)))
-        sup_diff = max(sup_diff, float(d))
-    bound = math.exp(4.0 * omega1) * omega1
-    adjusted = omega1 * gb.m ** 2 * math.exp(gb.omega0 + gb.m ** 2 * omega1)
+    samples = tuple((t, d) for t, _, d in _time1_maps(u, expm(a, 1.0), np.linspace(p.a + 1.0, p.b, 9)))
     return ProximityReport(
-        sup_diff=sup_diff,
-        bound=bound,
-        bound_growth_adjusted=adjusted,
+        sup_diff=max(0.0, *(d for _, d in samples)),
+        bound=_proximity_bound(omega1),
+        bound_growth_adjusted=omega1 * gb.m ** 2 * math.exp(gb.omega0 + gb.m ** 2 * omega1),
         omega1=float(omega1),
-        samples=tuple(samples),
+        samples=samples,
     )
 
 
@@ -190,8 +193,12 @@ def roughness_sweep(
     tol = min(1e-4, eps/100) (floored at 1e-4 for the eps = 0 row) and the
     time-1 maps are tested for hyperbolicity. persisted means every sample is
     hyperbolic with spectral gap at least alpha/2 - e^{4 eps} eps. Refinement
-    failures are recorded on the row and the sweep continues.
+    failures are recorded on the row and the sweep continues. Every eps must
+    be finite and nonnegative.
     """
+    eps_list = [float(eps) for eps in eps_list]
+    if not all(0.0 <= eps < math.inf for eps in eps_list):
+        raise PreconditionViolated(f"eps must be finite and nonnegative, got {eps_list}")
     e_a = expm(a, 1.0)
     base = check_hyperbolic(e_a)
     if not base.hyperbolic:
@@ -209,46 +216,27 @@ def roughness_sweep(
         t_samples = np.linspace(t0 + 1.0, t1, 5)
     out = []
     for eps in eps_list:
-        eps = float(eps)
-        family = unit.scale(eps)
         tol = min(1e-4, eps / 100.0) if eps > 0.0 else 1e-4
+        bound = _proximity_bound(eps)
+        rows, error = (), None
         try:
-            refined = refine_to_tolerance(a, family, gb, tol, n_max=n_max, anorm=evaluator)
+            refined = refine_to_tolerance(a, unit.scale(eps), gb, tol, n_max=n_max, anorm=evaluator)
         except ToleranceNotReached as exc:
-            out.append(
-                EpsSweepResult(
-                    eps=eps,
-                    rows=(),
-                    persisted=False,
-                    bound=math.exp(4.0 * eps) * eps,
-                    gap_floor=base.alpha / 2.0 - math.exp(4.0 * eps) * eps,
-                    refine_error=str(exc),
-                    achieved_delta=float(exc.levels[-1][1] if exc.levels else exc.best_delta),
-                )
-            )
-            continue
-        u = refined.approx
-        rows = []
-        for t in t_samples:
-            t1_op = u.evaluate(float(t), float(t) - 1.0)
-            rows.append(
-                SweepRow(
-                    t=float(t),
-                    report=check_hyperbolic(t1_op),
-                    sup_diff=float(norm_of(t1_op.entries - e_a.entries, a.norm_kind)),
-                )
-            )
-        floor = base.alpha / 2.0 - math.exp(4.0 * eps) * eps
-        persisted = all(r.report.hyperbolic and r.report.spectral_gap >= floor for r in rows)
+            error, achieved = str(exc), float(exc.levels[-1][1] if exc.levels else exc.best_delta)
+        else:
+            maps = _time1_maps(refined.approx, e_a, t_samples)
+            rows = tuple(SweepRow(t, check_hyperbolic(op), d) for t, op, d in maps)
+            achieved = refined.achieved_delta
+        floor = base.alpha / 2.0 - bound
         out.append(
             EpsSweepResult(
                 eps=eps,
-                rows=tuple(rows),
-                persisted=bool(persisted),
-                bound=math.exp(4.0 * eps) * eps,
+                rows=rows,
+                persisted=error is None and all(r.report.hyperbolic and r.report.spectral_gap >= floor for r in rows),
+                bound=bound,
                 gap_floor=floor,
-                refine_error=None,
-                achieved_delta=refined.achieved_delta,
+                refine_error=error,
+                achieved_delta=achieved,
             )
         )
     return out

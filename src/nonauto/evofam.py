@@ -18,13 +18,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NormKindMismatch,
     OutOfInterval,
     PreconditionViolated,
     ToleranceNotReached,
 )
 from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm
-from .metrics import ANormEvaluator
+from .metrics import ANormEvaluator, _check_family
 from .semigroup import GrowthBound, expm_stack
 
 MAX_LEVEL = 24
@@ -73,8 +72,8 @@ class PerturbationFamily:
 
     values_stack(ts) is the one way a family is evaluated, and B(t) is its
     one-item form. Subclasses implement _values(ts) for a checked 1-D array
-    of times. modulus() estimates sup_{|t-s| <= h} ||B(t) - B(s)||_A and is
-    exact for subclasses that can bound it structurally.
+    of times. modulus() estimates sup_{|t-s| <= h} ||B(t) - B(s)||_A; it is
+    exact for subclasses whose _modulus bounds it structurally.
     """
 
     def __init__(self, interval, dim: int, norm_kind: NormKind):
@@ -116,19 +115,21 @@ class PerturbationFamily:
         return memo[key]
 
     def modulus(self, h: float, anorm: ANormEvaluator) -> float:
-        """sup over sampled pairs |t - s| <= h of ||B(t) - B(s)||_A.
+        """sup_{|t - s| <= h} ||B(t) - B(s)||_A, with h clamped to the interval length.
 
-        Sampled fallback; subclasses override where the sup is available in
-        closed form. Pairs come from a fixed seed; results are cached per
-        (h, anorm) since refinement asks for a whole ladder of h on one evaluator.
+        h <= 0 gives 0.0. Subclasses supply _modulus(h, anorm) for
+        0 < h <= t1 - t0; results are cached per (anorm, h) since refinement
+        asks for a whole ladder of h on one evaluator.
         """
-        return self._cached(anorm, float(h), lambda: self._modulus_sampled(h, anorm))
-
-    def _modulus_sampled(self, h: float, anorm: ANormEvaluator) -> float:
         t0, t1 = self.interval
         h = min(float(h), t1 - t0)
         if h <= 0.0:
             return 0.0
+        return self._cached(anorm, h, lambda: self._modulus(h, anorm))
+
+    def _modulus(self, h: float, anorm: ANormEvaluator) -> float:
+        """Sampled fallback: the sup over pairs drawn from a fixed seed."""
+        t0, t1 = self.interval
         rng = np.random.default_rng(0)
         count = min(MODULUS_PAIR_CAP, max(16, math.ceil(4.0 * (t1 - t0) / h)))
         # Adjacent mesh nodes at spacing h catch oscillations aligned to the mesh.
@@ -160,28 +161,11 @@ class _Scaled(PerturbationFamily):
     def _values(self, ts: np.ndarray) -> np.ndarray:
         return self.c * self.base.values_stack(ts)
 
-    def modulus(self, h, anorm) -> float:
+    def _modulus(self, h, anorm) -> float:
         return abs(self.c) * self.base.modulus(h, anorm)
 
     def sup_anorm(self, anorm) -> float:
         return abs(self.c) * self.base.sup_anorm(anorm)
-
-
-class ConstantFamily(PerturbationFamily):
-    """B(t) = B0; modulus identically zero, products collapse exactly."""
-
-    def __init__(self, interval, b0: Operator):
-        super().__init__(interval, b0.dim, b0.norm_kind)
-        self.b0 = b0
-
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.b0.entries, (len(ts), self.dim, self.dim)).copy()
-
-    def modulus(self, h, anorm) -> float:
-        return 0.0
-
-    def sup_anorm(self, anorm) -> float:
-        return anorm.value(self.b0).value
 
 
 class ScaledProfileFamily(PerturbationFamily):
@@ -202,25 +186,26 @@ class ScaledProfileFamily(PerturbationFamily):
         vals = np.array([float(self.profile(float(t))) for t in ts])
         return vals[:, None, None] * self.b0.entries[None, :, :]
 
-    def _profile_modulus(self, h: float) -> float:
-        t0, t1 = self.interval
-        h = min(float(h), t1 - t0)
-        if h <= 0.0:
-            return 0.0
-        step = (t1 - t0) / (PROFILE_SAMPLES - 1)
-        w = max(1, int(round(h / step)))
-        # Max-min over every window of width h.
-        windows = np.lib.stride_tricks.sliding_window_view(self._profile_vals, w + 1)
-        return float((windows.max(axis=1) - windows.min(axis=1)).max())
-
     def _b0_anorm(self, anorm) -> float:
         return self._cached(anorm, "b0", lambda: anorm.value(self.b0).value)
 
-    def modulus(self, h, anorm) -> float:
-        return self._cached(anorm, float(h), lambda: self._profile_modulus(h) * self._b0_anorm(anorm))
+    def _modulus(self, h, anorm) -> float:
+        t0, t1 = self.interval
+        step = (t1 - t0) / (PROFILE_SAMPLES - 1)
+        w = max(1, int(round(h / step)))
+        # Max-min of the profile over every window of width h.
+        windows = np.lib.stride_tricks.sliding_window_view(self._profile_vals, w + 1)
+        return float((windows.max(axis=1) - windows.min(axis=1)).max()) * self._b0_anorm(anorm)
 
     def sup_anorm(self, anorm) -> float:
         return float(np.abs(self._profile_vals).max()) * self._b0_anorm(anorm)
+
+
+class ConstantFamily(ScaledProfileFamily):
+    """B(t) = B0 as the phi = 1 profile family; modulus identically zero, products collapse exactly."""
+
+    def __init__(self, interval, b0: Operator):
+        super().__init__(interval, lambda t: 1.0, b0)
 
 
 class PiecewiseLinearFamily(PerturbationFamily):
@@ -262,14 +247,10 @@ class PiecewiseLinearFamily(PerturbationFamily):
             anorm, "slopes", lambda: anorm.value_stack(np.diff(self._stack, axis=0)) / np.diff(self.nodes)
         )
 
-    def modulus(self, h, anorm) -> float:
-        t0, t1 = self.interval
-        h = min(float(h), t1 - t0)
-        if h <= 0.0:
-            return 0.0
+    def _modulus(self, h, anorm) -> float:
         if h <= float(np.diff(self.nodes).min()):
             return float(h * self._slopes(anorm).max())
-        return super().modulus(h, anorm)
+        return super()._modulus(h, anorm)
 
     def sup_anorm(self, anorm) -> float:
         # Convexity of the norm along each piece puts the sup at a node.
@@ -319,10 +300,7 @@ class EvolutionFamilyApprox:
     """
 
     def __init__(self, a: Operator, family: PerturbationFamily, partition: DyadicPartition):
-        if family.dim != a.dim:
-            raise DimensionMismatch(f"generator dim {a.dim} vs family dim {family.dim}")
-        if family.norm_kind is not a.norm_kind:
-            raise NormKindMismatch(f"generator uses {a.norm_kind.value}, family uses {family.norm_kind.value}")
+        _check_family(a, family)
         t0, t1 = family.interval
         if not (t0 <= partition.a and partition.b <= t1):
             raise OutOfInterval("partition must lie inside the family interval")

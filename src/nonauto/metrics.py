@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
+from .errors import DimensionMismatch, NormKindMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
 from .linop import PRODUCT_BYTES, Operator, norm_stack, op_norm, resolvent_stack, spectrum
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
@@ -69,6 +69,12 @@ class ANormEvaluator:
         self.gb = gb
         self.grid = grid or MuGrid()
         mus = gb.omega0 + self.grid.offsets()
+        # The weights mu - omega0 weight the mu actually solved; an offset lost
+        # to rounding at omega0 would give a zero weight or a repeated mu.
+        if not (mus[0] > gb.omega0 and np.all(np.diff(mus) > 0.0)):
+            raise PreconditionViolated(
+                f"mu-grid offsets from {self.grid.min_offset:g} are lost to rounding at omega0 = {gb.omega0:g}"
+            )
         self._stack, kept = resolvent_stack(a.entries, mus, skip=True)
         self.total, self.skipped = len(mus), int(np.count_nonzero(~kept))
         if self.skipped > SKIP_BUDGET * self.total:
@@ -174,6 +180,14 @@ def check_generation_bound(a: Operator, c: Operator, gb: GrowthBound) -> BoundCh
     return worst_ratio(envelope_ratios(a + c, ts, rate) / (gb.m * (1.0 + BOUND_SLACK)), ts)
 
 
+def _check_family(a: Operator, family) -> None:
+    """A family fits a generator when both have one dimension and one norm kind."""
+    if family.dim != a.dim:
+        raise DimensionMismatch(f"generator dim {a.dim} vs family dim {family.dim}")
+    if family.norm_kind is not a.norm_kind:
+        raise NormKindMismatch(f"generator uses {a.norm_kind.value}, family uses {family.norm_kind.value}")
+
+
 def fd_step(interval) -> float:
     """Central-difference step for t-derivatives on the given interval."""
     return max(1e-5, 1e-8 * (interval[1] - interval[0]))
@@ -204,6 +218,7 @@ def check_assumptions(
     outright. a2: sup_t ||d/dt B(t) R(mu, A)|| is tabulated over a mu ladder
     and should stay bounded (last at most twice the median).
     """
+    _check_family(a, family)
     t0, t1 = family.interval
     evaluator = ANormEvaluator(a, gb)
     hs = [(t1 - t0) * 2.0 ** (-k) for k in range(2, 10)]
@@ -249,6 +264,7 @@ def lemma32_decay(
     against the factorisation R(mu, A + B(t)) = R(mu, A) [I - B(t) R(mu, A)]^{-1}
     and the worst relative residual is reported.
     """
+    _check_family(a, family)
     t0, t1 = family.interval
     if mus is None:
         mus = gb.omega0 + np.geomspace(10.0, 1e4, 13)
@@ -257,7 +273,6 @@ def lemma32_decay(
     ts = np.linspace(t0 + h_fd, t1 - h_fd, 49)
     kind, d = a.norm_kind, a.dim
     b_plus, b_minus, b_mid = family.values_stack(ts + h_fd), family.values_stack(ts - h_fd), family.values_stack(ts)
-    a._check(Operator(np.zeros((family.dim, family.dim)), family.norm_kind))
     # A + B(t + h), A + B(t - h) and A + B(t), interleaved per t.
     perturbed = (a.entries + np.stack([b_plus, b_minus, b_mid], axis=1)).reshape(-1, d, d)
     samples = []

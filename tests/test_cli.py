@@ -27,6 +27,8 @@ from nonauto import (
     read_matrix,
     write_matrix,
 )
+import nonauto.cli
+from nonauto.acceptance import CriterionResult
 from nonauto.cli import _build_parser, main
 
 from test_acceptance import _child_env
@@ -124,6 +126,17 @@ class TestAnormCommand:
         assert not (tmp_path / "run_anorm.json").exists()
 
 
+    def test_grid_lost_to_rounding_exits_config(self, tmp_path, monkeypatch, capsys):
+        # At omega0 = 1e20 every offset below about 1e4 rounds to mu = omega0.
+        monkeypatch.chdir(tmp_path)
+        _write_mat(tmp_path / "a.txt", np.diag([-1.0, -2.0]))
+        _write_mat(tmp_path / "c.txt", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        argv = ["anorm", "--matrix-file", "a.txt", "--perturb-file", "c.txt", "--m", "1", "--omega0", "1e20"]
+        assert main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
+
 class TestYdistCommand:
     def test_diagonal_pair_matches_matrix_norm(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -172,6 +185,22 @@ class TestEvolveCommand:
             got = np.array([float(v) for v in row[1:]]).reshape(2, 2)
             want = expm(Operator(a + b, NormKind.TWO), t).entries
             assert np.allclose(got, want, atol=1e-10)
+
+    def test_t_grid_start_stop_count(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[-1.0]],
+            "family": {"kind": "constant", "interval": [0.0, 1.0], "entries": [[0.5]]},
+            "s": 0.25,
+            "t_grid": {"start": 0.25, "stop": 1.0, "count": 4},
+        }
+        _write_config(tmp_path / "cfg.json", config)
+        assert main(["evolve", "--config", "cfg.json"]) == 0
+        _, columns, rows = _read_csv(tmp_path / "run_evolve.csv")
+        assert columns == "t,u_0_0"
+        assert [float(row[0]) for row in rows] == list(np.linspace(0.25, 1.0, 4))
+        for row in rows:
+            assert float(row[1]) == pytest.approx(np.exp(-0.5 * (float(row[0]) - 0.25)), rel=1e-12)
 
     def test_out_from_config_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -295,6 +324,15 @@ class TestDichotomyCommand:
         assert all(entry["persisted"] for entry in payload["sweep"])
 
 
+    def test_negative_eps_exits_config(self, tmp_path, monkeypatch, capsys):
+        # A negative eps tested the gap against a floor above alpha / 2.
+        monkeypatch.chdir(tmp_path)
+        config = dict(TestUsageErrors.CONFIGS["dichotomy"], eps_list=[-0.01])
+        assert main(["dichotomy", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
+
 class TestExamplesCommand:
     def test_translation_small_grid(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -413,6 +451,49 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert main(["converge", "--help"]) == 0
         assert "--tol" in capsys.readouterr().out
+
+
+def _recording(fn, written):
+    def wrapper(path, *args):
+        written.append(path)
+        return fn(path, *args)
+
+    return wrapper
+
+
+class TestArtifactWriters:
+    """Every file a command writes goes through a writer the benchmark counts as cli.io."""
+
+    def _argv(self, command, tmp_path, monkeypatch):
+        if command in TestUsageErrors.CONFIGS:
+            return [command, "--config", _write_config(tmp_path / "cfg.json", TestUsageErrors.CONFIGS[command])]
+        if command == "examples":
+            return ["examples", "--which", "translation", "--grid", "128,8.0", "--nmax", "2", "--no-pipeline"]
+        if command == "verify-all":
+            # The table's rows are stubbed: only the writing is under test.
+            monkeypatch.setattr(nonauto.cli, "verify_all_rows", lambda seed: [CriterionResult(1, "stub", True, "ok")])
+            return ["verify-all"]
+        _write_mat(tmp_path / "a.txt", np.diag([-1.0, -2.0]))
+        _write_mat(tmp_path / "c.txt", np.diag([1.0, 0.0]))
+        if command == "anorm":
+            return ["anorm", "--matrix-file", "a.txt", "--perturb-file", "c.txt", "--m", "1", "--omega0", "-1"]
+        return ["ydist", "--matrix-file", "a.txt", "--second-file", "c.txt"]
+
+    @pytest.mark.parametrize("command", ["anorm", "ydist", "evolve", "converge", "dichotomy", "examples", "verify-all"])
+    def test_every_file_goes_through_a_counted_writer(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = self._argv(command, tmp_path, monkeypatch)
+        inputs = {p.name for p in tmp_path.iterdir()}
+        written = []
+        for name in ("_write_csv", "_write_json", "write_matrix"):
+            monkeypatch.setattr(nonauto.cli, name, _recording(getattr(nonauto.cli, name), written))
+        assert main(argv) in (0, 2)
+        produced = {p.name for p in tmp_path.iterdir()} - inputs
+        assert any(name.endswith(".csv") for name in produced)
+        assert sorted(produced) == sorted(Path(path).name for path in written)
+        for name in produced:
+            if name.endswith(".csv"):
+                assert (tmp_path / name).read_text().startswith("# config_hash=")
 
 
 class TestReadmeUsage:

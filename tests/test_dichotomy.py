@@ -178,3 +178,11 @@ class TestRoughnessSweep:
         assert row.rows == () and not row.persisted
         assert row.achieved_delta > 0.0
         assert f"last increment {row.achieved_delta:.3e} at level 3" in row.refine_error
+
+    @pytest.mark.parametrize("eps", [-0.01, math.nan, math.inf])
+    def test_negative_or_non_finite_eps_refused(self, eps):
+        # A negative eps would test a gap floor above alpha / 2.
+        a = op2(np.diag([-1.0, 1.0]))
+        shape = ScaledProfileFamily((0.0, 3.0), np.sin, op2([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(PreconditionViolated):
+            roughness_sweep(a, shape, [0.0, eps], gb=GrowthBound(1.0, 1.0))

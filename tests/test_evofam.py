@@ -242,6 +242,52 @@ class TestFamilies:
             family_from_spec({"kind": "perlin", "interval": [0.0, 1.0]})
 
 
+class TestModulusContract:
+    """PerturbationFamily.modulus clamps h, answers 0.0 for h <= 0 and caches, for every kind."""
+
+    @staticmethod
+    def _evaluator():
+        return ANormEvaluator(op2(np.diag([-1.0, -2.0])), GrowthBound(1.0, -1.0))
+
+    @pytest.mark.parametrize("kind", sorted(_UNIT_FAMILIES))
+    def test_h_past_the_interval_is_the_interval_length(self, kind, tmp_path):
+        ev = self._evaluator()
+        fresh = _UNIT_FAMILIES[kind](tmp_path)
+        assert _UNIT_FAMILIES[kind](tmp_path).modulus(5.0, ev) == fresh.modulus(1.0, ev)
+
+    @pytest.mark.parametrize("kind", sorted(_UNIT_FAMILIES))
+    @pytest.mark.parametrize("h", [0.0, -0.5])
+    def test_non_positive_h_is_zero(self, kind, h, tmp_path):
+        assert _UNIT_FAMILIES[kind](tmp_path).modulus(h, self._evaluator()) == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(_UNIT_FAMILIES))
+    def test_repeat_call_evaluates_nothing(self, kind, tmp_path, monkeypatch):
+        fam = _UNIT_FAMILIES[kind](tmp_path)
+        ev = self._evaluator()
+        calls = []
+        original = evofam.PerturbationFamily.values_stack
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return original(self, ts)
+
+        monkeypatch.setattr(evofam.PerturbationFamily, "values_stack", counted)
+        hs = (0.3, 1.0, 5.0)
+        first = [fam.modulus(h, ev) for h in hs]
+        made = len(calls)
+        assert [fam.modulus(h, ev) for h in hs] == first
+        assert len(calls) == made
+
+    def test_constant_family_is_b0_bit_for_bit(self):
+        b0 = op2([[0.1, -0.0], [1e-300, -7.25]])
+        fam = ConstantFamily((0.0, 2.0), b0)
+        got = fam.values_stack(np.linspace(0.0, 2.0, 7))
+        assert got.tobytes() == np.stack([b0.entries] * 7).tobytes()
+        ev = self._evaluator()
+        assert [fam.modulus(h, ev) for h in (1e-6, 0.3, 2.0, 9.0)] == [0.0] * 4
+        assert fam.sup_anorm(ev) == ev.value(b0).value
+
+
 class TestEvolutionFamily:
     def test_identity_at_equal_times(self):
         approx = euler_polygon(op2(np.diag([-1.0, -2.0])), ConstantFamily((0.0, 1.0), op2(np.eye(2))), 4)

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from nonauto import (
+    DimensionMismatch,
     GrowthBound,
     MuGrid,
     NormKind,
+    NormKindMismatch,
     Operator,
     PreconditionViolated,
     TailNotSettled,
@@ -19,7 +21,7 @@ from nonauto import (
     yosida_distance,
 )
 from nonauto import metrics
-from nonauto.evofam import CallableFamily, ConstantFamily, ScaledProfileFamily
+from nonauto.evofam import CallableFamily, ConstantFamily, PiecewiseLinearFamily, ScaledProfileFamily
 from nonauto.linop import norm_stack
 from nonauto.metrics import ANormEvaluator
 
@@ -87,6 +89,19 @@ class TestANorm:
         a = op2(np.diag(mus))
         with pytest.raises(SingularResolvent):
             a_norm(op2(np.eye(30)), a, gb)
+
+    @pytest.mark.parametrize(
+        "omega0, grid",
+        [
+            # Every offset up to about 1e4 rounds away at 1e20: mu = omega0.
+            (1e20, MuGrid()),
+            # The first mu clears omega0, but neighbouring offsets round to one mu.
+            (1e6, MuGrid(2e-10, 1e-9, 20)),
+        ],
+    )
+    def test_grid_lost_to_rounding_refused(self, omega0, grid):
+        with pytest.raises(PreconditionViolated):
+            ANormEvaluator(op2(np.diag([-1.0, -2.0])), GrowthBound(1.0, omega0), grid)
 
     def test_sweep_rows_scaled(self):
         a = op2(np.diag([-1.0, -2.0]))
@@ -234,6 +249,26 @@ class TestAssumptions:
                 for t in np.linspace(h, 1.0 - h, 9)
             )
             assert sup == want
+
+
+class TestFamilyFitsGenerator:
+    """check_assumptions and lemma32_decay refuse a family of another dimension or norm kind."""
+
+    @pytest.mark.parametrize(
+        "family, error",
+        [
+            (PiecewiseLinearFamily([0.0, 1.0], [Operator(np.eye(2), NormKind.ONE)] * 2), NormKindMismatch),
+            (ConstantFamily((0.0, 1.0), op2(np.eye(3))), DimensionMismatch),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [check_assumptions, lambda fam, a, gb: lemma32_decay(a, fam, gb)],
+        ids=["check_assumptions", "lemma32_decay"],
+    )
+    def test_mismatch_refused(self, family, error, check):
+        with pytest.raises(error):
+            check(family, op2(np.diag([-1.0, -2.0])), GrowthBound(1.0, -1.0))
 
 
 class TestLemma32Decay:
