@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dichotomy import roughness_sweep
+from .dichotomy import _growth_adjusted_bound, roughness_sweep
 from .evofam import (
     ConstantFamily,
     PiecewiseLinearFamily,
@@ -277,7 +277,7 @@ def criterion_10(seed: int) -> CriterionResult:
                 continue
             sup = max(row.sup_diff for row in result.rows)
             literal = result.bound * (1.0 + 1e-3)
-            adjusted = eps * gb.m**2 * math.exp(gb.omega0 + gb.m**2 * eps)
+            adjusted = _growth_adjusted_bound(eps, gb)
             worst_literal = max(worst_literal, sup / literal)
             worst_adjusted = max(worst_adjusted, sup / adjusted)
             persists = persists and all(row.report.hyperbolic for row in result.rows)
@@ -343,7 +343,7 @@ def criterion_13(seed: int) -> CriterionResult:
         )
         refined = refine_to_tolerance(a, family, CONTRACTION_GB, tol=1e-5, n_max=16)
         reference = oracle_solve(a, family, 1.0, 0.0, rk_steps=4096)
-        diff = refined.approx.evaluate(1.0, 0.0).entries - reference.entries
+        diff = refined.full_span.entries - reference.entries
         worst = max(worst, norm_of(diff, NormKind.TWO))
     return CriterionResult(13, "integrator-agreement", worst <= 5e-5, f"worst disagreement {worst:.3e} vs 5e-5")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertible, OutOfInterval, PreconditionViolated, SingularResolvent, ToleranceNotReached
+from .errors import NotInvertible, OutOfInterval, Overflow, PreconditionViolated, SingularResolvent, ToleranceNotReached
 from .evofam import EvolutionFamilyApprox, PerturbationFamily, refine_to_tolerance
 from .linop import Operator, norm_of, resolvent_stack
 from .metrics import ANormEvaluator
@@ -134,9 +134,22 @@ def _time1_maps(u: EvolutionFamilyApprox, e_a: Operator, t_samples):
         yield float(t), t1_op, float(norm_of(t1_op.entries - e_a.entries, e_a.norm_kind))
 
 
+def _exp(x: float, eps: float) -> float:
+    """e^x for a proximity bound at perturbation size eps; Overflow, naming eps, where doubles end."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise Overflow(f"the proximity bound at eps={eps!r} overflows doubles (e^{x:.6g})") from None
+
+
 def _proximity_bound(omega1: float) -> float:
     """The literal time-1 proximity estimate e^{4 omega1} omega1."""
-    return math.exp(4.0 * omega1) * omega1
+    return _exp(4.0 * omega1, omega1) * omega1
+
+
+def _growth_adjusted_bound(omega1: float, gb: GrowthBound) -> float:
+    """omega1 M^2 e^{omega0 + M^2 omega1}: the proximity estimate with A's growth certificate folded in."""
+    return omega1 * gb.m ** 2 * _exp(gb.omega0 + gb.m ** 2 * omega1, omega1)
 
 
 def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBound | None = None) -> ProximityReport:
@@ -150,7 +163,7 @@ def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBoun
     return ProximityReport(
         sup_diff=max(0.0, *(d for _, d in samples)),
         bound=_proximity_bound(omega1),
-        bound_growth_adjusted=omega1 * gb.m ** 2 * math.exp(gb.omega0 + gb.m ** 2 * omega1),
+        bound_growth_adjusted=_growth_adjusted_bound(omega1, gb),
         omega1=float(omega1),
         samples=samples,
     )

@@ -36,7 +36,7 @@ class EigenFailure(NonautoError):
 
 
 class Overflow(NonautoError):
-    """The matrix exponential overflows double precision."""
+    """A matrix exponential, or an exponential bound, overflows double precision."""
 
     def __init__(self, message: str, required_squarings: int = 0):
         super().__init__(message)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm
 from .metrics import ANormEvaluator, _check_family
+from . import semigroup
 from .semigroup import GrowthBound, expm_stack
 
 MAX_LEVEL = 24
@@ -293,10 +294,10 @@ class TabulatedFamily(PiecewiseLinearFamily):
 class EvolutionFamilyApprox:
     """Propagators of the frozen-coefficient scheme at one dyadic level.
 
-    All 2^n cell exponentials exp(delta (A + B(node_j))) are built eagerly in
-    one batched call, in place over the frozen generators: a level holds one
-    (2^n, d, d) stack. evaluate(t, s) multiplies a partial cell on each end
-    with the full cells between, factors ordered by decreasing node index.
+    A handle on (a, family, partition) with no level stack: _spans, the one
+    product loop, forms U(t, s) a chunk of cells at a time from a partial cell
+    on each end and the full cells between, factors ordered by decreasing
+    node index. It keeps its last chunk, so nearby spans reuse the cells.
     """
 
     def __init__(self, a: Operator, family: PerturbationFamily, partition: DyadicPartition):
@@ -304,106 +305,123 @@ class EvolutionFamilyApprox:
         t0, t1 = family.interval
         if not (t0 <= partition.a and partition.b <= t1):
             raise OutOfInterval("partition must lie inside the family interval")
-        self.a = a
-        self.family = family
-        self.partition = partition
-        # delta (A + B(node_j)) built in place, then exponentiated in place.
-        cells = family.values_stack(partition.nodes()[:-1])
-        cells += a.entries
-        cells *= partition.delta
-        self._cell_exp = expm_stack(cells, out=cells)
+        family.values_stack([partition.a])  # checks the shape of the family's values
+        self.a, self.family, self.partition = a, family, partition
+        self._chunk = (0, ())
 
     @property
     def level(self) -> int:
         return self.partition.n
 
-    def _partial(self, j: int, tau: float) -> np.ndarray:
-        """exp(tau (A + B(node_j))) for 0 <= tau <= delta.
+    def _spans(self, ts, s: float):
+        """Yield U(t_k, t_{k-1}) for ascending ts with t_{-1} = s, None for an empty span.
 
-        tau within one part in 1e12 of a cell boundary is snapped to it, so
-        query times that are cell nodes up to rounding reuse the stored
-        exponentials.
+        One pass over the cells from s to the last t, exponentiating the frozen
+        generators delta (A + B(node_j)) in place a chunk at a time: four
+        expm_stack blocks per pool worker, a tail under half a chunk joining
+        the last. Chunks start at multiples of the block length, so each cell
+        has the bits of a whole-level call. A partial cell within 1e-12 delta
+        of a cell boundary is snapped to it, so nodes up to rounding reuse it.
         """
-        delta = self.partition.delta
-        if tau <= 1e-12 * delta:
-            return np.eye(self.a.dim)
-        if abs(tau - delta) <= 1e-12 * delta:
-            return self._cell_exp[j]
-        frozen = self.a.entries + self.family.values_stack([self.partition.node(j)])
-        return expm_stack(tau * frozen)[0]
+        p, d, delta = self.partition, self.a.dim, self.partition.delta
+        ts, last = [float(t) for t in ts], float(s)
+        for t in ts:
+            if not (p.a <= last <= p.b and p.a <= t <= p.b):
+                raise OutOfInterval(f"(t, s)=({t}, {last}) outside [{p.a}, {p.b}]")
+            if t < last:
+                raise PreconditionViolated(f"propagator wants ascending t >= s, got t={t} after {last}")
+            last = t
+        step = max(1, BLOCK_BYTES // (8 * d * d))
+        stop = min(-(-(p.cell_of(ts[-1]) + 1) // step) * step, p.cells) if ts else 0
+        size = 4 * step * semigroup._WORKERS
+        first, exps = self._chunk
 
-    def _check_span(self, t: float, s: float) -> None:
-        p = self.partition
-        if not (p.a <= s <= p.b and p.a <= t <= p.b):
-            raise OutOfInterval(f"(t, s)=({t}, {s}) outside [{p.a}, {p.b}]")
+        def cells(lo: int, hi: int):
+            """Exponentials of cells lo..hi-1, as views of the chunks that hold them."""
+            nonlocal first, exps
+            while lo < hi:
+                if not first <= lo < first + len(exps):
+                    self._chunk = first, exps = lo - lo % step, ()  # the old chunk dies before the next is built
+                    nodes = p.a + delta * np.arange(first, first + size if stop - first >= 3 * size // 2 else stop)
+                    gens = self.family.values_stack(nodes)
+                    gens += self.a.entries
+                    gens *= delta
+                    self._chunk = first, exps = first, expm_stack(gens, out=gens)
+                yield exps[lo - first : hi - first]
+                lo = min(hi, first + len(exps))
 
-    def evaluate(self, t: float, s: float) -> Operator:
-        p = self.partition
-        self._check_span(t, s)
-        if t < s:
-            raise PreconditionViolated(f"propagator wants t >= s, got t={t} < s={s}")
-        if t == s:
-            return Operator(np.eye(self.a.dim), self.a.norm_kind)
-        js, jt = p.cell_of(s), p.cell_of(t)
-        if js == jt:
-            return Operator(self._partial(js, t - s), self.a.norm_kind)
-        out = self._partial(jt, t - p.node(jt))
-        if jt > js + 1:
-            out = out @ _chain_desc(self._cell_exp[js + 1 : jt])
-        out = out @ self._partial(js, p.node(js + 1) - s)
-        return Operator(out, self.a.norm_kind)
+        def partial(j: int, tau: float) -> np.ndarray:
+            if tau <= 1e-12 * delta:
+                return np.eye(d)
+            if abs(tau - delta) <= 1e-12 * delta:
+                return next(cells(j, j + 1))[0].copy()
+            return expm_stack(tau * (self.a.entries + self.family.values_stack([p.node(j)])))[0]
 
-    def evaluate_path(self, ts, s: float) -> list:
-        """U(t, s) for ascending t samples, sharing the accumulated product.
-
-        Exact for this scheme since partial-cell factors of one frozen
-        generator compose exactly; cost is one pass over the cells instead
-        of one pass per sample.
-        """
-        out = []
-        cur = np.eye(self.a.dim)
         last = float(s)
         for t in ts:
-            t = float(t)
-            self._check_span(t, last)
-            if t < last:
-                raise PreconditionViolated("evaluate_path wants ascending t starting at s")
-            if t > last:
-                cur = self.evaluate(t, last).entries @ cur
-                last = t
+            js, jt = p.cell_of(last), p.cell_of(t)
+            if t == last:
+                yield None
+            elif js == jt:
+                yield partial(js, t - last)
+            else:
+                # Formed in cell order, multiplied as (end @ chain) @ start.
+                start = partial(js, p.node(js + 1) - last)
+                chain = _chain_desc(cells(js + 1, jt)) if jt > js + 1 else None
+                out = partial(jt, t - p.node(jt))
+                yield (out if chain is None else out @ chain) @ start
+            last = t
+
+    def evaluate(self, t: float, s: float) -> Operator:
+        span = next(self._spans([t], s))
+        return Operator(np.eye(self.a.dim) if span is None else span, self.a.norm_kind)
+
+    def evaluate_path(self, ts, s: float) -> list:
+        """U(t, s) for ascending t samples from one pass over the cells, the spans accumulated."""
+        out, cur = [], np.eye(self.a.dim)
+        for span in self._spans(ts, s):
+            cur = cur if span is None else span @ cur
             out.append(Operator(cur, self.a.norm_kind))
         return out
 
-    def __call__(self, t: float, s: float) -> Operator:
-        return self.evaluate(t, s)
 
+def _chain_desc(runs) -> np.ndarray:
+    """Descending-index product x_{k-1} @ ... @ x_0 of the matrices of consecutive runs.
 
-def _chain_desc(block: np.ndarray) -> np.ndarray:
-    """Descending-index product block[-1] @ ... @ block[0] by pairwise reduction.
-
-    Associativity regrouping only; log-many batched matmuls instead of a
-    sequential pass. A stack longer than the largest power-of-two chunk of
-    at most PRODUCT_BYTES is reduced chunk by chunk, and then the chunk
-    products the same way. Chunks start at multiples of their power-of-two
-    length, so this is the flat pairing tree, bit for bit, with temporaries
-    bounded by one chunk instead of half the stack.
+    A (k, d, d) stack is one run. Bit for bit the flat tree pairing neighbours
+    level by level, an odd last item carrying over: its complete subtrees,
+    aligned power-of-two pieces, are formed a prefix of at most PRODUCT_BYTES
+    at a time and merged like a binary counter; its carries join the
+    leftover pieces smallest first.
     """
-    chunk = 1 << (max(2, PRODUCT_BYTES // block[0].nbytes).bit_length() - 1)
-    while len(block) > chunk:
-        block = np.stack([_pairwise(block[i : i + chunk]) for i in range(0, len(block), chunk)])
-    return _pairwise(block)
+    parts, count = [], 0  # (size, product), sizes decreasing: a binary counter
+    for run in (runs,) if isinstance(runs, np.ndarray) else runs:
+        cap = 1 << (max(2, PRODUCT_BYTES // run[0].nbytes).bit_length() - 1)
+        while len(run):
+            # A prefix's pieces stay aligned while its largest fits the count's lowest bit.
+            n = min(len(run), cap, 2 * (count & -count) - 1 if count else cap)
+            for size, prod in _pairwise_pieces(run[:n]):
+                while parts and parts[-1][0] == size:
+                    prod, size = prod @ parts.pop()[1], 2 * size
+                parts.append((size, prod))
+            run, count = run[n:], count + n
+        del run  # no view keeps a finished chunk alive while the next is built
+    out = parts.pop()[1]
+    while parts:
+        out = out @ parts.pop()[1]
+    return out
 
 
-def _pairwise(block: np.ndarray) -> np.ndarray:
-    """block[-1] @ ... @ block[0], pairing neighbours level by level; an odd last item carries over."""
-    while len(block) > 1:
+def _pairwise_pieces(block: np.ndarray) -> list:
+    """(size, product) of block's power-of-two pieces, largest first, neighbours paired level by level."""
+    pieces, size = [], 1
+    while len(block):
         m, odd = divmod(len(block), 2)
-        merged = np.empty((m + odd,) + block.shape[1:])
-        np.matmul(block[1 : 2 * m : 2], block[0 : 2 * m : 2], out=merged[:m])
         if odd:
-            merged[m] = block[-1]
-        block = merged
-    return block[0]
+            pieces.append((size, block[-1].copy()))
+        block = np.matmul(block[1 : 2 * m : 2], block[0 : 2 * m : 2])
+        size *= 2
+    return pieces[::-1]
 
 
 def euler_polygon(a: Operator, family: PerturbationFamily, n: int) -> EvolutionFamilyApprox:
@@ -412,13 +430,7 @@ def euler_polygon(a: Operator, family: PerturbationFamily, n: int) -> EvolutionF
     return EvolutionFamilyApprox(a, family, DyadicPartition(t0, t1, n))
 
 
-def oracle_solve(
-    a: Operator,
-    family: PerturbationFamily,
-    t: float,
-    s: float,
-    rk_steps: int = 256,
-) -> Operator:
+def oracle_solve(a: Operator, family: PerturbationFamily, t: float, s: float, rk_steps: int = 256) -> Operator:
     """Classical fourth-order Runge-Kutta for M'(tau) = (A + B(tau)) M(tau), M(s) = I.
 
     Independent of the polygon scheme; used as a reference solution. The
@@ -479,59 +491,55 @@ def product_difference_bound(a_factors, b_factors):
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Outcome of dyadic refinement down to a target Cauchy increment."""
+    """Outcome of dyadic refinement down to a target Cauchy increment.
+
+    probe_values are the final level's U(t_k, t0) at the 16 probe times
+    t_k = t0 + k (t1 - t0) / 16, and full_span is the last, U(t1, t0).
+    """
 
     approx: EvolutionFamilyApprox
     levels: tuple
     achieved_delta: float
     omega1: float
+    probe_values: tuple
+    full_span: Operator
 
 
 def refine_to_tolerance(
-    a: Operator,
-    family: PerturbationFamily,
-    gb: GrowthBound,
-    tol: float,
-    n_max: int = 14,
+    a: Operator, family: PerturbationFamily, gb: GrowthBound, tol: float, n_max: int = 14,
     anorm: ANormEvaluator | None = None,
 ) -> RefineResult:
     """Refine the dyadic level until successive approximations differ by <= tol.
 
     The increment between levels n and n+1 is measured as the max difference
-    of U(t, t0) over 16 equispaced probe times t in (t0, t1]. Stops once two
-    consecutive increments sit below tol, guarding against accidental zeros
-    on coarse dyadic grids. Each level also records the a-priori bound
-    (b - a) e^{4 omega1} Omega_n.
+    of U(t, t0) over 16 equispaced probe times t in (t0, t1], from one
+    evaluate_path fold per level. Stops once two consecutive increments sit
+    below tol, guarding against accidental zeros on coarse dyadic grids.
+    Each level also records the a-priori bound (b - a) e^{4 omega1} Omega_n.
     """
     t0, t1 = family.interval
     evaluator = anorm or ANormEvaluator(a, gb)
-    omega1 = family.sup_anorm(evaluator)
+    omega1 = float(family.sup_anorm(evaluator))
+    ts = np.linspace(t0, t1, 17)[1:]
+    cur = euler_polygon(a, family, 0)
+    cur_vals = tuple(cur.evaluate_path(ts, t0))
     # A family constant in ||.||_A is propagated exactly at level 0.
     if family.modulus(t1 - t0, evaluator) == 0.0:
-        return RefineResult(
-            approx=euler_polygon(a, family, 0),
-            levels=((0, 0.0, 0.0, 0.0),),
-            achieved_delta=0.0,
-            omega1=float(omega1),
-        )
-    ts = np.linspace(t0, t1, 17)[1:]
-    prev_vals = np.stack([op.entries for op in euler_polygon(a, family, 0).evaluate_path(ts, t0)])
+        return RefineResult(cur, ((0, 0.0, 0.0, 0.0),), 0.0, omega1, cur_vals, cur_vals[-1])
     levels = []
     below = 0
     for n in range(1, n_max + 1):
+        prev_vals = cur_vals
         cur = euler_polygon(a, family, n)
-        cur_vals = np.stack([op.entries for op in cur.evaluate_path(ts, t0)])
-        delta = norm_stack(cur_vals - prev_vals, a.norm_kind).max()
+        cur_vals = tuple(cur.evaluate_path(ts, t0))
+        diffs = np.stack([u.entries for u in cur_vals]) - np.stack([u.entries for u in prev_vals])
+        delta = norm_stack(diffs, a.norm_kind).max()
         omega_n = family.modulus((t1 - t0) * 2.0 ** (-n), evaluator)
         bound = (t1 - t0) * math.exp(4.0 * omega1) * omega_n
         levels.append((n, float(delta), float(omega_n), float(bound)))
         below = below + 1 if delta <= tol else 0
         if below >= 2:
-            return RefineResult(approx=cur, levels=tuple(levels), achieved_delta=float(delta), omega1=float(omega1))
-        # Only the probe values carry over: the next level is built without
-        # this polygon's cell-exponential stack alive.
-        prev_vals = cur_vals
-        del cur
+            return RefineResult(cur, tuple(levels), float(delta), omega1, cur_vals, cur_vals[-1])
     last = f"last increment {levels[-1][1]:.3e} at level {levels[-1][0]}" if levels else "no level refined"
     raise ToleranceNotReached(
         f"tol {tol:.3e} not met at two levels in a row by level {n_max}; {last}",
@@ -540,11 +548,7 @@ def refine_to_tolerance(
     )
 
 
-def verify_generator_derivative(
-    u: EvolutionFamilyApprox,
-    s: float,
-    hs=(1e-2, 1e-3, 1e-4),
-) -> list:
+def verify_generator_derivative(u: EvolutionFamilyApprox, s: float, hs=(1e-2, 1e-3, 1e-4)) -> list:
     """Residuals of both one-sided derivative identities at time s.
 
     Returns (h, forward_residual, adjoint_residual) triples with
@@ -588,11 +592,7 @@ def family_from_spec(config: dict, norm_kind: NormKind = NormKind.TWO) -> Pertur
         amp = float(config.get("amplitude", 1.0))
         freq = float(config.get("frequency", 1.0))
         phase = float(config.get("phase", 0.0))
-        return ScaledProfileFamily(
-            tuple(config["interval"]),
-            lambda t: amp * math.sin(freq * t + phase),
-            b0,
-        )
+        return ScaledProfileFamily(tuple(config["interval"]), lambda t: amp * math.sin(freq * t + phase), b0)
     if kind == "piecewise":
         mats = [Operator(np.asarray(m, dtype=float), norm_kind) for m in config["mats"]]
         return PiecewiseLinearFamily(config["nodes"], mats)

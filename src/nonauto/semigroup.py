@@ -213,14 +213,19 @@ def _pade_low(x: np.ndarray, b: tuple) -> np.ndarray:
     powers = [x @ x]
     while len(powers) < (len(b) - 1) // 2:
         powers.append(powers[-1] @ powers[0])
+    # Each temporary is dropped as it dies: the powers highest first, then odd and u.
     odd = b[-1] * powers[-1]
-    even = b[-2] * powers[-1]
-    for j in range(len(powers) - 2, -1, -1):
+    even = b[-2] * powers.pop()
+    for j in range(len(powers) - 1, -1, -1):
         odd += b[2 * j + 3] * powers[j]
-        even += b[2 * j + 2] * powers[j]
+        even += b[2 * j + 2] * powers.pop()
     u = x @ _add_identity(odd, b[1])
+    del odd
     v = _add_identity(even, b[0])
-    return np.linalg.solve(v - u, v + u)
+    w = v + u
+    v -= u
+    del u
+    return np.linalg.solve(v, w)
 
 
 def _pade13_squared(mats: np.ndarray, norms: np.ndarray) -> np.ndarray:

@@ -110,3 +110,50 @@ def flat_chain_desc(block):
         merged = block[1 : 2 * m : 2] @ block[0 : 2 * m : 2]
         block = np.concatenate([merged, block[2 * m :]]) if len(block) % 2 else merged
     return block[0]
+
+
+class StackPolygon:
+    """Reference Euler polygon: the whole level's cell exponentials held in one stack.
+
+    One expm_stack call over every frozen generator delta (A + B(node_j)),
+    and each span partial(jt) @ flat_chain_desc(cells[js+1:jt]) @ partial(js)
+    over slices of that stack, a partial cell within one part in 1e12 of a
+    cell boundary snapped to it. This is the stored-stack path that the
+    folding EvolutionFamilyApprox replaced.
+    """
+
+    def __init__(self, a, family, partition):
+        self.a, self.family, self.p = a, family, partition
+        gens = family.values_stack(partition.nodes()[:-1])
+        gens += a.entries
+        gens *= partition.delta
+        self.cells = expm_stack(gens, out=gens)
+
+    def _partial(self, j, tau):
+        delta = self.p.delta
+        if tau <= 1e-12 * delta:
+            return np.eye(self.a.dim)
+        if abs(tau - delta) <= 1e-12 * delta:
+            return self.cells[j]
+        return expm_stack(tau * (self.a.entries + self.family.values_stack([self.p.node(j)])))[0]
+
+    def evaluate(self, t, s):
+        p = self.p
+        if t == s:
+            return np.eye(self.a.dim)
+        js, jt = p.cell_of(s), p.cell_of(t)
+        if js == jt:
+            return self._partial(js, t - s)
+        out = self._partial(jt, t - p.node(jt))
+        if jt > js + 1:
+            out = out @ flat_chain_desc(self.cells[js + 1 : jt])
+        return out @ self._partial(js, p.node(js + 1) - s)
+
+    def evaluate_path(self, ts, s):
+        out, cur, last = [], np.eye(self.a.dim), s
+        for t in ts:
+            if t > last:
+                cur = self.evaluate(t, last) @ cur
+                last = t
+            out.append(cur)
+        return out

@@ -324,6 +324,18 @@ class TestDichotomyCommand:
         assert all(entry["persisted"] for entry in payload["sweep"])
 
 
+    def test_eps_beyond_doubles_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        # e^{4 eps} overflows doubles above eps = 177.4; it raised a bare OverflowError.
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[-1.0, 0.0], [0.0, 1.0]],
+            "family": {"kind": "sinusoid", "interval": [0.0, 2.0], "entries": [[1.0, 0.0], [0.0, 1.0]]},
+            "eps_list": [200.0],
+        }
+        assert main(["dichotomy", "--config", _write_config(tmp_path / "cfg.json", config)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "eps=200.0" in err
+
     def test_negative_eps_exits_config(self, tmp_path, monkeypatch, capsys):
         # A negative eps tested the gap against a floor above alpha / 2.
         monkeypatch.chdir(tmp_path)

@@ -31,12 +31,13 @@ from nonauto import (
     refine_to_tolerance,
     verify_generator_derivative,
 )
-from nonauto import evofam
+from nonauto import evofam, semigroup
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_spiky_b
 from nonauto.metrics import ANormEvaluator, MuGrid
 from nonauto.semigroup import expm_stack
 
-from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, flat_chain_desc, rk4_step_loop, sin_modulus
+from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, StackPolygon, flat_chain_desc, rk4_step_loop, sin_modulus
+from test_semigroup import two_workers  # noqa: F401  (fixture)
 
 
 def op2(entries):
@@ -382,20 +383,38 @@ class TestEvolutionFamily:
             assert op_norm(approx.evaluate(t, s)) <= bound * (1.0 + 1e-6)
 
 
+def level_stack_bytes(d: int, n: int) -> int:
+    """Bytes of the whole (2^n, d, d) cell-exponential stack that no level holds."""
+    return 2**n * d * d * 8
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Cell exponentials inline, as on a one-CPU host.
+
+    A fold holds one chunk plus the Pade temporaries of each block in
+    flight, 0.75-1 MiB per block at d = 32; with two workers that is
+    0.085-0.105 of a level-12 stack, so the memory bounds are taken inline.
+    """
+    monkeypatch.setattr(semigroup, "_WORKERS", 1)
+
+
 class TestOneLevelStack:
     def test_cells_equal_out_of_place_exponentials(self):
         a, fam = dense_problem(5)
         u = euler_polygon(a, fam, 6)
         p = u.partition
         ref = expm_stack(p.delta * (a.entries + fam.values_stack(p.nodes()[:-1])))
-        assert np.array_equal(u._cell_exp, ref)
+        cells = np.stack([u.evaluate(p.node(j + 1), p.node(j)).entries for j in range(p.cells)])
+        assert np.array_equal(cells, ref)
 
-    def test_polygon_build_holds_one_stack(self):
+    def test_level_fold_holds_no_stack(self, one_worker):
         a, fam = dense_problem()
-        u, peak = traced_peak(lambda: euler_polygon(a, fam, 12))
-        assert peak < 1.25 * u._cell_exp.nbytes
+        probes = np.linspace(0.0, 1.0, 17)[1:]
+        _, peak = traced_peak(lambda: euler_polygon(a, fam, 12).evaluate_path(probes, 0.0))
+        assert peak < 0.1 * level_stack_bytes(32, 12)
 
-    def test_piecewise_family_fills_one_stack(self):
+    def test_piecewise_family_fills_one_stack(self, one_worker):
         d = 32
         rng = np.random.default_rng(4)
         a = op2(-np.eye(d) + 0.1 * rng.standard_normal((d, d)))
@@ -409,14 +428,92 @@ class TestOneLevelStack:
         ref = (1.0 - w) * fam._stack[j]
         ref += w * fam._stack[j + 1]
         assert np.array_equal(vals, ref)
-        u, peak = traced_peak(lambda: euler_polygon(a, fam, 12))
-        assert peak < 1.25 * u._cell_exp.nbytes
+        _, peak = traced_peak(lambda: euler_polygon(a, fam, 12).evaluate(1.0, 0.0))
+        assert peak < 0.1 * level_stack_bytes(d, 12)
 
-    def test_full_span_evaluate_is_bounded(self):
+    def test_full_span_evaluate_is_bounded(self, one_worker):
         a, fam = dense_problem()
         u = euler_polygon(a, fam, 12)
         _, peak = traced_peak(lambda: u.evaluate(1.0, 0.0))
-        assert peak < 0.25 * u._cell_exp.nbytes
+        assert peak < 0.1 * level_stack_bytes(32, 12)
+
+    def test_refinement_to_level_12_holds_no_stack(self, one_worker):
+        # The A-norm evaluator and the family's memo of ||B0||_A are built
+        # first: their memory is the same at every level.
+        a, fam = dense_problem()
+        gb = GrowthBound(1.0, 0.0)
+        ev = ANormEvaluator(a, gb)
+        fam.sup_anorm(ev)
+        res, peak = traced_peak(lambda: refine_to_tolerance(a, fam, gb, 2.5e-4, anorm=ev))
+        assert res.approx.level == 12
+        assert peak < 0.1 * level_stack_bytes(32, 12)
+
+
+class TestFold:
+    """The fold against the stored-stack reference, bit for bit."""
+
+    @staticmethod
+    def problem(d):
+        rng = np.random.default_rng(d)
+        a = op2(-np.eye(d) + 0.1 * rng.standard_normal((d, d)))
+        return a, ScaledProfileFamily((0.0, 1.0), math.sin, op2(0.2 * rng.standard_normal((d, d)))), rng
+
+    @pytest.mark.parametrize("d", [2, 24, 32])
+    @pytest.mark.parametrize("n", [0, 3, 9, 12])
+    def test_evaluate_equals_stack_reference(self, d, n):
+        a, fam, rng = self.problem(d)
+        u = euler_polygon(a, fam, n)
+        ref = StackPolygon(a, fam, u.partition)
+        p = u.partition
+        spans = [(1.0, 0.0)]
+        for _ in range(4):
+            s, t = sorted(rng.uniform(0.0, 1.0, 2))
+            i, j = sorted(rng.integers(0, p.cells + 1, 2))
+            k = int(rng.integers(0, p.cells))
+            spans += [(t, s), (p.node(j), p.node(i)), (p.node(k) + 0.7 * p.delta, p.node(k) + 0.2 * p.delta)]
+        for t, s in spans:
+            assert np.array_equal(u.evaluate(t, s).entries, ref.evaluate(t, s)), (t, s)
+
+    @pytest.mark.parametrize("d", [2, 24, 32])
+    def test_evaluate_path_equals_stack_reference(self, d):
+        a, fam, rng = self.problem(d)
+        u = euler_polygon(a, fam, 11)
+        ref = StackPolygon(a, fam, u.partition)
+        for ts, s in ((np.linspace(0.0, 1.0, 17)[1:], 0.0), (np.sort(rng.uniform(0.3, 1.0, 7)), 0.3)):
+            got = [op.entries for op in u.evaluate_path(ts, s)]
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(ts, s)))
+
+    @pytest.mark.parametrize("d", [2, 24, 32])
+    def test_refine_probe_values_equal_stack_reference(self, d):
+        a, fam, _ = self.problem(d)
+        res = refine_to_tolerance(a, fam, GrowthBound(1.0, 0.0), 2e-3)
+        ts = np.linspace(0.0, 1.0, 17)[1:]
+        ref = StackPolygon(a, fam, res.approx.partition).evaluate_path(ts, 0.0)
+        assert len(res.probe_values) == 16
+        assert all(np.array_equal(x.entries, y) for x, y in zip(res.probe_values, ref))
+        assert res.full_span is res.probe_values[-1]
+
+    def test_nearby_spans_reuse_the_last_chunk(self, monkeypatch):
+        # Time-1 maps after a refinement exponentiate no cell again.
+        a, fam, _ = self.problem(2)
+        u = euler_polygon(a, fam, 10)
+        u.evaluate_path(np.linspace(0.0, 1.0, 17)[1:], 0.0)
+        calls = []
+        monkeypatch.setattr(evofam, "expm_stack", lambda m, out=None: calls.append(len(m)) or expm_stack(m, out=out))
+        ref = StackPolygon(a, fam, u.partition)
+        for t in (0.5, 0.75, 1.0):
+            assert np.array_equal(u.evaluate(t, t - 0.5).entries, ref.evaluate(t, t - 0.5))
+        assert calls == []
+
+    def test_chunking_does_not_move_bits(self, two_workers, monkeypatch):
+        # Fold chunks of 2 and of 16 blocks give the same cells and products.
+        a, fam, _ = self.problem(24)
+        probes = np.linspace(0.0, 1.0, 17)[1:]
+        paths = []
+        for workers in (1, 8):
+            monkeypatch.setattr(semigroup, "_WORKERS", workers)
+            paths.append([op.entries for op in euler_polygon(a, fam, 12).evaluate_path(probes, 0.0)])
+        assert all(np.array_equal(x, y) for x, y in zip(*paths))
 
 
 class TestChainDesc:
@@ -446,6 +543,18 @@ class TestChainDesc:
         for length in (1023, 1024, 1025, 3073):
             stack = self.rotations(rng, length, 32)
             assert np.array_equal(evofam._chain_desc(stack), flat_chain_desc(stack))
+
+    @pytest.mark.parametrize("chunk", [2, 8])
+    def test_runs_cut_anywhere_equal_flat(self, monkeypatch, chunk):
+        # Runs of any lengths, starting at any count, reduce like one stack.
+        rng = np.random.default_rng(chunk)
+        monkeypatch.setattr(evofam, "PRODUCT_BYTES", chunk * 8 * 9)
+        for length in (1, 2, 5, 17, 40):
+            stack = self.rotations(rng, length, 3)
+            for _ in range(5):
+                cuts = np.sort(rng.integers(0, length + 1, int(rng.integers(0, 6))))
+                runs = [run for run in np.split(stack, cuts) if len(run)]
+                assert np.array_equal(evofam._chain_desc(iter(runs)), flat_chain_desc(stack))
 
 
 class TestOracle:

@@ -181,16 +181,17 @@ def _pooled_digest_in_child(conn) -> None:
 
 
 # Pins itself to one CPU before importing the package, then prints its
-# worker count and the digest of a level-12 heat polygon's cell exponentials.
+# worker count and the digest of a level-12 heat polygon's 16 probe values.
 PINNED_CHILD = """
 import hashlib, math, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
 from nonauto import ScaledProfileFamily, euler_polygon, semigroup
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_spiky_b
 g = GridSpec(8.0, 32, Domain.LINE)
 fam = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(g, 3, mirror=True).operator())
-cells = euler_polygon(build_heat_generator(g), fam, 12)._cell_exp
-print(semigroup._WORKERS, hashlib.sha256(cells.tobytes()).hexdigest())
+path = euler_polygon(build_heat_generator(g), fam, 12).evaluate_path(np.linspace(0.0, 2.0 * math.pi, 17)[1:], 0.0)
+print(semigroup._WORKERS, hashlib.sha256(np.stack([u.entries for u in path]).tobytes()).hexdigest())
 """
 
 
@@ -281,7 +282,9 @@ class TestBlockPool:
 
         g = GridSpec(8.0, 32, Domain.LINE)
         fam = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(g, 3, mirror=True).operator())
-        parent = _digest(euler_polygon(build_heat_generator(g), fam, 12)._cell_exp)
+        probes = np.linspace(0.0, 2.0 * math.pi, 17)[1:]
+        path = euler_polygon(build_heat_generator(g), fam, 12).evaluate_path(probes, 0.0)
+        parent = _digest(np.stack([u.entries for u in path]))
         proc = subprocess.run([sys.executable, "-c", PINNED_CHILD], env=_child_env(), capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
