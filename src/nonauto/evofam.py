@@ -515,11 +515,16 @@ def refine_to_tolerance(
     of U(t, t0) over 16 equispaced probe times t in (t0, t1], from one
     evaluate_path fold per level. Stops once two consecutive increments sit
     below tol, guarding against accidental zeros on coarse dyadic grids.
-    Each level also records the a-priori bound (b - a) e^{4 omega1} Omega_n.
+    Each level also records the a-priori bound (b - a) e^{4 omega1} Omega_n,
+    inf where e^{4 omega1} exceeds doubles.
     """
     t0, t1 = family.interval
     evaluator = anorm or ANormEvaluator(a, gb)
     omega1 = float(family.sup_anorm(evaluator))
+    try:
+        growth = (t1 - t0) * math.exp(4.0 * omega1)
+    except OverflowError:  # beyond doubles; the stop rule never reads the bound
+        growth = math.inf
     ts = np.linspace(t0, t1, 17)[1:]
     cur = euler_polygon(a, family, 0)
     cur_vals = tuple(cur.evaluate_path(ts, t0))
@@ -535,7 +540,7 @@ def refine_to_tolerance(
         diffs = np.stack([u.entries for u in cur_vals]) - np.stack([u.entries for u in prev_vals])
         delta = norm_stack(diffs, a.norm_kind).max()
         omega_n = family.modulus((t1 - t0) * 2.0 ** (-n), evaluator)
-        bound = (t1 - t0) * math.exp(4.0 * omega1) * omega_n
+        bound = growth * omega_n
         levels.append((n, float(delta), float(omega_n), float(bound)))
         below = below + 1 if delta <= tol else 0
         if below >= 2:

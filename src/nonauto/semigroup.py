@@ -3,7 +3,7 @@
 A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} on a
 verified horizon. Certificates are fitted from the spectral abscissa plus a
 margin, with M read off a sampled grid. Every exponential goes through the
-blocked Pade kernel expm_stack; expm is its one-item form.
+blocked truncated-Taylor kernel expm_stack; expm is its one-item form.
 """
 from __future__ import annotations
 
@@ -29,9 +29,10 @@ FIT_POINTS = 513
 # expm_stack runs the blocks of a stack on a thread pool of one worker per
 # CPU this process may run on, when the stack has more blocks than workers.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# Largest dimension whose blocks take the pool. On 2 cores pooled over serial
-# time was 0.55-0.59 at d = 96, but 1.5-2.0 at d = 128 and 1.6-1.7 at d = 256,
-# where OpenBLAS already threads each product.
+# Largest dimension whose blocks take the pool. On 2 cores, 8-block stacks,
+# pooled over serial time was 0.65-0.92 at d = 64 and 96 (up to 1.14 while
+# another process held a core), but 0.99-1.03 at d = 128, where OpenBLAS
+# already threads each product.
 _POOL_MAX_DIM = 96
 # Made on first use. A forked child drops it, and its lock, which another
 # thread may have held at the fork: the parent's worker threads do not exist
@@ -113,26 +114,17 @@ def expm(a: Operator, t: float = 1.0) -> Operator:
         raise Overflow(message, required_squarings=squarings) from None
 
 
-# Order-13 Pade coefficients and the 1-norm threshold under which the
-# approximant is accurate to double precision.
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
-# The cheaper degrees m = 3, 5, 7, 9 as (theta_m, (b_0, ..., b_m)): the
-# degree-m approximant is accurate to double precision for 1-norms up to
-# theta_m (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4), Table 2.3).
-_PADE_LOW = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068, (
-        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-    )),
+# Truncated Taylor degrees as (m, s, theta_m). T_m(x) = sum_{k <= m} x^k / k!
+# has relative backward error at most 2^-53 for 1-norms up to theta_m, the
+# largest theta with sum_k |c_k| theta^(k-1) <= 2^-53 where
+# log(e^-x T_m(x)) = sum_k c_k x^k (Higham 2005's method; Al-Mohy & Higham
+# 2011). Paterson-Stockmeyer in x^s costs s - 1 + m/s - 1 products and no solve.
+_TAYLOR = (
+    (4, 2, 3.397168839976962e-4),
+    (6, 3, 9.065656407595102e-3),
+    (9, 3, 8.957760203223343e-2),
+    (12, 4, 0.299615891381158),
+    (16, 4, 0.7802874256626574),
 )
 
 
@@ -141,14 +133,15 @@ def expm_stack(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The stack is cut into blocks of at most BLOCK_BYTES per (block, d, d)
     array, at least one matrix each. A block whose largest 1-norm is within
-    theta_m for m in {3, 5, 7, 9} takes the lowest such Pade degree m;
-    otherwise it takes order 13 after scaling each matrix by 2^-s, then s
-    squarings. scipy's expm walks a stack matrix by matrix, whose per-call
+    theta_m for m in {4, 6, 9, 12, 16} takes the lowest such Taylor degree m;
+    otherwise it takes degree 16 after scaling each matrix by 2^-s, then s
+    squarings. Matrix products alone evaluate every degree; there is no
+    solve. scipy's expm walks a stack matrix by matrix, whose per-call
     overhead dominates dyadic refinement at small dimensions.
 
     Blocks are independent, so a stack of more blocks than there are CPUs,
     at d <= 96, runs them on a thread pool (numpy releases the GIL in its
-    products and solves); the result is bitwise that of the serial loop, on
+    products); the result is bitwise that of the serial loop, on
     any number of cores. On an error every block has finished, and the first
     failing block in stack order raises.
 
@@ -186,17 +179,23 @@ def expm_stack(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _expm_block(mats: np.ndarray) -> np.ndarray:
-    """e^{M_j} for one block, at the lowest Pade degree its largest 1-norm allows."""
+    """e^{M_j} for one block, at the lowest Taylor degree its largest 1-norm allows."""
     if not np.isfinite(mats).all():
         raise Overflow("a cell exponential overflows doubles")
     norms = norm_stack(mats, NormKind.ONE)
     top = norms.max()
-    for theta, b in _PADE_LOW:
+    for m, s, theta in _TAYLOR:
         if top <= theta:
-            out = _pade_low(mats, b)
+            out = _taylor(mats, m, s)
             break
     else:
-        out = _pade13_squared(mats, norms)
+        # Degree 16 of each matrix scaled by 2^-k into theta_16, squared k times.
+        k = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
+        out = _taylor(mats / np.exp2(k)[:, None, None], m, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, int(k.max()) + 1):
+                sel = k >= j
+                out[sel] = out[sel] @ out[sel]
     if not np.isfinite(out).all():
         raise Overflow("a cell exponential overflows doubles")
     return out
@@ -208,42 +207,25 @@ def _add_identity(m: np.ndarray, c: float) -> np.ndarray:
     return m
 
 
-def _pade_low(x: np.ndarray, b: tuple) -> np.ndarray:
-    """Degree len(b) - 1 Pade approximant r_m(x) = (v - u)^{-1} (v + u), m odd."""
-    powers = [x @ x]
-    while len(powers) < (len(b) - 1) // 2:
-        powers.append(powers[-1] @ powers[0])
-    # Each temporary is dropped as it dies: the powers highest first, then odd and u.
-    odd = b[-1] * powers[-1]
-    even = b[-2] * powers.pop()
-    for j in range(len(powers) - 1, -1, -1):
-        odd += b[2 * j + 3] * powers[j]
-        even += b[2 * j + 2] * powers.pop()
-    u = x @ _add_identity(odd, b[1])
-    del odd
-    v = _add_identity(even, b[0])
-    w = v + u
-    v -= u
-    del u
-    return np.linalg.solve(v, w)
+def _taylor(x: np.ndarray, m: int, s: int) -> np.ndarray:
+    """T_m(x) by Paterson-Stockmeyer: Horner in x^s over chunks of s terms, for s dividing m, m >= 2s.
 
-
-def _pade13_squared(mats: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Order-13 Pade approximant of mats / 2^s, squared s times per matrix."""
-    s = np.ceil(np.log2(np.maximum(norms, _PADE13_THETA) / _PADE13_THETA)).astype(int)
-    x = mats / np.exp2(s)[:, None, None]
-    b = _PADE13_B
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x2 @ x4
-    u = x @ _add_identity(x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2, b[1])
-    v = _add_identity(x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2, b[0])
-    out = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, int(s.max()) + 1):
-            sel = s >= k
-            out[sel] = out[sel] @ out[sel]
-    return out
+    T_m = B_0 + x^s (B_1 + ... + x^s B_{m/s-1}), B_i = sum_{j < s} x^j / (is + j)!,
+    where the top chunk B_{m/s-1} also takes the x^s / m! term, so it costs
+    no product.
+    """
+    c = [1.0 / math.factorial(k) for k in range(m + 1)]
+    powers = [None, x]
+    while len(powers) <= s:
+        powers.append(powers[-1] @ x)
+    p = c[m] * powers[s]
+    for k in range(m - s, -1, -s):
+        if k < m - s:
+            p = powers[s] @ p
+        for j in range(s - 1, 0, -1):
+            p += c[k + j] * powers[j]
+        _add_identity(p, c[k])
+    return p
 
 
 def yosida_approx(a: Operator, lam: float) -> Operator:

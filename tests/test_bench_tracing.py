@@ -43,7 +43,7 @@ def test_block_pool_workers_call_nothing_traced(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
-    names = ("_expm_block", "_pade_low", "_pade13_squared", "norm_stack")
+    names = ("_expm_block", "_taylor", "norm_stack")
     originals = [getattr(nonauto.semigroup, name) for name in names]
     tracer = tracing.Tracer()
     tracing.install(tracer)

@@ -266,6 +266,22 @@ class TestConvergeCommand:
         # Deltas compare successive levels, so the partial table starts at 1.
         assert [row[0] for row in rows] == ["1", "2"]
 
+    def test_bound_beyond_doubles_is_inf(self, tmp_path, monkeypatch, capsys):
+        # e^{4 omega1} overflows doubles above omega1 = 177.4; it raised a bare OverflowError.
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[-1.0]],
+            "m": 1.0,
+            "omega0": -1.0,
+            "family": {"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[300.0]]},
+        }
+        _write_config(tmp_path / "cfg.json", config)
+        assert main(["converge", "--config", "cfg.json"]) == 3
+        assert "tolerance not reached" in capsys.readouterr().err
+        _, columns, rows = _read_csv(tmp_path / "run_converge.csv")
+        assert columns == "level,delta,omega_n,bound"
+        assert rows and all(row[3] == "inf" for row in rows)
+
     def test_seed_only_labels_the_run(self, tmp_path, monkeypatch):
         # Pieces of 0.2 leave the modulus at h = 1, 0.5 and 0.25 to sampling,
         # whose draws must not depend on the seed.

@@ -392,9 +392,9 @@ def level_stack_bytes(d: int, n: int) -> int:
 def one_worker(monkeypatch):
     """Cell exponentials inline, as on a one-CPU host.
 
-    A fold holds one chunk plus the Pade temporaries of each block in
-    flight, 0.75-1 MiB per block at d = 32; with two workers that is
-    0.085-0.105 of a level-12 stack, so the memory bounds are taken inline.
+    A fold holds one chunk plus the Taylor temporaries of each block in
+    flight, 1-1.5 MiB per block at d = 32; with two workers that is
+    0.13-0.14 of a level-12 stack, so the memory bounds are taken inline.
     """
     monkeypatch.setattr(semigroup, "_WORKERS", 1)
 

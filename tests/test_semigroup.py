@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,10 +87,10 @@ class TestExpm:
             return m * (np.asarray(norms) / np.abs(m).sum(axis=1).max(axis=1))[:, None, None]
 
         stacks = [rng.standard_normal((25, 4, 4)) * 10.0 ** rng.uniform(-6, 1, (25, 1, 1))]
-        # 1-norms just either side of the Pade thresholds theta_3, 5, 7, 9, 13,
-        # plus a tiny and a heavily scaled one: one matrix per call selects the
-        # degree from that norm alone, one stack of all of them mixes them.
-        thetas = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+        # 1-norms just either side of the Taylor thresholds theta_4, 6, 9, 12,
+        # 16, plus a tiny and a heavily scaled one: one matrix per call selects
+        # the degree from that norm alone, one stack of all of them mixes them.
+        thetas = [theta for _, _, theta in semigroup._TAYLOR]
         norms = [1e-8, 50.0] + [theta * f for theta in thetas for f in (1.0 - 1e-6, 1.0 + 1e-6)]
         for d in (2, 4, 16, 32):
             mixed = with_one_norms(norms, d)
@@ -106,7 +107,7 @@ class TestExpm:
                 assert np.allclose(g, ref, rtol=1e-11, atol=1e-13 * max(1.0, np.abs(ref).max()))
 
     def test_stack_in_place(self):
-        # Three blocks of 16 x 16, norms ascending through every Pade degree.
+        # Three blocks of 16 x 16, norms ascending through every Taylor degree.
         rng = np.random.default_rng(2)
         m = rng.standard_normal((3000, 16, 16))
         m *= (np.sort(10.0 ** rng.uniform(-9, 1.7, 3000)) / np.abs(m).sum(axis=1).max(axis=1))[:, None, None]
@@ -128,10 +129,45 @@ class TestExpm:
         with pytest.raises(Overflow):
             expm_stack(stack)
 
+    @pytest.mark.parametrize("m, s, theta", semigroup._TAYLOR)
+    def test_taylor_threshold_is_the_backward_error_bound(self, m, s, theta):
+        # log(e^-x T_m(x)) = sum_k c_k x^k from exact coefficients: theta_m is
+        # the largest theta with sum_k |c_k| theta^(k-1) <= 2^-53.
+        n = m + 80
+        f = [sum(Fraction((-1) ** (k - i), math.factorial(k - i) * math.factorial(i)) for i in range(min(k, m) + 1))
+             for k in range(n + 1)]
+        q = []  # (log f)' = f' / f, f_0 = 1
+        for k in range(n):
+            q.append((k + 1) * f[k + 1] - sum(f[i] * q[k - i] for i in range(1, k + 1)))
+        c = [abs(float(q[k - 1] / k)) for k in range(1, n + 1)]
+        assert c[:m] == [0.0] * m
 
-# One block's 1-norm per Pade degree: 3, 5, 7, 9, then 13 with 0, 1 and 4
+        def excess(th):
+            return sum(ck * th ** k for k, ck in enumerate(c)) - 2.0**-53
+
+        lo, hi = 0.0, 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) <= 0.0 else (lo, mid)
+        assert theta == pytest.approx(lo, rel=1e-12)
+        assert m % s == 0 and m >= 2 * s
+
+    def test_no_solve_or_inverse(self, monkeypatch):
+        # Products alone: a solve per block is what the Taylor kernel saves.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exponential called a LAPACK solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert np.isfinite(expm_stack(every_degree_stack(16))).all()
+        a = op2(np.random.default_rng(4).standard_normal((6, 6)))
+        assert 20.0 * np.abs(a.entries).sum(axis=0).max() > 10.0  # scaled and squared at least four times
+        assert np.isfinite(expm(a, 20.0).entries).all()
+
+
+# One block's 1-norm per Taylor degree: 4, 6, 9, 12, then 16 with 0, 1 and 4
 # squarings.
-DEGREE_NORMS = (1e-8, 1e-2, 0.2, 0.9, 2.0, 5.0, 10.0, 50.0)
+DEGREE_NORMS = (1e-8, 5e-3, 5e-2, 0.2, 0.6, 1.0, 10.0)
 
 
 def every_degree_stack(d: int) -> np.ndarray:
