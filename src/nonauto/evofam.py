@@ -150,6 +150,10 @@ class PerturbationFamily:
     def scale(self, c: float) -> "PerturbationFamily":
         return _Scaled(self, float(c))
 
+    def factor(self):
+        """(profile, B0) with B(t) = profile(t) B0 for a scalar callable profile, or None."""
+        return None
+
 
 class _Scaled(PerturbationFamily):
     """c * B(t) for a fixed scalar c."""
@@ -167,6 +171,10 @@ class _Scaled(PerturbationFamily):
 
     def sup_anorm(self, anorm) -> float:
         return abs(self.c) * self.base.sup_anorm(anorm)
+
+    def factor(self):
+        factored = self.base.factor()
+        return None if factored is None else (factored[0], self.c * factored[1])
 
 
 class ScaledProfileFamily(PerturbationFamily):
@@ -200,6 +208,9 @@ class ScaledProfileFamily(PerturbationFamily):
 
     def sup_anorm(self, anorm) -> float:
         return float(np.abs(self._profile_vals).max()) * self._b0_anorm(anorm)
+
+    def factor(self):
+        return self.profile, self.b0
 
 
 class ConstantFamily(ScaledProfileFamily):

@@ -19,7 +19,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, PreconditionViolated
 from .evofam import ScaledProfileFamily, oracle_solve, refine_to_tolerance
-from .linop import NormKind, Operator, norm_of
+from .linop import NormKind, Operator, norm_of, shifted_band
 from .metrics import AssumptionReport, check_assumptions
 from .semigroup import GrowthBound, envelope_ratios
 
@@ -167,20 +167,13 @@ def build_spiky_b(g: GridSpec, n_max: int, mirror: bool = False) -> SpikyMultipl
     return SpikyMultiplier(n_max=n_max, values=values, unresolved=unresolved, mass=float(g.h * values.sum()))
 
 
-def _transpose_banded(which: str, g: GridSpec, mu: float):
-    """Banded form of (mu I - G)^T for the named generator."""
-    n, h = g.points, g.h
+def _transpose_stencil(which: str, g: GridSpec) -> dict:
+    """Diagonals {offset: value} of G^T for the named generator, the entries its builder writes."""
+    h = g.h
     if which == "translation":
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -1.0 / h
-        ab[1, :] = mu + 1.0 / h
-        return (0, 1), ab
+        return {0: -1.0 / h, 1: 1.0 / h}
     if which == "heat":
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -1.0 / h**2
-        ab[1, :] = mu + 2.0 / h**2
-        ab[2, :-1] = -1.0 / h**2
-        return (1, 1), ab
+        return {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}
     raise PreconditionViolated(f"unknown example {which!r}")
 
 
@@ -194,13 +187,13 @@ def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -
     b = np.asarray(b_values, dtype=float)
     if b.shape != (g.points,) or np.any(b < 0.0):
         raise PreconditionViolated("sweep wants a nonnegative diagonal of grid length")
+    stencil = _transpose_stencil(which, g)
     out = []
     for mu in mus:
         mu = float(mu)
         if mu <= 0.0:
             raise PreconditionViolated(f"sweep needs mu > 0, got mu={mu}")
-        lu, ab = _transpose_banded(which, g, mu)
-        col_sums = solve_banded(lu, ab, b)
+        col_sums = solve_banded(*shifted_band(stencil, mu, g.points), b)
         out.append((mu, float(mu * col_sums.max())))
     return out
 

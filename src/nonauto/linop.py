@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, EigenFailure, NormKindMismatch, SingularResolvent
 
@@ -146,6 +147,20 @@ def _inverse_items(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _judge(kappa, residual, mus, skip: bool) -> np.ndarray:
+    """Kept mask under the refusal rules (NaN kappa refuses); the first refused item raises unless skip is set."""
+    ok = (kappa <= COND_LIMIT) & (residual <= RESOLVENT_RESIDUAL * kappa)
+    if not (skip or ok.all()):
+        j = int(np.argmin(ok))
+        reason = (
+            "mu I - A is exactly singular or not finite" if np.isnan(kappa[j])
+            else f"condition number {kappa[j]:.3e} exceeds {COND_LIMIT:.0e}" if kappa[j] > COND_LIMIT
+            else f"resolvent residual {residual[j]:.3e} above {RESOLVENT_RESIDUAL:.0e} * kappa"
+        )
+        raise SingularResolvent(f"{reason} at mu={float(mus[j])!r}")
+    return ok
+
+
 def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
     """(mu_j I - M_j)^{-1} for one (d, d) M against k mus, or a (k, d, d) stack against one mu.
 
@@ -169,18 +184,90 @@ def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
             r = _inverse_items(m)
         kappa = norm_stack(m, NormKind.ONE) * norm_stack(r, NormKind.ONE)
         residual = norm_stack(m @ r - np.eye(d), NormKind.ONE)
-        ok = (kappa <= COND_LIMIT) & (residual <= RESOLVENT_RESIDUAL * kappa)
-        if not (skip or ok.all()):
-            j = int(np.argmin(ok))
-            reason = (
-                "mu I - A is exactly singular or not finite" if np.isnan(kappa[j])
-                else f"condition number {kappa[j]:.3e} exceeds {COND_LIMIT:.0e}" if kappa[j] > COND_LIMIT
-                else f"resolvent residual {residual[j]:.3e} above {RESOLVENT_RESIDUAL:.0e} * kappa"
-            )
-            raise SingularResolvent(f"{reason} at mu={float(mus[lo + j])!r}")
-        kept[lo : lo + len(m)] = ok
+        kept[lo : lo + len(m)] = _judge(kappa, residual, mus[lo : lo + step], skip)
         out[lo : lo + len(m)] = r
     return (out if kept.all() else out[kept]), kept
+
+
+def bandwidths(m: np.ndarray) -> tuple:
+    """(kl, ku): the lower and upper bandwidth of a square matrix, read from its nonzero entries."""
+    i, j = np.nonzero(m)
+    return int((i - j).max(initial=0)), int((j - i).max(initial=0))
+
+
+def shifted_band(diagonals: dict, mu: float, d: int) -> tuple:
+    """((kl, ku), ab): solve_banded's storage of mu I - G, bit for bit, for G's diagonals {offset: values}."""
+    kl, ku = max(0, -min(diagonals)), max(0, max(diagonals))
+    ab = np.zeros((kl + ku + 1, d))
+    for k, v in diagonals.items():
+        ab[ku - k, max(0, k) : d + min(0, k)] = -v
+    ab[ku] += mu
+    return (kl, ku), ab
+
+
+def _band_matmul(ab: np.ndarray, kl: int, ku: int, r: np.ndarray) -> np.ndarray:
+    """M @ r for M in solve_banded storage: one scaled row shift per diagonal, in r's memory order."""
+    d = ab.shape[1]
+    rt, out = r.T, np.zeros(r.shape[::-1], order="C" if r.flags.f_contiguous else "F")
+    for k in range(-kl, ku + 1):
+        lo, hi = max(0, -k), d - max(0, k)
+        out[:, lo:hi] += ab[ku - k, lo + k : hi + k] * rt[:, lo + k : hi + k]
+    return out.T
+
+
+class BandResolvent:
+    """R(mu_j, A) for one banded A against k mus, kept as LAPACK band LU factors (gbtrf).
+
+    Each R is formed once and judged by resolvent_stack's rules, its residual by a banded
+    product; only the kept mus' factors remain, with whether their R >= 0 (nonneg).
+    """
+
+    def __init__(self, a: np.ndarray, mus, skip: bool = False):
+        d = a.shape[0]
+        self.kl, self.ku = kl, ku = bandwidths(a)
+        diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        self.kept, self._factors, nonneg = np.ones(len(mus), dtype=bool), [], []
+        eye = np.eye(d, order="F")
+        for i, mu in enumerate(mus):
+            ab = shifted_band(diagonals, mu, d)[1]
+            lu, piv, info = dgbtrf(np.concatenate([np.zeros((kl, d)), ab]), kl, ku)
+            r = np.full((d, d), np.nan) if info > 0 else dgbtrs(lu, kl, ku, eye, piv)[0]
+            kappa = np.abs(ab).sum(axis=0).max() * norm_of(r, NormKind.ONE)
+            residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
+            self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
+            if self.kept[i]:
+                self._factors.append((lu, piv))
+                nonneg.append((r >= 0.0).all())
+        self.nonneg = np.array(nonneg, dtype=bool)
+
+    def _solve(self, i: int, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        lu, piv = self._factors[i]
+        return dgbtrs(lu, self.kl, self.ku, rhs, piv, trans=trans)[0]
+
+    def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+        """(k, kept) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack over the kept mus.
+
+        A diagonal C where R >= 0 takes one band solve: ||C R||_1 = max (mu I - A)^{-T} |c| and
+        ||C R||_inf = max |c| o (mu I - A)^{-1} 1. Else R is solved again and multiplied, as dense mode does.
+        """
+        k, d = mats.shape[0], mats.shape[-1]
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        fast = np.count_nonzero(mats, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
+        fast &= norm_kind is not NormKind.TWO
+        c, rows = np.abs(diag[fast]).T, max(1, PRODUCT_BYTES // (8 * d * d))
+        out = np.empty((k, len(self._factors)))
+        for i, nonneg in enumerate(self.nonneg):
+            if nonneg and fast.any():
+                trans = norm_kind is NormKind.ONE
+                x = self._solve(i, c if trans else np.ones((d, 1)), trans=int(trans))
+                out[fast, i] = (x if trans else c * x).max(axis=0)
+            rest = np.flatnonzero(~fast if nonneg else np.ones(k, dtype=bool))
+            if rest.size:
+                r = self._solve(i, np.eye(d, order="F"))
+                for lo in range(0, rest.size, rows):
+                    out[rest[lo : lo + rows], i] = norm_stack(mats[rest[lo : lo + rows]] @ r, norm_kind)
+        return out
 
 
 def resolvent(a: Operator, mu: float) -> Operator:
@@ -218,8 +305,10 @@ def read_matrix(path, norm_kind: NormKind = NormKind.TWO) -> Operator:
 
 
 def write_matrix(path, op: Operator) -> None:
-    """Write the plain-text matrix format read by read_matrix."""
+    """Write the plain-text matrix format read by read_matrix: format(x, ".17g") once per distinct bit pattern."""
+    bits, inverse = np.unique(op.entries.view(np.uint64), return_inverse=True)
+    text = [format(x, ".17g") for x in bits.view(np.float64)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"dim {op.dim}\n")
-        for row in op.entries:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
+        for row in inverse.reshape(op.entries.shape):
+            fh.write(" ".join([text[i] for i in row]) + "\n")

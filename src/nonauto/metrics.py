@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NormKindMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
-from .linop import PRODUCT_BYTES, Operator, norm_stack, op_norm, resolvent_stack, spectrum
+from .linop import PRODUCT_BYTES, BandResolvent, Operator, bandwidths, norm_stack, op_norm, resolvent_stack, spectrum
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
 LAMBDA_CEILING = 1e8
@@ -25,6 +25,12 @@ LAMBDA_POINTS_PER_DECADE = 4
 SKIP_BUDGET = 0.10
 TAIL_REL = 1e-3
 TAIL_ABS = 1e-9
+# ANormEvaluator's band mode wants d >= _BAND_MIN_DIM and _BAND_DIM_PER_DIAGONAL rows
+# per band diagonal. Band over dense time of a grid build and one diagonal-C value:
+# 1.1-1.7 at d = 32-48, 0.75-0.88 at 64 (1-3 diagonals), 0.33-0.54 at 128-256
+# (tridiagonal) and 0.7-1.0 at 12-17 rows per diagonal (5 and 11 diagonals).
+_BAND_MIN_DIM = 64
+_BAND_DIM_PER_DIAGONAL = 16
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,9 @@ class ANormEvaluator:
 
     Building the grid is one resolvent_stack call: one batched inverse per
     block of mu points. Each evaluation then multiplies C against the grid in
-    blocks of PRODUCT_BYTES. Grid points whose resolvent is refused are
-    skipped and counted; more than SKIP_BUDGET of them is an error.
+    blocks of PRODUCT_BYTES. A narrow-banded A (band mode) holds band LU factors
+    in a linop.BandResolvent instead. Grid points whose resolvent is refused
+    are skipped and counted; more than SKIP_BUDGET of them is an error.
     """
 
     def __init__(self, a: Operator, gb: GrowthBound, grid: MuGrid | None = None):
@@ -75,7 +82,9 @@ class ANormEvaluator:
             raise PreconditionViolated(
                 f"mu-grid offsets from {self.grid.min_offset:g} are lost to rounding at omega0 = {gb.omega0:g}"
             )
-        self._stack, kept = resolvent_stack(a.entries, mus, skip=True)
+        banded = a.dim >= max(_BAND_MIN_DIM, _BAND_DIM_PER_DIAGONAL * (sum(bandwidths(a.entries)) + 1))
+        self._band = BandResolvent(a.entries, mus, skip=True) if banded else None
+        self._stack, kept = (None, self._band.kept) if banded else resolvent_stack(a.entries, mus, skip=True)
         self.total, self.skipped = len(mus), int(np.count_nonzero(~kept))
         if self.skipped > SKIP_BUDGET * self.total:
             raise SingularResolvent(
@@ -86,6 +95,8 @@ class ANormEvaluator:
 
     def _grid_norms(self, mats: np.ndarray) -> np.ndarray:
         """(k, n_mu) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack, PRODUCT_BYTES of products at a time."""
+        if self._band is not None:
+            return self._band.norms(mats, self.a.norm_kind)
         d, n_mu = self.a.dim, self._stack.shape[0]
         cols = max(1, min(n_mu, PRODUCT_BYTES // (8 * d * d)))
         rows = max(1, PRODUCT_BYTES // (8 * d * d * cols))
@@ -216,7 +227,8 @@ def check_assumptions(
     at 8 values of h halving from (t1 - t0)/4; it should trend to zero
     (last below a quarter of the first), with identically-zero moduli passing
     outright. a2: sup_t ||d/dt B(t) R(mu, A)|| is tabulated over a mu ladder
-    and should stay bounded (last at most twice the median).
+    and should stay bounded (last at most twice the median); in band mode a
+    family phi(t) B0 takes max_t |phi(t+h) - phi(t-h)|/(2h) ||B0 R(mu, A)||.
     """
     _check_family(a, family)
     t0, t1 = family.interval
@@ -229,9 +241,18 @@ def check_assumptions(
     h_fd = fd_step(family.interval)
     mus = gb.omega0 + np.geomspace(10.0, 1e6, 11)
     ts = np.linspace(t0 + h_fd, t1 - h_fd, t_samples)
-    dbdt = (family.values_stack(ts + h_fd) - family.values_stack(ts - h_fd)) / (2.0 * h_fd)
-    rs, _ = resolvent_stack(a.entries, mus)
-    a2 = [(float(mu), float(norm_stack(dbdt @ r, a.norm_kind).max(initial=0.0))) for mu, r in zip(mus, rs)]
+    factored = family.factor()
+    if factored is not None and evaluator._band is not None:
+        # B'(t) R(mu) = phi'(t) B0 R(mu): one band norm per mu, not one product per (mu, t).
+        profile, b0 = factored
+        plus, minus = (np.array([float(profile(float(t))) for t in ts + s]) for s in (h_fd, -h_fd))
+        slope = float(np.abs(plus - minus).max(initial=0.0)) / (2.0 * h_fd)
+        norms = slope * BandResolvent(a.entries, mus).norms(b0.entries[None], a.norm_kind)[0]
+    else:
+        dbdt = (family.values_stack(ts + h_fd) - family.values_stack(ts - h_fd)) / (2.0 * h_fd)
+        rs, _ = resolvent_stack(a.entries, mus)
+        norms = [norm_stack(dbdt @ r, a.norm_kind).max(initial=0.0) for r in rs]
+    a2 = [(float(mu), float(v)) for mu, v in zip(mus, norms)]
     med = float(np.median([v for _, v in a2]))
     a2_pass = a2[-1][1] <= 2.0 * med + 1e-300
     return AssumptionReport(

@@ -189,11 +189,14 @@ def _expm_block(mats: np.ndarray) -> np.ndarray:
             out = _taylor(mats, m, s)
             break
     else:
-        # Degree 16 of each matrix scaled by 2^-k into theta_16, squared k times.
+        # Degree 16 of each matrix scaled by 2^-k into theta_16, squared k times:
+        # the whole block while every matrix needs it, then only those that do.
         k = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
         out = _taylor(mats / np.exp2(k)[:, None, None], m, s)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, int(k.max()) + 1):
+            for _ in range(int(k.min())):
+                out = out @ out
+            for j in range(int(k.min()) + 1, int(k.max()) + 1):
                 sel = k >= j
                 out[sel] = out[sel] @ out[sel]
     if not np.isfinite(out).all():

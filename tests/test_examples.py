@@ -1,5 +1,7 @@
 """Model problems: transport and heat generators, spiky multiplier, sweeps."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from nonauto import (
 from nonauto.examples import Domain, GridSpec
 
 from oracles import SPIKE_MASS_3
+from test_acceptance import _child_env
 
 
 class TestGridSpec:
@@ -253,3 +256,23 @@ class TestVerifyExampleBounds:
     def test_unknown_example_refused(self):
         with pytest.raises(PreconditionViolated):
             verify_example_bounds("advection", GridSpec(8.0, 64, Domain.HALF_LINE))
+
+
+# Prints the peak RSS growth in kB of a 256-cell heat report over the RSS
+# just after import.
+MEMORY_CHILD = """
+import resource
+from nonauto.examples import Domain, GridSpec, verify_example_bounds
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+verify_example_bounds("heat", GridSpec(8.0, 256, Domain.LINE), pipeline=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_dense_diagnostics_hold_no_resolvent_stack():
+    # A (221, 256, 256) resolvent stack alone is 116 MB; band factors and
+    # the factored a2 column keep the whole report within 40 MB.
+    proc = subprocess.run([sys.executable, "-c", MEMORY_CHILD], env=_child_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024

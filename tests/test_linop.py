@@ -19,7 +19,7 @@ from nonauto import (
     write_matrix,
 )
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
-from nonauto.linop import COND_LIMIT, norm_of, norm_stack, resolvent_stack
+from nonauto.linop import COND_LIMIT, BandResolvent, bandwidths, norm_of, norm_stack, resolvent_stack, shifted_band
 from nonauto.metrics import MuGrid
 
 from oracles import lu_resolvent
@@ -198,6 +198,31 @@ class TestResolventStack:
         assert r.shape == (0, 3, 3) and kept.shape == (0,)
 
 
+class TestBandResolvent:
+    def test_shifted_band_holds_the_dense_entries(self):
+        rng = np.random.default_rng(8)
+        diagonals = {-2: rng.standard_normal(7), 0: rng.standard_normal(9), 1: rng.standard_normal(8)}
+        g = sum(np.diag(v, k) for k, v in diagonals.items())
+        (kl, ku), ab = shifted_band(diagonals, 1.7, 9)
+        assert (kl, ku) == bandwidths(g) == (2, 1)
+        dense = np.zeros((9, 9))
+        for i, j in np.ndindex(9, 9):
+            if -kl <= j - i <= ku:
+                dense[i, j] = ab[ku + i - j, j]
+        assert np.array_equal(dense, 1.7 * np.eye(9) - g)
+
+    def test_refuses_what_resolvent_stack_refuses(self):
+        # mu = 2 is an eigenvalue, and 3 + 1e-15 puts kappa_1 above COND_LIMIT.
+        a = np.diag([2.0, -1.0, 3.0 + 1e-15]) + np.diag([0.5, 0.0], -1)
+        mus = np.array([1.0, 1.5, 2.0, 3.0, 10.0])
+        band = BandResolvent(a, mus, skip=True)
+        assert band.kept.tolist() == resolvent_stack(a, mus, skip=True)[1].tolist() == [True, True, False, False, True]
+        with pytest.raises(SingularResolvent, match="exactly singular or not finite at mu=2.0"):
+            BandResolvent(a, mus)
+        with pytest.raises(SingularResolvent, match="condition number .* at mu=3.0"):
+            BandResolvent(a, mus[3:])
+
+
 class TestSpectrum:
     def test_diagonal(self):
         s = spectrum(op2(np.diag([-1.0, 1.0])))
@@ -227,6 +252,18 @@ class TestMatrixFile:
         back = read_matrix(path, NormKind.ONE)
         assert np.array_equal(back.entries, a.entries)
         assert back.norm_kind is NormKind.ONE
+
+    def test_distinct_values_write_the_per_entry_bytes(self, tmp_path):
+        # Formatting each distinct bit pattern once writes what one format()
+        # per entry wrote, for signed zeros, infinities, NaNs and subnormals.
+        m = np.random.default_rng(3).standard_normal((40, 40))
+        m[::7] = np.round(m[::7], 1)
+        m[0, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        m[1, :3] = [-np.nan, 2.0 ** -1074 * 3, -0.0]
+        path = tmp_path / "mat.txt"
+        write_matrix(path, Operator(m, NormKind.TWO))
+        want = f"dim {len(m)}\n" + "".join(" ".join(format(x, ".17g") for x in row) + "\n" for row in m)
+        assert path.read_bytes() == want.encode("ascii")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"

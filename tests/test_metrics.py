@@ -1,4 +1,6 @@
 """Resolvent-weighted perturbation norm, Yosida distance, assumption checks."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nonauto import (
     NormKindMismatch,
     Operator,
     PreconditionViolated,
+    SingularResolvent,
     TailNotSettled,
     a_norm,
     check_assumptions,
@@ -18,11 +21,12 @@ from nonauto import (
     norm_of,
     op_norm,
     resolvent,
+    spectrum,
     yosida_distance,
 )
 from nonauto import metrics
 from nonauto.evofam import CallableFamily, ConstantFamily, PiecewiseLinearFamily, ScaledProfileFamily
-from nonauto.linop import norm_stack
+from nonauto.linop import bandwidths, norm_stack
 from nonauto.metrics import ANormEvaluator
 
 from oracles import YDIST_DIAG_LIMIT
@@ -148,6 +152,168 @@ class TestEvaluatorBlocks:
         # The whole (221, 64, 64) product is 7.2 MB; a block and its
         # norm_stack copy are 2 MB.
         assert peak < 3 << 20
+
+
+def banded(rng, d: int, kl: int, ku: int, metzler: bool) -> np.ndarray:
+    """Bandwidth (kl, ku): 2 x 2 Jordan-like blocks on the first sub- or superdiagonal, weak coupling elsewhere.
+
+    The blocks make (mu - omega0) ||C R(mu, A)|| rise above ||C|| near
+    omega0, so the sampled sup, not the tail, sets ||C||_A.
+    """
+    a = np.diag(np.repeat(-rng.uniform(1.0, 2.0, d // 2), 2))
+    for k in range(-kl, ku + 1):
+        if k:
+            sign = 1.0 if metzler else rng.choice([-1.0, 1.0], d - abs(k))
+            a += np.diag(0.05 * sign * rng.uniform(0.1, 1.0, d - abs(k)), k)
+    if kl or ku:
+        jordan = np.zeros(d - 1)
+        jordan[::2] = rng.uniform(2.0, 4.0, d // 2)
+        a += np.diag(jordan, -1 if kl else 1)
+    return a
+
+
+def both_modes(monkeypatch, a: Operator, gb: GrowthBound) -> tuple:
+    """(band-mode, dense-mode) evaluators of one A, whatever its size and band."""
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_BAND_MIN_DIM", 0)
+        m.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", 0)
+        band = ANormEvaluator(a, gb)
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_BAND_MIN_DIM", 1 << 30)
+        dense = ANormEvaluator(a, gb)
+    assert band._band is not None and dense._band is None
+    return band, dense
+
+
+class TestBandMode:
+    # Dense products and SVDs bound the cost: the 2-norm stops at d = 96,
+    # and d = 256 takes the 1-norm of the model problems only.
+    @pytest.mark.parametrize(
+        "d, kl, ku, metzler, kind",
+        [(d, kl, ku, metzler, kind) for d, kl, ku, metzler in
+         [(64, 0, 0, True), (64, 1, 2, False), (96, 3, 3, True), (128, 1, 1, False), (256, 1, 0, True)]
+         for kind in NormKind if kind is NormKind.ONE or d <= (96 if kind is NormKind.TWO else 128)],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_band_and_dense_modes_agree(self, monkeypatch, d, kl, ku, metzler, kind):
+        rng = np.random.default_rng([d, kl, ku])
+        a = Operator(banded(rng, d, kl, ku, metzler), kind)
+        assert bandwidths(a.entries) == (kl, ku)
+        # A diagonal A rises above the tail only for omega0 below its abscissa.
+        s = spectrum(a).abscissa
+        gb = GrowthBound(2.0, s + 0.05 if kl or ku else s - 0.3)
+        band, dense = both_modes(monkeypatch, a, gb)
+        # The one-solve shortcut runs at some mu exactly when A is Metzler here.
+        assert band._band.nonneg.any() == metzler
+        # A nonnegative diagonal, a signed diagonal and a general C.
+        c = rng.uniform(0.5, 1.0, d)
+        mats = np.stack([np.diag(c), np.diag(c * rng.choice([-1.0, 1.0], d)), np.diag(c) + rng.standard_normal((d, d)) / d])
+        want = dense.value_stack(mats)
+        assert np.all(want > norm_stack(mats, kind) / gb.m)
+        np.testing.assert_allclose(band.value_stack(mats), want, rtol=1e-12, atol=0.0)
+        signed, general = Operator(mats[1], kind), Operator(mats[2], kind)
+        assert band.value(signed).value == pytest.approx(dense.value(signed).value, rel=1e-12)
+        got, ref = np.array(band.sweep(general)), np.array(dense.sweep(general))
+        assert np.array_equal(got[:, 0], ref[:, 0])
+        np.testing.assert_allclose(got[:, 1], ref[:, 1], rtol=1e-12, atol=0.0)
+        assert band.skipped == dense.skipped == 0
+
+    @pytest.mark.parametrize("exact, near", [(5, 3), (20, 10)])
+    def test_refused_points_match(self, monkeypatch, exact, near):
+        # A row holding only mu_k on the diagonal makes mu_k I - A exactly
+        # singular; one a few ulps off mu_k puts kappa_1 far above COND_LIMIT.
+        rng = np.random.default_rng(exact)
+        a = banded(rng, 64, 2, 0, True)
+        gb = GrowthBound(2.0, float(np.diag(a).max()) + 0.05)
+        mus = gb.omega0 + MuGrid().offsets()
+        rows = rng.choice(64, exact + near, replace=False)
+        picked = rng.choice(221, exact + near, replace=False)
+        a[rows] = 0.0
+        a[rows, rows] = mus[picked] * np.where(np.arange(exact + near) < exact, 1.0, 1.0 + 4e-16)
+        a = Operator(a, NormKind.ONE)
+        if exact + near > metrics.SKIP_BUDGET * 221:
+            for setting in ((0, 0), (1 << 30, 0)):
+                with monkeypatch.context() as m:
+                    m.setattr(metrics, "_BAND_MIN_DIM", setting[0])
+                    m.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", setting[1])
+                    with pytest.raises(SingularResolvent, match=f"{exact + near} of 221"):
+                        ANormEvaluator(a, gb)
+            return
+        band, dense = both_modes(monkeypatch, a, gb)
+        assert band.skipped == dense.skipped == exact + near
+        assert np.array_equal(band._mus, dense._mus)
+        c = Operator(np.diag(rng.uniform(0.5, 1.0, 64)), NormKind.ONE)
+        assert band.value(c).value == pytest.approx(dense.value(c).value, rel=1e-12)
+
+    def test_model_problems_take_band_mode(self):
+        from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
+
+        gb = GrowthBound(1.0, 0.0)
+        for points in (64, 256):
+            for a in (build_heat_generator(GridSpec(8.0, points, Domain.LINE)),
+                      build_translation_generator(GridSpec(8.0, points, Domain.HALF_LINE))):
+                assert ANormEvaluator(a, gb)._band is not None
+        assert ANormEvaluator(build_heat_generator(GridSpec(8.0, 32, Domain.LINE)), gb)._band is None
+
+
+class TestFactoredA2:
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("b0_kind", ["diagonal", "general"])
+    @pytest.mark.parametrize("scale", [None, -2.0])
+    def test_factored_column_matches_generic(self, monkeypatch, kind, b0_kind, scale):
+        # phi(t) B0 as a ScaledProfileFamily (factored, band mode) against
+        # the same values through the generic stacked column.
+        # B0 and the scale are signed powers of two, so phi(t) B0 is exact and
+        # the generic quotient carries no rounding that 1/(2h) amplifies.
+        rng = np.random.default_rng([len(b0_kind), 0 if scale is None else 1])
+        a = Operator(banded(rng, 6, 1, 1, True), kind)
+        b0 = rng.choice([-1.0, 1.0], (6, 6)) * np.exp2(rng.integers(-3, 4, (6, 6)))
+        if b0_kind == "diagonal":
+            b0 = np.diag(np.abs(np.diag(b0)))
+        w, phase = rng.uniform(1.0, 4.0, 2)
+        fam = ScaledProfileFamily((0.0, 3.0), lambda t: math.sin(w * t + phase) + 0.3 * t, Operator(b0, kind))
+        # A CallableFamily's a1 modulus samples pairs, an SVD per pair and mu
+        # in the 2-norm; there the dense mode's generic column of fam is the reference.
+        generic = CallableFamily((0.0, 3.0), fam, 6, kind) if kind is not NormKind.TWO else fam
+        if scale is not None:
+            fam, generic = fam.scale(scale), generic.scale(scale)
+        gb = GrowthBound(2.0, spectrum(a).abscissa + 0.05)
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "_BAND_MIN_DIM", 0)
+            m.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", 0)
+            got = check_assumptions(fam, a, gb)
+        monkeypatch.setattr(metrics, "_BAND_MIN_DIM", 1 << 30)
+        want = check_assumptions(generic, a, gb)
+        assert [mu for mu, _ in got.a2_derivative_sup] == [mu for mu, _ in want.a2_derivative_sup]
+        np.testing.assert_allclose(
+            [v for _, v in got.a2_derivative_sup], [v for _, v in want.a2_derivative_sup], rtol=1e-12, atol=0.0
+        )
+        assert got.a2_pass == want.a2_pass
+
+    @pytest.mark.parametrize("which", ["translation", "heat"])
+    def test_model_problem_column_matches_generic(self, which):
+        from nonauto.examples import Domain, GridSpec, build_generator, build_spiky_b
+        from nonauto.metrics import fd_step
+
+        g = GridSpec(8.0, 64, Domain.HALF_LINE if which == "translation" else Domain.LINE)
+        a = build_generator(which, g)
+        fam = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(g, 3, mirror=which == "heat").operator())
+        gb = GrowthBound(1.0, 0.0)
+        # The evaluator takes band mode at 64 cells; the generic column is check_assumptions' own.
+        assert ANormEvaluator(a, gb)._band is not None
+        got = check_assumptions(fam, a, gb).a2_derivative_sup
+        h = fd_step(fam.interval)
+        ts = np.linspace(h, 2.0 * math.pi - h, 33)
+        dbdt = (fam.values_stack(ts + h) - fam.values_stack(ts - h)) / (2.0 * h)
+        want = [norm_stack(dbdt @ resolvent(a, mu).entries, NormKind.ONE).max() for mu, _ in got]
+        np.testing.assert_allclose([v for _, v in got], want, rtol=1e-12, atol=0.0)
+
+    def test_constant_family_has_a_zero_column(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BAND_MIN_DIM", 0)
+        monkeypatch.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", 0)
+        a = op2(np.diag([-1.0, -2.0]))
+        report = check_assumptions(ConstantFamily((0.0, 1.0), op2([[0.5, 1.0], [0.0, 0.2]])), a, GrowthBound(1.0, -1.0))
+        assert all(v == 0.0 for _, v in report.a2_derivative_sup) and report.a2_pass
 
 
 class TestYosidaDistance:

@@ -26,7 +26,7 @@ from nonauto import (
     yosida_semigroup_limit,
 )
 from nonauto import semigroup
-from nonauto.linop import BLOCK_BYTES
+from nonauto.linop import BLOCK_BYTES, norm_stack
 from nonauto.semigroup import expm_stack
 
 from oracles import YOSIDA_SCALAR, two_grid_fit
@@ -176,6 +176,31 @@ def every_degree_stack(d: int) -> np.ndarray:
     norms = np.repeat(np.tile(DEGREE_NORMS, 2), step)
     m = np.random.default_rng(d).standard_normal((len(norms), d, d))
     return m * (norms / np.abs(m).sum(axis=1).max(axis=1))[:, None, None]
+
+
+class TestSquaring:
+    @staticmethod
+    def masked(mats: np.ndarray) -> np.ndarray:
+        """Degree 16 scaled by 2^-k, squared through the mask k >= j at every step."""
+        m, s, theta = semigroup._TAYLOR[-1]
+        k = np.ceil(np.log2(np.maximum(norm_stack(mats, NormKind.ONE), theta) / theta)).astype(int)
+        out = semigroup._taylor(mats / np.exp2(k)[:, None, None], m, s)
+        for j in range(1, int(k.max()) + 1):
+            sel = k >= j
+            out[sel] = out[sel] @ out[sel]
+        return out
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 32])
+    def test_whole_block_squarings_match_the_masked_loop(self, d):
+        # The last three blocks of every_degree_stack take 0, 1 and 4
+        # squarings; the mixed block takes one whole squaring, then masks.
+        stack = every_degree_stack(d)
+        step = max(1, BLOCK_BYTES // (8 * d * d))
+        blocks = [stack[i * step : (i + 1) * step] for i in (4, 5, 6)]
+        blocks.append(np.concatenate([blocks[1][:2], blocks[2][:2], blocks[1][2:4]]))
+        blocks.append(np.concatenate([blocks[0][:2], blocks[2][:2]]))
+        for block in blocks:
+            assert np.array_equal(semigroup._expm_block(block), self.masked(block))
 
 
 class SpyPool:
