@@ -119,7 +119,8 @@ def _load_run(args):
 
 
 def _growth_bound(config: dict, a: Operator) -> GrowthBound:
-    if "m" in config and "omega0" in config:
+    """The config's certificate (m, omega0), a fitted one if it gives neither; one alone is a KeyError (exit 1)."""
+    if "m" in config or "omega0" in config:
         return GrowthBound(m=float(config["m"]), omega0=float(config["omega0"]))
     return fit_growth_bound(a)
 
@@ -240,7 +241,7 @@ def cmd_dichotomy(args) -> int:
     t0, t1 = shape.interval
     ts = _t_grid(config.get("t_grid"), np.linspace(t0 + 1.0, t1, 5))
     gb = _growth_bound(config, a)
-    results = roughness_sweep(a, shape, eps_list, t_samples=ts, gb=gb, n_max=int(config.get("n_max", 14)))
+    results = roughness_sweep(a, shape, eps_list, gb, t_samples=ts, n_max=int(config.get("n_max", 14)))
     rows = []
     summary = []
     for res in results:

@@ -17,7 +17,7 @@ from .errors import NotInvertible, OutOfInterval, Overflow, PreconditionViolated
 from .evofam import EvolutionFamilyApprox, PerturbationFamily, refine_to_tolerance
 from .linop import Operator, norm_of, resolvent_stack
 from .metrics import ANormEvaluator
-from .semigroup import GrowthBound, expm, fit_growth_bound
+from .semigroup import GrowthBound, expm
 
 CIRCLE_TOL = 1e-9
 EIG_COND_LIMIT = 1e8
@@ -123,9 +123,6 @@ class ProximityReport:
     omega1: float
     samples: tuple
 
-    def __iter__(self):
-        return iter((self.sup_diff, self.bound))
-
 
 def _time1_maps(u: EvolutionFamilyApprox, e_a: Operator, t_samples):
     """(t, U(t, t-1), ||U(t, t-1) - e^A||) for each sample t."""
@@ -152,12 +149,11 @@ def _growth_adjusted_bound(omega1: float, gb: GrowthBound) -> float:
     return omega1 * gb.m ** 2 * _exp(gb.omega0 + gb.m ** 2 * omega1, omega1)
 
 
-def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBound | None = None) -> ProximityReport:
+def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBound) -> ProximityReport:
     """sup_t ||U(t, t-1) - e^A|| against e^{4 omega1} omega1, t on 9 equispaced points of [a + 1, b]."""
     p = u.partition
     if p.b - p.a < 1.0:
         raise OutOfInterval("interval shorter than 1; no time-1 map fits")
-    gb = gb or fit_growth_bound(a)
     omega1 = u.family.sup_anorm(ANormEvaluator(a, gb))
     samples = tuple((t, d) for t, _, d in _time1_maps(u, expm(a, 1.0), np.linspace(p.a + 1.0, p.b, 9)))
     return ProximityReport(
@@ -195,8 +191,8 @@ def roughness_sweep(
     a: Operator,
     shape: PerturbationFamily,
     eps_list,
+    gb: GrowthBound,
     t_samples=None,
-    gb: GrowthBound | None = None,
     n_max: int = 14,
 ) -> list:
     """Scale a unit-size perturbation shape by each eps and test persistence.
@@ -207,26 +203,29 @@ def roughness_sweep(
     time-1 maps are tested for hyperbolicity. persisted means every sample is
     hyperbolic with spectral gap at least alpha/2 - e^{4 eps} eps. Refinement
     failures are recorded on the row and the sweep continues. Every eps must
-    be finite and nonnegative.
+    be finite and nonnegative, and t_samples (5 equispaced points of
+    [t0 + 1, t1] by default) must not be empty: persistence on no sample
+    would be vacuous.
     """
     eps_list = [float(eps) for eps in eps_list]
     if not all(0.0 <= eps < math.inf for eps in eps_list):
         raise PreconditionViolated(f"eps must be finite and nonnegative, got {eps_list}")
+    t0, t1 = shape.interval
+    if t_samples is None:
+        if t1 - t0 < 1.0:
+            raise OutOfInterval("interval shorter than 1; no time-1 map fits")
+        t_samples = np.linspace(t0 + 1.0, t1, 5)
+    if len(t_samples) == 0:
+        raise PreconditionViolated("roughness_sweep wants at least one time sample")
     e_a = expm(a, 1.0)
     base = check_hyperbolic(e_a)
     if not base.hyperbolic:
         raise PreconditionViolated("unperturbed generator has spectrum on the unit circle")
-    gb = gb or fit_growth_bound(a)
     evaluator = ANormEvaluator(a, gb)
     scale = shape.sup_anorm(evaluator)
     if scale <= 0.0:
         raise PreconditionViolated("perturbation shape is identically zero")
     unit = shape.scale(1.0 / scale)
-    t0, t1 = unit.interval
-    if t_samples is None:
-        if t1 - t0 < 1.0:
-            raise OutOfInterval("interval shorter than 1; no time-1 map fits")
-        t_samples = np.linspace(t0 + 1.0, t1, 5)
     out = []
     for eps in eps_list:
         tol = min(1e-4, eps / 100.0) if eps > 0.0 else 1e-4

@@ -1,8 +1,8 @@
 """Matrix semigroups T_A(t) = e^{tA}: exponentials, growth certificates, Yosida approximants.
 
 A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} on a
-verified horizon. Certificates are fitted from the spectral abscissa plus a
-margin, with M read off a sampled grid. Every exponential goes through the
+verified horizon. Certificates are fitted from the spectral abscissa plus
+FIT_MARGIN, with M read off a sampled grid. Every exponential goes through the
 blocked truncated-Taylor kernel expm_stack; expm is its one-item form.
 """
 from __future__ import annotations
@@ -16,15 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Overflow, PreconditionViolated
-from .linop import BLOCK_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm, resolvent_stack, spectrum
+from .linop import BLOCK_BYTES, NormKind, Operator, norm_of, norm_stack, resolvent_stack, spectrum
 
 # Safety inflation applied to a fitted M and to checked bounds.
 FIT_INFLATION = 1e-6
 BOUND_SLACK = 1e-6
 # 1-norm of tA above which e^{tA} can overflow doubles (e^709 is the largest).
 EXP_ARG_LIMIT = 700.0
-# Fit grid of fit_growth_bound: FIT_POINTS equispaced nodes on [0, FIT_HORIZON].
+# Fit grid of fit_growth_bound: FIT_POINTS equispaced nodes on [0, FIT_HORIZON],
+# at omega0 = spectral abscissa + FIT_MARGIN.
 FIT_HORIZON = 5.0
+FIT_MARGIN = 1e-2
 FIT_POINTS = 513
 # expm_stack runs the blocks of a stack on a thread pool of one worker per
 # CPU this process may run on, when the stack has more blocks than workers.
@@ -62,14 +64,13 @@ if hasattr(os, "register_at_fork"):
 class GrowthBound:
     """Certificate ||e^{tA}|| <= m e^{omega0 t}, sampled up to verified_horizon.
 
-    verified_horizon and margin are fitting bookkeeping; a certificate known
-    a priori (a contraction, say) carries the defaults.
+    verified_horizon is fitting bookkeeping; a certificate known a priori (a
+    contraction, say) is verified for all t.
     """
 
     m: float
     omega0: float
     verified_horizon: float = float("inf")
-    margin: float = 0.0
 
     def __post_init__(self):
         if not (1.0 <= self.m < math.inf and math.isfinite(self.omega0)):
@@ -255,53 +256,41 @@ def envelope_ratios(a: Operator, ts, omega0: float) -> np.ndarray:
     return norm_stack(exps, a.norm_kind) * np.array([math.exp(-omega0 * t) for t in ts])
 
 
-def fit_growth_bound(a: Operator, margin: float = 1e-2) -> GrowthBound:
+def fit_growth_bound(a: Operator) -> GrowthBound:
     """Fit a growth certificate (M, omega0) for A on [0, FIT_HORIZON].
 
-    omega0 is the spectral abscissa plus margin, so ||e^{tA}|| e^{-omega0 t}
+    omega0 is the spectral abscissa plus FIT_MARGIN, so ||e^{tA}|| e^{-omega0 t}
     decays eventually and its supremum is read off FIT_POINTS equispaced
     nodes: M is the grid maximum, clamped to >= 1 and inflated by
     1 + FIT_INFLATION against between-node curvature.
     """
-    omega0 = spectrum(a).abscissa + margin
+    omega0 = spectrum(a).abscissa + FIT_MARGIN
     ratios = envelope_ratios(a, np.linspace(0.0, FIT_HORIZON, FIT_POINTS), omega0)
     m = max(1.0, float(ratios.max())) * (1.0 + FIT_INFLATION)
-    return GrowthBound(m=m, omega0=omega0, verified_horizon=FIT_HORIZON, margin=margin)
+    return GrowthBound(m=m, omega0=omega0, verified_horizon=FIT_HORIZON)
 
 
-def semigroup_diff_bound_check(
-    g: Operator,
-    h: Operator,
-    m: float,
-    omega: float,
-    tmax: float = 2.0,
-    grid: int = 41,
-    delta: float | None = None,
-) -> BoundCheck:
-    """Check ||e^{tG} - e^{tH}|| <= t M^2 e^{4 omega t} delta (1 + slack) on a t-grid.
+def semigroup_diff_bound_check(g: Operator, h: Operator, m: float, omega: float, delta: float) -> BoundCheck:
+    """Check ||e^{tG} - e^{tH}|| <= t M^2 e^{4 omega t} delta (1 + slack) at 21 points of [0, 2].
 
     delta is the Yosida distance of G and H, which for matrices equals
-    ||G - H||; it defaults to the direct norm and can be passed in when the
-    caller has computed the distance independently. Both semigroups must obey
-    the common certificate (M, omega) on the sampled grid, and omega must be
-    >= 0: for omega < 0 the stated e^{4 omega t} factor shrinks faster than
-    the true difference decays, so a negative-omega certificate has to be
-    relaxed to omega = 0 by the caller.
+    ||G - H||. Both semigroups must obey the common certificate (M, omega) on
+    the sampled grid, and omega must be >= 0: for omega < 0 the stated
+    e^{4 omega t} factor shrinks faster than the true difference decays, so a
+    negative-omega certificate has to be relaxed to omega = 0 by the caller.
     """
     g._check(h)
     if omega < 0.0:
         raise PreconditionViolated("semigroup_diff_bound_check wants omega >= 0; relax the certificate to omega = 0")
     if m < 1.0:
         raise PreconditionViolated(f"certificate constant m must be >= 1, got {m}")
-    ts = np.linspace(0.0, tmax, grid)
+    ts = np.linspace(0.0, 2.0, 21)
     eg = expm_stack(ts[:, None, None] * g.entries[None, :, :])
     eh = expm_stack(ts[:, None, None] * h.entries[None, :, :])
     envelope = m * np.array([math.exp(omega * t) for t in ts]) * (1.0 + 1e-9)
     broken = (norm_stack(eg, g.norm_kind) > envelope) | (norm_stack(eh, g.norm_kind) > envelope)
     if broken.any():
         raise PreconditionViolated(f"certificate (M={m}, omega={omega}) fails at t={ts[np.argmax(broken)]}")
-    if delta is None:
-        delta = op_norm(g - h)
     ts = ts[1:]
     lhs = norm_stack(eg[1:] - eh[1:], g.norm_kind)
     rhs = ts * m * m * np.array([math.exp(4.0 * omega * t) for t in ts]) * delta * (1.0 + BOUND_SLACK)

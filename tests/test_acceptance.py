@@ -118,29 +118,24 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
 
 
-def test_verify_all_cli_deterministic(tmp_path):
-    # Two fresh processes must agree byte for byte; exit code 2 records the
-    # expected-failure criterion without hiding it.
-    env = _child_env()
-    tables = []
-    for name in ("one", "two"):
-        d = tmp_path / name
-        d.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-m", "nonauto.cli", "verify-all", "--seed", str(SEED)],
-            cwd=d,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 2, proc.stderr
-        tables.append((d / "verify_criteria.csv").read_bytes())
-    assert tables[0] == tables[1]
+def test_verify_all_cli_deterministic(tmp_path, results):
+    # A fresh process must reproduce this session's criteria byte for byte;
+    # exit code 2 records the expected-failure criterion without hiding it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonauto.cli", "verify-all", "--seed", str(SEED)],
+        cwd=tmp_path,
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
 
-    lines = tables[0].decode().splitlines()
+    lines = (tmp_path / "verify_criteria.csv").read_bytes().decode().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "index,name,passed,detail"
+    session = [f"{r.index},{r.name},{int(r.passed)},{r.detail}" for r in results.values()]
+    assert lines[2:15] == session
     rows = [line.split(",", 3) for line in lines[2:]]
     assert [row[0] for row in rows] == [str(i) for i in range(1, 15)]
     failed = {row[0] for row in rows if row[2] == "0"}

@@ -360,6 +360,14 @@ class TestDichotomyCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
+    def test_empty_t_grid_exits_config(self, tmp_path, monkeypatch, capsys):
+        # No time-1 map tested is no evidence that hyperbolicity persisted.
+        monkeypatch.chdir(tmp_path)
+        config = dict(TestUsageErrors.CONFIGS["dichotomy"], t_grid=[])
+        assert main(["dichotomy", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        assert "time sample" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
 
 class TestExamplesCommand:
     def test_translation_small_grid(self, tmp_path, monkeypatch):
@@ -416,6 +424,17 @@ class TestErrorPaths:
         _write_config(tmp_path / "cfg.json", config)
         assert main(["evolve", "--config", "cfg.json"]) == 1
 
+    @pytest.mark.parametrize("command", ["converge", "dichotomy"])
+    @pytest.mark.parametrize("given, missing", [("m", "omega0"), ("omega0", "m")])
+    def test_partial_certificate_exits_config(self, tmp_path, monkeypatch, capsys, command, given, missing):
+        # One of m and omega0 alone is no certificate; a fitted one would drop the value given.
+        monkeypatch.chdir(tmp_path)
+        config = dict(TestUsageErrors.CONFIGS[command], m=50.0)
+        del config[missing]
+        assert main([command, "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(missing) in err
+        assert not list(tmp_path.glob("run_*"))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_matrix_exits_numerical(self, tmp_path, monkeypatch, capsys, bad):

@@ -16,6 +16,7 @@ from nonauto import (
     check_hyperbolic,
     euler_polygon,
     expm,
+    fit_growth_bound,
     op_norm,
     perturbation_proximity,
     roughness_sweep,
@@ -103,7 +104,7 @@ class TestPerturbationProximity:
         a = op2(np.diag([-1.0, 1.0]))
         fam = ConstantFamily((0.0, 3.0), op2(np.zeros((2, 2))))
         approx = euler_polygon(a, fam, 6)
-        report = perturbation_proximity(approx, a)
+        report = perturbation_proximity(approx, a, fit_growth_bound(a))
         assert report.sup_diff <= 1e-12
         assert report.bound == 0.0
 
@@ -116,8 +117,6 @@ class TestPerturbationProximity:
         approx = euler_polygon(a, fam, 10)
         report = perturbation_proximity(approx, a, gb=gb)
         assert report.sup_diff <= report.bound * (1.0 + 1e-3)
-        sup, bound = report
-        assert (sup, bound) == (report.sup_diff, report.bound)
 
     def test_growth_adjusted_bound_holds_on_saddle(self):
         a = op2(np.diag([-1.0, 1.0]))
@@ -132,7 +131,7 @@ class TestPerturbationProximity:
         fam = ConstantFamily((0.0, 0.5), op2(np.zeros((2, 2))))
         approx = euler_polygon(a, fam, 4)
         with pytest.raises(OutOfInterval):
-            perturbation_proximity(approx, a)
+            perturbation_proximity(approx, a, GrowthBound(1.0, 1.0))
 
 
 class TestRoughnessSweep:
@@ -161,20 +160,27 @@ class TestRoughnessSweep:
         a = op2([[0.0, -1.0], [1.0, 0.0]])
         shape = ConstantFamily((0.0, 2.0), op2(np.eye(2)))
         with pytest.raises(PreconditionViolated):
-            roughness_sweep(a, shape, [0.01])
+            roughness_sweep(a, shape, [0.01], GrowthBound(1.0, 0.0))
 
     def test_zero_shape_refused(self):
         a = op2(np.diag([-1.0, 1.0]))
         shape = ConstantFamily((0.0, 2.0), op2(np.zeros((2, 2))))
         with pytest.raises(PreconditionViolated):
-            roughness_sweep(a, shape, [0.01])
+            roughness_sweep(a, shape, [0.01], GrowthBound(1.0, 1.0))
+
+    def test_empty_time_grid_refused(self):
+        # With no time-1 map to test, every row would read persisted.
+        a = op2(np.diag([-1.0, 1.0]))
+        shape = ScaledProfileFamily((0.0, 3.0), np.sin, op2([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(PreconditionViolated):
+            roughness_sweep(a, shape, [0.0, 0.01], gb=GrowthBound(1.0, 1.0), t_samples=[])
 
     def test_failed_refinement_reports_last_increment(self):
         # The smallest increment of any level is the accidental level-1 zero
         # here; a failed row must carry the last one, as its error names.
         a = op2(np.diag([-1.0, 1.0]))
         shape = ScaledProfileFamily((0.0, 2.0 * math.pi), np.sin, op2(np.diag([0.5, 0.5])))
-        (row,) = roughness_sweep(a, shape, [0.05], n_max=3)
+        (row,) = roughness_sweep(a, shape, [0.05], fit_growth_bound(a), n_max=3)
         assert row.rows == () and not row.persisted
         assert row.achieved_delta > 0.0
         assert f"last increment {row.achieved_delta:.3e} at level 3" in row.refine_error

@@ -120,6 +120,23 @@ class TestFamilies:
         for h in (0.5, 0.125):
             assert fam.modulus(h, ev) == pytest.approx(sin_modulus(h) * b0_norm, rel=1e-4)
 
+    def test_profile_modulus_halves_past_the_sampling_step(self):
+        # On [0, 1] the 2049 profile samples are 2^-11 apart. Below two steps
+        # the profile is resampled at step h, where sup |sin t - sin s| over
+        # |t - s| <= h is sin(h); a fixed one-step window would read sin(2^-11)
+        # at every level past 11.
+        a = op2(np.diag([-1.0, -2.0]))
+        gb = GrowthBound(1.0, -1.0)
+        b0 = op2(np.diag([0.5, 0.3]))
+        fam = ScaledProfileFamily((0.0, 1.0), math.sin, b0)
+        ev = ANormEvaluator(a, gb)
+        b0_norm = a_norm(b0, a, gb).value
+        moduli = [fam.modulus(2.0**-n, ev) for n in range(11, 17)]
+        for n, omega in zip(range(11, 17), moduli):
+            assert omega == pytest.approx(math.sin(2.0**-n) * b0_norm, rel=1e-12)
+        for coarse, fine in zip(moduli, moduli[1:]):
+            assert fine / coarse == pytest.approx(0.5, rel=1e-6)
+
     def test_scale_wraps_value_and_modulus(self):
         fam = ScaledProfileFamily((0.0, 3.0), np.sin, op2(np.eye(2))).scale(-2.0)
         assert np.allclose(fam(1.0).entries, -2.0 * math.sin(1.0) * np.eye(2))
@@ -237,6 +254,14 @@ class TestFamilies:
             euler_polygon(op2(np.diag([-1.0, -2.0])), fam, 2)
         with pytest.raises(DimensionMismatch):
             oracle_solve(op2(np.diag([-1.0, -2.0])), fam, 1.0, 0.0)
+
+    def test_callable_of_other_norm_kind_raises(self):
+        # A 2-norm operator in a 1-norm family would be read in the wrong norm.
+        fam = CallableFamily((0.0, 1.0), lambda t: Operator(np.eye(2), NormKind.TWO), dim=2, norm_kind=NormKind.ONE)
+        with pytest.raises(NormKindMismatch):
+            fam(0.5)
+        with pytest.raises(NormKindMismatch):
+            euler_polygon(Operator(np.diag([-1.0, -2.0]), NormKind.ONE), fam, 2)
 
     def test_family_from_spec_unknown_kind(self):
         with pytest.raises(PreconditionViolated):
@@ -656,12 +681,6 @@ class TestGeneratorDerivative:
         adjoint = [g for _, _, g in rows]
         assert forward == sorted(forward, reverse=True)
         assert adjoint == sorted(adjoint, reverse=True)
-
-    def test_hs_must_decrease(self):
-        a = op2(np.diag([-1.0]))
-        approx = euler_polygon(a, ConstantFamily((0.0, 1.0), op2(np.zeros((1, 1)))), 4)
-        with pytest.raises(PreconditionViolated):
-            verify_generator_derivative(approx, 0.5, hs=(1e-3, 1e-2))
 
 
 class TestRefine:

@@ -331,21 +331,11 @@ class TestYosidaDistance:
         assert res.value == pytest.approx(YDIST_DIAG_LIMIT, abs=1e-4)
         assert res.uncertainty <= 1e-4 * res.value
 
-    def test_needs_three_lambdas(self):
-        a = op2(np.diag([-1.0]))
-        with pytest.raises(PreconditionViolated):
-            yosida_distance(a, a, lambdas=[10.0, 100.0])
-
-    def test_lambda_ceiling_enforced(self):
-        a = op2(np.diag([-1.0]))
-        with pytest.raises(PreconditionViolated):
-            yosida_distance(a, a, lambdas=[10.0, 100.0, 1e9])
-
     def test_unsettled_tail_reported(self):
-        # lambdas comparable to the spectra leave the approximants far from
-        # their limit, so the last samples still move
+        # Spectra at +-3e6 start the default grid at 1.2e7, so even its
+        # largest lambdas sit close enough to leave the last samples moving.
         with pytest.raises(TailNotSettled) as exc:
-            yosida_distance(op2(np.diag([100.0, 0.0])), op2(np.diag([-100.0, 0.0])), lambdas=[300.0, 400.0, 500.0])
+            yosida_distance(op2(np.diag([3e6, 0.0])), op2(np.diag([-3e6, 0.0])))
         assert exc.value.spread > 1e-3 * exc.value.value
 
     def test_bounded_by_a_norm_times_m(self):
@@ -406,13 +396,13 @@ class TestAssumptions:
         # per (mu, t), the same arithmetic in a loop: equal to the bit.
         a = op2([[-1.0, 0.4], [0.0, -2.0]])
         fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2([[0.5, 1.0], [-0.3, 0.2]]))
-        report = check_assumptions(fam, a, GrowthBound(1.0, -1.0), t_samples=9)
+        report = check_assumptions(fam, a, GrowthBound(1.0, -1.0))
         h = report.h_fd
         for mu, sup in report.a2_derivative_sup:
             r = resolvent(a, mu).entries
             want = max(
                 norm_of((fam(t + h).entries - fam(t - h).entries) / (2.0 * h) @ r, NormKind.TWO)
-                for t in np.linspace(h, 1.0 - h, 9)
+                for t in np.linspace(h, 1.0 - h, 33)
             )
             assert sup == want
 
@@ -455,7 +445,9 @@ class TestLemma32Decay:
     def test_inadmissible_mu_propagates(self):
         from nonauto import SingularResolvent
 
+        # The ladder omega0 + geomspace(10, 1e4, 13) starts at -11 + 10 = -1,
+        # an eigenvalue of A.
         a = op2(np.diag([-1.0, -2.0]))
         fam = ConstantFamily((0.0, 1.0), op2(np.zeros((2, 2))))
         with pytest.raises(SingularResolvent):
-            lemma32_decay(a, fam, GrowthBound(1.0, -1.0), mus=[-2.0, -1.5, 10.0])
+            lemma32_decay(a, fam, GrowthBound(1.0, -11.0))

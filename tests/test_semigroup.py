@@ -399,18 +399,21 @@ class TestYosida:
 
 
 class TestFitGrowthBound:
-    def test_normal_diagonal_margin_zero(self):
-        gb = fit_growth_bound(op2(np.diag([-1.0, -2.0])), margin=0.0)
+    def test_normal_diagonal_margin_zero(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "FIT_MARGIN", 0.0)
+        gb = fit_growth_bound(op2(np.diag([-1.0, -2.0])))
         assert gb.omega0 == pytest.approx(-1.0, abs=1e-12)
         assert 1.0 <= gb.m <= 1.0 + 1e-5
 
-    def test_zero_generator(self):
-        gb = fit_growth_bound(op2(np.zeros((2, 2))), margin=0.0)
+    def test_zero_generator(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "FIT_MARGIN", 0.0)
+        gb = fit_growth_bound(op2(np.zeros((2, 2))))
         assert gb.omega0 == pytest.approx(0.0, abs=1e-12)
         assert 1.0 <= gb.m <= 1.0 + 1e-5
 
-    def test_transient_growth_needs_m_above_two(self):
-        gb = fit_growth_bound(op2([[-1.0, 10.0], [0.0, -1.0]]), margin=0.1)
+    def test_transient_growth_needs_m_above_two(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "FIT_MARGIN", 0.1)
+        gb = fit_growth_bound(op2([[-1.0, 10.0], [0.0, -1.0]]))
         assert gb.m > 2.0
 
     def test_envelope_holds_on_fresh_grid(self):
@@ -419,7 +422,7 @@ class TestFitGrowthBound:
         for t in np.linspace(0.0, gb.verified_horizon, 83):
             assert op_norm(expm(a, float(t))) <= gb.envelope(float(t)) * (1.0 + 1e-9)
 
-    def test_single_grid_equals_two_grid_fit(self):
+    def test_single_grid_equals_two_grid_fit(self, monkeypatch):
         # Every node of the old 257-point grid is a node of the 513-point grid,
         # so dropping the coarse pass must leave M unchanged to the bit.
         cases = [(op2(np.diag([-1.0, 1.0])), 1e-2), (op2(np.diag([-1.0, -2.0])), 0.0), (op2(np.zeros((2, 2))), 0.0),
@@ -431,7 +434,8 @@ class TestFitGrowthBound:
             for kind in (NormKind.TWO, NormKind.ONE):
                 cases.append((Operator(m, kind), 1e-2))
         for a, margin in cases:
-            assert fit_growth_bound(a, margin=margin).m == two_grid_fit(a, margin=margin)
+            monkeypatch.setattr(semigroup, "FIT_MARGIN", margin)
+            assert fit_growth_bound(a).m == two_grid_fit(a, margin=margin)
 
     def test_m_below_one_refused(self):
         with pytest.raises(PreconditionViolated):
@@ -448,13 +452,13 @@ class TestFitGrowthBound:
 class TestDiffBoundCheck:
     def test_equal_pair(self):
         g = op2(np.diag([-1.0, -2.0]))
-        check = semigroup_diff_bound_check(g, g, m=1.0, omega=0.0)
+        check = semigroup_diff_bound_check(g, g, m=1.0, omega=0.0, delta=0.0)
         assert check.passed and check.max_ratio == 0.0
 
     def test_scalar_pair_at_omega_zero(self):
         # both are contractions, so (M, omega) = (1, 0) certifies them and
         # the bound t e^{0} delta = 0.5 t dominates e^{-t} - e^{-1.5t}
-        check = semigroup_diff_bound_check(op2([[-1.0]]), op2([[-1.5]]), m=1.0, omega=0.0, tmax=2.0)
+        check = semigroup_diff_bound_check(op2([[-1.0]]), op2([[-1.5]]), m=1.0, omega=0.0, delta=0.5)
         assert check.passed
 
     def test_negative_omega_refused(self):
@@ -463,12 +467,12 @@ class TestDiffBoundCheck:
         # written (scalar pair -1, -1.5 violates it at t = 2) and the
         # certificate must be relaxed to omega = 0 by the caller.
         with pytest.raises(PreconditionViolated):
-            semigroup_diff_bound_check(op2([[-1.0]]), op2([[-1.5]]), m=1.0, omega=-1.0)
+            semigroup_diff_bound_check(op2([[-1.0]]), op2([[-1.5]]), m=1.0, omega=-1.0, delta=0.5)
 
     def test_wrong_certificate_refused(self):
         g = op2(np.diag([2.0, 1.0]))
         with pytest.raises(PreconditionViolated):
-            semigroup_diff_bound_check(g, g, m=1.0, omega=0.0)
+            semigroup_diff_bound_check(g, g, m=1.0, omega=0.0, delta=0.0)
 
     def test_random_stable_pairs(self):
         rng = np.random.default_rng(23)
@@ -477,5 +481,6 @@ class TestDiffBoundCheck:
             g = m - (np.max(np.linalg.eigvalsh((m + m.T) / 2.0)) + 0.2) * np.eye(3)
             h = g + 0.01 * rng.standard_normal((3, 3))
             omega = float(max(0.0, np.max(np.linalg.eigvalsh((g + g.T) / 2.0)), np.max(np.linalg.eigvalsh((h + h.T) / 2.0))))
-            check = semigroup_diff_bound_check(op2(g), op2(h), m=1.0, omega=omega)
+            delta = op_norm(op2(h - g))
+            check = semigroup_diff_bound_check(op2(g), op2(h), m=1.0, omega=omega, delta=delta)
             assert check.passed, f"ratio {check.max_ratio} at t={check.worst_t}"
