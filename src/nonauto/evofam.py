@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     NormKindMismatch,
     OutOfInterval,
+    Overflow,
     PreconditionViolated,
     ToleranceNotReached,
 )
@@ -32,6 +33,22 @@ MAX_LEVEL = 24
 MODULUS_PAIR_CAP = 4096
 SUP_SAMPLES = 65  # t-grid of the sampled sup_t ||B(t)||_A
 PROFILE_SAMPLES = 2049
+# Interpolated cells of a factored family (_interpolated_cells). A level of fewer
+# than max(_INTERP_MIN_CELLS, _INTERP_MIN_CELLS_X_DIM / d) cells exponentiates its
+# cells directly: a fold on 2 cores was faster interpolated from about 512 cells
+# at d = 2-4, where the interpolant's fixed Python cost dominates, 128 at d = 16
+# and 64-128 at d = 32-128, where its K + 1 nodes of dimension 2d do.
+_INTERP_MIN_CELLS = 64
+_INTERP_MIN_CELLS_X_DIM = 2048
+_INTERP_K_MAX = 12
+# Accepted check discrepancy, in units of u sqrt(d) 2^s. The direct kernel's own
+# relative 1-norm rounding grows like sqrt(d) u per product and doubles with each
+# of the check cell's s squarings; interpolant against expm_stack at the extreme
+# cells measured at most 0.44 u sqrt(d) 2^s on the heat problems (d = 16-128,
+# levels 6-13) and 1.04 on random (A, B0) at d = 2-64, so 4 leaves a margin of
+# about 4 while refusing any truncation error above a few times that rounding.
+_CHECK_ULPS = 4.0
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -327,6 +344,7 @@ class EvolutionFamilyApprox:
     product loop, forms U(t, s) a chunk of cells at a time from a partial cell
     on each end and the full cells between, factors ordered by decreasing
     node index. It keeps its last chunk, so nearby spans reuse the cells.
+    Every full cell comes from _cells, the level's one cell source.
     """
 
     def __init__(self, a: Operator, family: PerturbationFamily, partition: DyadicPartition):
@@ -337,20 +355,41 @@ class EvolutionFamilyApprox:
         family.values_stack([partition.a])  # checks the shape of the family's values
         self.a, self.family, self.partition = a, family, partition
         self._chunk = (0, ())
+        self._interpolant = None  # made with the first chunk; False where cells are direct
 
     @property
     def level(self) -> int:
         return self.partition.n
 
+    def _cells(self, lo: int, hi: int) -> np.ndarray:
+        """Exponentials of full cells lo..hi-1 as a new (hi - lo, d, d) array: the fold's cell source.
+
+        A factored family's level takes its cells from one interpolant
+        (_interpolated_cells) where that pays and passes its check; otherwise
+        the frozen generators delta (A + B(node_j)) are exponentiated in
+        place. lo is a multiple of the expm_stack block length, so a direct
+        cell has the bits of a whole-level call; an interpolated cell has the
+        same bits from any chunk.
+        """
+        if self._interpolant is None:
+            self._interpolant = _interpolated_cells(self.a, self.family, self.partition) or False
+        if self._interpolant:
+            return self._interpolant(lo, hi)
+        p = self.partition
+        gens = self.family.values_stack(p.a + p.delta * np.arange(lo, hi))
+        gens += self.a.entries
+        gens *= p.delta
+        return expm_stack(gens, out=gens)
+
     def _spans(self, ts, s: float):
         """Yield U(t_k, t_{k-1}) for ascending ts with t_{-1} = s, None for an empty span.
 
-        One pass over the cells from s to the last t, exponentiating the frozen
-        generators delta (A + B(node_j)) in place a chunk at a time: four
-        expm_stack blocks per pool worker, a tail under half a chunk joining
-        the last. Chunks start at multiples of the block length, so each cell
-        has the bits of a whole-level call. A partial cell within 1e-12 delta
-        of a cell boundary is snapped to it, so nodes up to rounding reuse it.
+        One pass over the cells from s to the last t, taking them from _cells a
+        chunk at a time: four expm_stack blocks per pool worker, a tail under
+        half a chunk joining the last. Chunks start at multiples of the block
+        length, so each cell has the bits of a whole-level call. A partial cell
+        within 1e-12 delta of a cell boundary is snapped to it, so nodes up to
+        rounding reuse it; any other partial cell is exponentiated directly.
         """
         p, d, delta = self.partition, self.a.dim, self.partition.delta
         ts, last = [float(t) for t in ts], float(s)
@@ -371,11 +410,8 @@ class EvolutionFamilyApprox:
             while lo < hi:
                 if not first <= lo < first + len(exps):
                     self._chunk = first, exps = lo - lo % step, ()  # the old chunk dies before the next is built
-                    nodes = p.a + delta * np.arange(first, first + size if stop - first >= 3 * size // 2 else stop)
-                    gens = self.family.values_stack(nodes)
-                    gens += self.a.entries
-                    gens *= delta
-                    self._chunk = first, exps = first, expm_stack(gens, out=gens)
+                    end = first + size if stop - first >= 3 * size // 2 else stop
+                    self._chunk = first, exps = first, self._cells(first, end)
                 yield exps[lo - first : hi - first]
                 lo = min(hi, first + len(exps))
 
@@ -412,6 +448,93 @@ class EvolutionFamilyApprox:
             cur = cur if span is None else span @ cur
             out.append(Operator(cur, self.a.norm_kind))
         return out
+
+
+def _interpolated_cells(a: Operator, family: PerturbationFamily, p: DyadicPartition):
+    """The cell source (lo, hi) -> cells of a level of B(t) = phi(t) B0, or None for direct cells.
+
+    Every cell is E(phi_j), E(phi) = e^{delta (A + phi B0)}, an entire function
+    of one scalar (Trefethen, ATAP ch. 8; Higham, Functions of Matrices ch. 10).
+    The profile is called once per node, as values_stack calls it, for the
+    level's range [c - r, c + r] of phi_j. One expm_stack call takes
+    F = E - I at c and at the K Chebyshev points c + r x_k,
+    x_k = cos((k + 1/2) pi / K), and the difference F(phi) - F(c), whose
+    coefficients are O(z) with z = delta r ||B0||_1, is interpolated. A
+    chunk's cells are I + F(c) + T(x_j) coef: one (cells x K) (K x d^2)
+    product, T_m the Chebyshev polynomials at x_j = (phi_j - c) / r, with the
+    identity added last. K is the least with the scalar truncation bound
+    2 (z/2)^K / K! e^z <= u/4, and the interpolant must match the two
+    extreme cells, from a second expm_stack call, to _CHECK_ULPS u sqrt(d) 2^s.
+    r = 0, a constant profile, makes every cell E(c).
+
+    None where the family has no factor, the level is too small to pay,
+    K would pass _INTERP_K_MAX, a node overflows or the check fails.
+    """
+    factored = family.factor()
+    if factored is None or p.cells < max(_INTERP_MIN_CELLS, _INTERP_MIN_CELLS_X_DIM / a.dim):
+        return None
+    profile, b0, d = factored[0], factored[1].entries, a.dim
+    phis = np.array([float(profile(float(t))) for t in p.a + p.delta * np.arange(p.cells)])
+    lo, hi = float(phis.min()), float(phis.max())
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    z = p.delta * r * norm_of(b0, NormKind.ONE)
+    if not z < 1.0:  # past K_MAX's reach, or not finite
+        return None
+    bound = lambda k: 2.0 * (z / 2.0) ** k / math.factorial(k) * math.exp(z)
+    k = next((k for k in range(2, _INTERP_K_MAX + 1) if bound(k) <= _UNIT_ROUNDOFF / 4.0), None)
+    if k is None:
+        return None
+
+    def generators(phi) -> np.ndarray:
+        gens = np.asarray(phi)[:, None, None] * b0
+        gens += a.entries
+        gens *= p.delta
+        return gens
+
+    try:
+        if r == 0.0:
+            e = expm_stack(generators([c]))[0]
+            return lambda i, j: np.broadcast_to(e, (j - i, d, d)).copy()
+        xs = np.cos((np.arange(k) + 0.5) * math.pi / k)
+        # e^[[X, X], [0, 0]] = [[e^X, e^X - I], [0, I]]: no identity is added into the top right
+        # block, so the node differences keep the digits that rounding 1 + F to e^X would lose.
+        nodes = np.zeros((k + 1, 2 * d, 2 * d))
+        nodes[:, :d, :d] = nodes[:, :d, d:] = generators(np.concatenate([[c], c + r * xs]))
+        nodes = expm_stack(nodes, out=nodes)
+        checks = generators([lo, hi])
+        theta = semigroup._TAYLOR[-1][2]
+        squarings = np.exp2(np.ceil(np.log2(np.maximum(norm_stack(checks, NormKind.ONE), theta) / theta)))
+        want = expm_stack(checks, out=checks)
+    except Overflow:
+        return None
+    fc, f = nodes[0, :d, d:].copy(), nodes[:, :d, d:]
+    # Discrete orthogonality of T_0..T_{K-1} on the K points inverts the interpolation.
+    weights = (2.0 / k) * _chebyshev_rows(xs, k).T
+    weights[0] *= 0.5
+    coef = weights @ (f[1:] - f[0]).reshape(k, d * d)
+
+    def at(x: np.ndarray) -> np.ndarray:
+        rows = _chebyshev_rows(x, k)
+        # numpy takes gemv for a single row, which sums in another order than gemm does.
+        out = ((np.repeat(rows, 2, axis=0) if len(x) == 1 else rows) @ coef)[: len(x)].reshape(-1, d, d)
+        out += fc
+        # The identity comes last, so the O(1) entries are rounded once, as in expm_stack.
+        out.reshape(len(x), -1)[:, :: d + 1] += 1.0
+        return out
+
+    err = norm_stack(at(np.array([(lo - c) / r, (hi - c) / r])) - want, NormKind.ONE) / norm_stack(want, NormKind.ONE)
+    if not np.all(err <= _CHECK_ULPS * _UNIT_ROUNDOFF * math.sqrt(d) * squarings):
+        return None
+    return lambda i, j: at((phis[i:j] - c) / r)
+
+
+def _chebyshev_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """(len(x), k) array of T_0(x) .. T_{k-1}(x) by the three-term recurrence, k >= 2."""
+    out = np.empty((len(x), k))
+    out[:, 0], out[:, 1] = 1.0, x
+    for m in range(2, k):
+        out[:, m] = 2.0 * x * out[:, m - 1] - out[:, m - 2]
+    return out
 
 
 def _chain_desc(runs) -> np.ndarray:

@@ -149,7 +149,18 @@ class YosidaDistance:
 
 
 def default_lambda_grid(a: Operator, b: Operator) -> np.ndarray:
-    lo = max(10.0, 4.0 * max(spectrum(a).abscissa, spectrum(b).abscissa, 0.25))
+    """Geometric lambda grid from max(10, 4 x the larger spectral abscissa) up to LAMBDA_CEILING.
+
+    A start above the ceiling leaves no lambda past the spectra below it, so
+    the tail cannot be reached: TailNotSettled, before any resolvent is solved.
+    """
+    abscissa = max(spectrum(a).abscissa, spectrum(b).abscissa)
+    lo = max(10.0, 4.0 * max(abscissa, 0.25))
+    if lo > LAMBDA_CEILING:
+        raise TailNotSettled(
+            f"lambda grid would start at 4 x spectral abscissa {abscissa:.3e} = {lo:.3e}, "
+            f"above LAMBDA_CEILING = {LAMBDA_CEILING:.0e}"
+        )
     decades = math.log10(LAMBDA_CEILING / lo)
     return np.geomspace(lo, LAMBDA_CEILING, max(4, round(decades * LAMBDA_POINTS_PER_DECADE) + 1))
 

@@ -119,15 +119,19 @@ class StackPolygon:
     and each span partial(jt) @ flat_chain_desc(cells[js+1:jt]) @ partial(js)
     over slices of that stack, a partial cell within one part in 1e12 of a
     cell boundary snapped to it. This is the stored-stack path that the
-    folding EvolutionFamilyApprox replaced.
+    folding EvolutionFamilyApprox replaced. Given cells, the whole level's
+    cell stack from a polygon's cell source, it checks the fold's products
+    alone.
     """
 
-    def __init__(self, a, family, partition):
+    def __init__(self, a, family, partition, cells=None):
         self.a, self.family, self.p = a, family, partition
-        gens = family.values_stack(partition.nodes()[:-1])
-        gens += a.entries
-        gens *= partition.delta
-        self.cells = expm_stack(gens, out=gens)
+        if cells is None:
+            gens = family.values_stack(partition.nodes()[:-1])
+            gens += a.entries
+            gens *= partition.delta
+            cells = expm_stack(gens, out=gens)
+        self.cells = cells
 
     def _partial(self, j, tau):
         delta = self.p.delta

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nonauto import (
     CallableFamily,
@@ -34,6 +35,7 @@ from nonauto import (
 from nonauto import evofam, semigroup
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_spiky_b
 from nonauto.metrics import ANormEvaluator, MuGrid
+from nonauto.linop import norm_stack
 from nonauto.semigroup import expm_stack
 
 from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, StackPolygon, flat_chain_desc, rk4_step_loop, sin_modulus
@@ -424,14 +426,45 @@ def one_worker(monkeypatch):
     monkeypatch.setattr(semigroup, "_WORKERS", 1)
 
 
+class Unfactored(ScaledProfileFamily):
+    """A profile family that hides its factor: the same values, modulus and norms, and direct cells."""
+
+    def factor(self):
+        return None
+
+
+def unfactored(fam: ScaledProfileFamily) -> Unfactored:
+    return Unfactored(fam.interval, fam.profile, fam.b0)
+
+
+def source_cells(a: Operator, fam: ScaledProfileFamily, level: int) -> np.ndarray:
+    """The whole level's cells in one call to a fresh polygon's cell source.
+
+    A factored test problem is interpolated wherever its level is large enough to pay.
+    """
+    u = euler_polygon(a, fam, level)
+    cells = u._cells(0, u.partition.cells)
+    pays = u.partition.cells >= max(evofam._INTERP_MIN_CELLS, evofam._INTERP_MIN_CELLS_X_DIM / a.dim)
+    assert bool(u._interpolant) == (fam.factor() is not None and pays)
+    return cells
+
+
 class TestOneLevelStack:
     def test_cells_equal_out_of_place_exponentials(self):
+        # Direct cells are the out-of-place exponentials; interpolated cells (at
+        # a level large enough to interpolate) are the cell source's, however
+        # the spans reach them.
         a, fam = dense_problem(5)
-        u = euler_polygon(a, fam, 6)
-        p = u.partition
-        ref = expm_stack(p.delta * (a.entries + fam.values_stack(p.nodes()[:-1])))
-        cells = np.stack([u.evaluate(p.node(j + 1), p.node(j)).entries for j in range(p.cells)])
-        assert np.array_equal(cells, ref)
+        for family, level in ((unfactored(fam), 6), (fam, 9)):
+            u = euler_polygon(a, family, level)
+            p = u.partition
+            cells = np.stack([u.evaluate(p.node(j + 1), p.node(j)).entries for j in range(p.cells)])
+            if family is fam:
+                ref = source_cells(a, family, level)
+                assert u._interpolant
+            else:
+                ref = expm_stack(p.delta * (a.entries + family.values_stack(p.nodes()[:-1])))
+            assert np.array_equal(cells, ref)
 
     def test_level_fold_holds_no_stack(self, one_worker):
         a, fam = dense_problem()
@@ -475,7 +508,13 @@ class TestOneLevelStack:
 
 
 class TestFold:
-    """The fold against the stored-stack reference, bit for bit."""
+    """The fold against the stored-stack reference, bit for bit.
+
+    Each case runs twice: on the profile family with its factor hidden, whose
+    cells are direct, against the unchanged reference; and on the factored
+    family against a reference holding the level's cells from the polygon's
+    cell source, so the fold's product order is checked bitwise on both.
+    """
 
     @staticmethod
     def problem(d):
@@ -483,52 +522,67 @@ class TestFold:
         a = op2(-np.eye(d) + 0.1 * rng.standard_normal((d, d)))
         return a, ScaledProfileFamily((0.0, 1.0), math.sin, op2(0.2 * rng.standard_normal((d, d)))), rng
 
+    @staticmethod
+    def pairs(a, fam, level):
+        """(polygon, reference) on the unfactored and on the factored family."""
+        u = euler_polygon(a, unfactored(fam), level)
+        yield u, StackPolygon(a, u.family, u.partition)
+        u = euler_polygon(a, fam, level)
+        yield u, StackPolygon(a, fam, u.partition, cells=source_cells(a, fam, level))
+
     @pytest.mark.parametrize("d", [2, 24, 32])
     @pytest.mark.parametrize("n", [0, 3, 9, 12])
     def test_evaluate_equals_stack_reference(self, d, n):
         a, fam, rng = self.problem(d)
-        u = euler_polygon(a, fam, n)
-        ref = StackPolygon(a, fam, u.partition)
-        p = u.partition
+        p = DyadicPartition(0.0, 1.0, n)
         spans = [(1.0, 0.0)]
         for _ in range(4):
             s, t = sorted(rng.uniform(0.0, 1.0, 2))
             i, j = sorted(rng.integers(0, p.cells + 1, 2))
             k = int(rng.integers(0, p.cells))
             spans += [(t, s), (p.node(j), p.node(i)), (p.node(k) + 0.7 * p.delta, p.node(k) + 0.2 * p.delta)]
-        for t, s in spans:
-            assert np.array_equal(u.evaluate(t, s).entries, ref.evaluate(t, s)), (t, s)
+        for u, ref in self.pairs(a, fam, n):
+            for t, s in spans:
+                assert np.array_equal(u.evaluate(t, s).entries, ref.evaluate(t, s)), (t, s)
 
     @pytest.mark.parametrize("d", [2, 24, 32])
     def test_evaluate_path_equals_stack_reference(self, d):
         a, fam, rng = self.problem(d)
-        u = euler_polygon(a, fam, 11)
-        ref = StackPolygon(a, fam, u.partition)
-        for ts, s in ((np.linspace(0.0, 1.0, 17)[1:], 0.0), (np.sort(rng.uniform(0.3, 1.0, 7)), 0.3)):
-            got = [op.entries for op in u.evaluate_path(ts, s)]
-            assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(ts, s)))
+        paths = ((np.linspace(0.0, 1.0, 17)[1:], 0.0), (np.sort(rng.uniform(0.3, 1.0, 7)), 0.3))
+        for u, ref in self.pairs(a, fam, 11):
+            for ts, s in paths:
+                got = [op.entries for op in u.evaluate_path(ts, s)]
+                assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(ts, s)))
 
     @pytest.mark.parametrize("d", [2, 24, 32])
     def test_refine_probe_values_equal_stack_reference(self, d):
         a, fam, _ = self.problem(d)
-        res = refine_to_tolerance(a, fam, GrowthBound(1.0, 0.0), 2e-3)
         ts = np.linspace(0.0, 1.0, 17)[1:]
-        ref = StackPolygon(a, fam, res.approx.partition).evaluate_path(ts, 0.0)
-        assert len(res.probe_values) == 16
-        assert all(np.array_equal(x.entries, y) for x, y in zip(res.probe_values, ref))
-        assert res.full_span is res.probe_values[-1]
+        for family in (unfactored(fam), fam):
+            res = refine_to_tolerance(a, family, GrowthBound(1.0, 0.0), 2e-3)
+            cells = source_cells(a, fam, res.approx.level) if family is fam else None
+            ref = StackPolygon(a, family, res.approx.partition, cells=cells).evaluate_path(ts, 0.0)
+            assert len(res.probe_values) == 16
+            assert all(np.array_equal(x.entries, y) for x, y in zip(res.probe_values, ref))
+            assert res.full_span is res.probe_values[-1]
 
     def test_nearby_spans_reuse_the_last_chunk(self, monkeypatch):
-        # Time-1 maps after a refinement exponentiate no cell again.
+        # Time-1 maps after a refinement take no cell from the source again.
         a, fam, _ = self.problem(2)
-        u = euler_polygon(a, fam, 10)
-        u.evaluate_path(np.linspace(0.0, 1.0, 17)[1:], 0.0)
-        calls = []
-        monkeypatch.setattr(evofam, "expm_stack", lambda m, out=None: calls.append(len(m)) or expm_stack(m, out=out))
-        ref = StackPolygon(a, fam, u.partition)
-        for t in (0.5, 0.75, 1.0):
-            assert np.array_equal(u.evaluate(t, t - 0.5).entries, ref.evaluate(t, t - 0.5))
-        assert calls == []
+        cells, calls = EvolutionFamilyApprox._cells, []
+
+        def counted(u, lo, hi):
+            calls.append((lo, hi))
+            return cells(u, lo, hi)
+
+        for u, ref in list(self.pairs(a, fam, 10)):
+            u.evaluate_path(np.linspace(0.0, 1.0, 17)[1:], 0.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(evofam, "expm_stack", lambda m, out=None: calls.append(len(m)) or expm_stack(m, out=out))
+                patch.setattr(EvolutionFamilyApprox, "_cells", counted)
+                for t in (0.5, 0.75, 1.0):
+                    assert np.array_equal(u.evaluate(t, t - 0.5).entries, ref.evaluate(t, t - 0.5))
+            assert calls == []
 
     def test_chunking_does_not_move_bits(self, two_workers, monkeypatch):
         # Fold chunks of 2 and of 16 blocks give the same cells and products.
@@ -539,6 +593,115 @@ class TestFold:
             monkeypatch.setattr(semigroup, "_WORKERS", workers)
             paths.append([op.entries for op in euler_polygon(a, fam, 12).evaluate_path(probes, 0.0)])
         assert all(np.array_equal(x, y) for x, y in zip(*paths))
+
+
+def heat_family(points: int, phase: float):
+    """The heat model problem on `points` cells of [-4, 4] and sin(t + phase) times its 3-spike diagonal."""
+    g = GridSpec(8.0, points, Domain.LINE)
+    spikes = build_spiky_b(g, 3, mirror=True).operator()
+    return build_heat_generator(g), ScaledProfileFamily((0.0, 2.0 * math.pi), lambda t: math.sin(t + phase), spikes)
+
+
+def random_problem(rng, d: int, scale: float):
+    """A dissipative random A and a sin(2t + 0.4) B0 family on [0, 1], both of 2-norm about scale."""
+    m = rng.standard_normal((d, d))
+    a = scale * (m - (np.linalg.eigvalsh((m + m.T) / 2.0).max() + 0.1) * np.eye(d)) / math.sqrt(d)
+    b0 = scale * 0.3 * rng.standard_normal((d, d)) / math.sqrt(d)
+    return op2(a), ScaledProfileFamily((0.0, 1.0), lambda t: math.sin(2.0 * t + 0.4), op2(b0))
+
+
+def cell_errors(a, fam, level: int, samples: int, rng):
+    """Worst relative 1-norm errors against scipy.linalg.expm of interpolated and of direct cells.
+
+    Over `samples` cells of the level drawn by rng; the direct cells are one
+    expm_stack call on the same frozen generators.
+    """
+    u = euler_polygon(a, fam, level)
+    p = u.partition
+    js = np.sort(rng.choice(p.cells, samples, replace=False))
+    got = np.stack([u._cells(j, j + 1)[0] for j in js])
+    assert u._interpolant, (a.dim, level)
+    gens = fam.values_stack(p.a + p.delta * js)
+    gens += a.entries
+    gens *= p.delta
+    want = np.stack([scipy.linalg.expm(g) for g in gens])
+    rel = lambda x: (norm_stack(x - want, NormKind.ONE) / norm_stack(want, NormKind.ONE)).max()
+    return rel(got), rel(expm_stack(gens))
+
+
+@pytest.fixture
+def every_level_interpolates(monkeypatch):
+    """Interpolated cells at any level, whether or not the interpolant pays there."""
+    monkeypatch.setattr(evofam, "_INTERP_MIN_CELLS", 0)
+    monkeypatch.setattr(evofam, "_INTERP_MIN_CELLS_X_DIM", 0)
+
+
+class TestInterpolatedCells:
+    """A factored level's cells from one Chebyshev interpolant in the profile value."""
+
+    @staticmethod
+    def assert_as_accurate(a, fam, levels, samples):
+        # Twice the direct kernel's own error, with a floor of 2 u for cells the kernel happens to get exact.
+        rng = np.random.default_rng(a.dim)
+        for level in levels:
+            interpolated, direct = cell_errors(a, fam, level, samples, rng)
+            assert interpolated <= max(2.0 * direct, 2.0**-52), (a.dim, level, interpolated, direct)
+
+    @pytest.mark.parametrize("points", [16, 24, 32])
+    def test_heat_cells_as_accurate_as_direct(self, points):
+        for phase in (1.3, 3.9):
+            self.assert_as_accurate(*heat_family(points, phase), range(10, 14), 24)
+
+    def test_heat_pipeline_cells_as_accurate_as_direct(self):
+        self.assert_as_accurate(*heat_family(128, 0.0), range(8, 14), 8)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+    def test_random_cells_as_accurate_as_direct(self, d, every_level_interpolates):
+        rng = np.random.default_rng(100 + d)
+        for scale in (0.5, 3.0, 30.0):
+            self.assert_as_accurate(*random_problem(rng, d, scale), (6, 9, 12), 24)
+
+    def test_failed_check_gives_direct_cells(self, monkeypatch):
+        a, fam = dense_problem(24)
+        monkeypatch.setattr(evofam, "_CHECK_ULPS", 0.0)
+        u = euler_polygon(a, fam, 10)
+        cells = u._cells(0, u.partition.cells)
+        assert u._interpolant is False
+        assert np.array_equal(cells, source_cells(a, unfactored(fam), 10))
+        direct = euler_polygon(a, unfactored(fam), 10).evaluate(1.0, 0.0).entries
+        assert np.array_equal(euler_polygon(a, fam, 10).evaluate(1.0, 0.0).entries, direct)
+
+    @pytest.mark.parametrize("d", [24, 128])
+    def test_cells_ignore_chunk_shape(self, d, two_workers, monkeypatch):
+        a, fam = dense_problem(d)
+        whole = source_cells(a, fam, 9)
+        u = euler_polygon(a, fam, 9)
+        cuts = (0, 1, 2, 5, 13, 64, 100, 101, 512)
+        assert np.array_equal(np.concatenate([u._cells(i, j) for i, j in zip(cuts, cuts[1:])]), whole)
+        probes = np.linspace(0.0, 1.0, 17)[1:]
+        paths = []
+        for workers in (1, 8):
+            monkeypatch.setattr(semigroup, "_WORKERS", workers)
+            paths.append([op.entries for op in euler_polygon(a, fam, 9).evaluate_path(probes, 0.0)])
+        assert all(np.array_equal(x, y) for x, y in zip(*paths))
+
+    def test_factored_level_takes_k_max_plus_3_exponentials(self, monkeypatch):
+        # Counted work, not time: a silent fall back to 4096 direct cells fails here.
+        a, fam = heat_family(32, 1.3)
+        mats = []
+        monkeypatch.setattr(evofam, "expm_stack", lambda m, out=None: mats.append(len(m)) or expm_stack(m, out=out))
+        euler_polygon(a, fam, 12).evaluate_path(np.linspace(0.0, 2.0 * math.pi, 17)[1:], 0.0)
+        assert 0 < sum(mats) <= evofam._INTERP_K_MAX + 3
+
+    def test_constant_profile_takes_one_exponential(self, monkeypatch):
+        a = op2(np.diag([-1.0, -2.0]))
+        b0 = op2([[0.0, 0.5], [0.0, 0.0]])
+        mats = []
+        monkeypatch.setattr(evofam, "expm_stack", lambda m, out=None: mats.append(len(m)) or expm_stack(m, out=out))
+        u = euler_polygon(a, ConstantFamily((0.0, 1.0), b0), 10)
+        cells = u._cells(0, 1024)
+        assert mats == [1] and np.array_equal(cells, np.broadcast_to(cells[0], cells.shape))
+        assert op_norm(u.evaluate(1.0, 0.0) - expm(op2(a.entries + b0.entries), 1.0)) <= 1e-12
 
 
 class TestChainDesc:

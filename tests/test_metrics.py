@@ -338,6 +338,15 @@ class TestYosidaDistance:
             yosida_distance(op2(np.diag([3e6, 0.0])), op2(np.diag([-3e6, 0.0])))
         assert exc.value.spread > 1e-3 * exc.value.value
 
+    def test_abscissa_past_the_ceiling_refused_before_any_solve(self, monkeypatch):
+        # 4 x 1e9 starts the grid above LAMBDA_CEILING: no lambda reaches past the spectra.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("resolvent solved")
+
+        monkeypatch.setattr(metrics, "resolvent_stack", no_solve)
+        with pytest.raises(TailNotSettled, match=r"abscissa 1\.000e\+09 .*LAMBDA_CEILING = 1e\+08"):
+            yosida_distance(op2(np.diag([1e9, 0.0])), op2(np.diag([-1e9, 0.0])))
+
     def test_bounded_by_a_norm_times_m(self):
         # d_Y(A, A + C) equals ||C||; the weighted norm times M scales it by
         # the resolvent factor, which is >= 1 for a contraction generator
