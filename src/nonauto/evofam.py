@@ -591,7 +591,8 @@ def oracle_solve(a: Operator, family: PerturbationFamily, t: float, s: float, rk
     k3 = Gm (I + h/2 k2), k4 = G1 (I + h k3) at the step's left, middle and
     right stage times. The S_i are built a block of steps at a time, each
     block's (steps, d, d) arrays within BLOCK_BYTES, and folded into M with
-    _chain_desc.
+    _chain_desc. A step outside RK4's stability region grows M until it is
+    not finite; that raises Overflow naming rk_steps.
     """
     t0, t1 = family.interval
     if not (t0 <= s <= t1 and t0 <= t <= t1):
@@ -610,10 +611,16 @@ def oracle_solve(a: Operator, family: PerturbationFamily, t: float, s: float, rk
         gens = family.values_stack(taus[2 * i : 2 * min(i + per_block, steps) + 1])
         gens += a.entries
         g0, gm, g1 = gens[:-1:2], gens[1::2], gens[2::2]
-        k2 = gm @ (eye + h / 2.0 * g0)
-        k3 = gm @ (eye + h / 2.0 * k2)
-        k4 = g1 @ (eye + h * k3)
-        m = _chain_desc(eye + h / 6.0 * (g0 + 2.0 * k2 + 2.0 * k3 + k4)) @ m
+        with np.errstate(over="ignore", invalid="ignore"):
+            k2 = gm @ (eye + h / 2.0 * g0)
+            k3 = gm @ (eye + h / 2.0 * k2)
+            k4 = g1 @ (eye + h * k3)
+            m = _chain_desc(eye + h / 6.0 * (g0 + 2.0 * k2 + 2.0 * k3 + k4)) @ m
+        if not np.isfinite(m).all():
+            raise Overflow(
+                f"RK4 with rk_steps={steps} overflows doubles on [{s!r}, {t!r}]: "
+                f"step {h:.3e} leaves its stability region; take more rk_steps"
+            )
     return Operator(m, a.norm_kind)
 
 

@@ -19,6 +19,9 @@ from .errors import DimensionMismatch, EigenFailure, NormKindMismatch, SingularR
 COND_LIMIT = 1e12
 # Residual allowance for (mu I - A) R = I, scaled by the condition number.
 RESOLVENT_RESIDUAL = 1e-10
+# Relative margin below COND_LIMIT that BandResolvent's kappa_1 certificate keeps: far
+# wider than the rounding gap between its two cancellation-free 1-norms of R.
+_COND_MARGIN = 1e-6
 # Bytes of one (block, d, d) temporary in the stacked kernels (resolvent_stack,
 # semigroup.expm_stack, the RK4 steps of evofam.oracle_solve): each block's
 # temporaries stay in cache instead of streaming whole-stack arrays.
@@ -215,11 +218,59 @@ def _band_matmul(ab: np.ndarray, kl: int, ku: int, r: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u the unit roundoff: inf once n u >= 1."""
+    nu = n * np.finfo(float).eps / 2.0
+    return nu / (1.0 - nu) if nu < 1.0 else float("inf")
+
+
+def _certified(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, m_norm: float) -> bool:
+    """Whether gbtrf's factors of M = mu I - A alone show that M's R would be kept (BandResolvent)."""
+    kv, d = kl + ku, lu.shape[1]
+    if not (np.array_equal(piv, np.arange(d)) and (lu[kv] > 0.0).all()
+            and (lu[:kv] <= 0.0).all() and (lu[kv + 1 :] <= 0.0).all()):
+        return False
+    col_sums = dgbtrs(lu, kl, ku, np.ones((d, 1)), piv, trans=1)[0][:, 0]
+    if not m_norm * col_sums.max() <= COND_LIMIT * (1.0 - _COND_MARGIN):
+        return False
+    # Column sums of |L| |U|: |L|'s own column sums (unit diagonal included) weight |U|'s columns.
+    l_sums, lu_sums = 1.0 + np.abs(lu[kv + 1 :]).sum(axis=0), np.zeros(d)
+    for k in range(kv + 1):
+        lu_sums[k:] += l_sums[: d - k] * np.abs(lu[kv - k, k:])
+    return 2.0 * _gamma(3 * (kv + 1)) * (lu_sums.max() + m_norm) <= RESOLVENT_RESIDUAL * m_norm
+
+
 class BandResolvent:
     """R(mu_j, A) for one banded A against k mus, kept as LAPACK band LU factors (gbtrf).
 
-    Each R is formed once and judged by resolvent_stack's rules, its residual by a banded
-    product; only the kept mus' factors remain, with whether their R >= 0 (nonneg).
+    A mu is kept under resolvent_stack's three rules; only the kept mus' factors
+    remain, with whether their R >= 0 (nonneg). Most mus are judged from the factors
+    of M = mu I - A without forming R (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 9.4 and section 14.3; Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, on M-matrices). This certificate applies
+    where gbtrf succeeds, interchanges no row and leaves the M-matrix sign pattern:
+    U diagonal > 0, U off-diagonals <= 0, L multipliers <= 0. With u the unit
+    roundoff, gamma_n = n u / (1 - n u) and w = kl + ku + 1:
+
+    - Sign. Substitution with such factors on e_j only adds nonnegative terms, so
+      every entry gbtrs would form is >= 0: nonneg holds.
+    - Condition number. ||R||_1 is max v for v = M^{-T} 1, one transposed solve with
+      the same factors. It is cancellation-free like R's column sums, so the two agree
+      to about 6 d gamma_{w+1} + gamma_d, below 1e-6 while gamma_{8 d (w+1)} < 1e-6
+      (else no mu is certified). The mu is kept only if
+      ||M||_1 max v <= COND_LIMIT (1 - 1e-6).
+    - Residual. Column by column (M + dM_j) r_j = e_j with |dM_j| <= gamma_{3w} |L||U|,
+      and R >= 0 bounds the rounding of the banded residual product by
+      gamma_w ||M||_1 ||R||_1. ||R||_1 cancels against kappa's, so the rule
+      residual <= RESOLVENT_RESIDUAL kappa holds once
+      2 gamma_{3w} (|| |L||U| ||_1 + ||M||_1) <= RESOLVENT_RESIDUAL ||M||_1.
+      The factor 2 covers the rounding of the column sums, of kappa and of this
+      test; || |L||U| ||_1 is read from the band factors in O(d w).
+
+    Every other mu (an interchange, another sign pattern, a kappa bound in or above
+    the margin, a failed residual bound, an exactly singular factor) forms R from an
+    identity right-hand side and is judged as before: _judge on the exact kappa_1 and
+    the residual of a banded product, with resolvent_stack's messages.
     """
 
     def __init__(self, a: np.ndarray, mus, skip: bool = False):
@@ -228,17 +279,23 @@ class BandResolvent:
         diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         self.kept, self._factors, nonneg = np.ones(len(mus), dtype=bool), [], []
-        eye = np.eye(d, order="F")
+        certifiable = _gamma(8 * d * (kl + ku + 2)) < _COND_MARGIN
         for i, mu in enumerate(mus):
             ab = shifted_band(diagonals, mu, d)[1]
             lu, piv, info = dgbtrf(np.concatenate([np.zeros((kl, d)), ab]), kl, ku)
-            r = np.full((d, d), np.nan) if info > 0 else dgbtrs(lu, kl, ku, eye, piv)[0]
-            kappa = np.abs(ab).sum(axis=0).max() * norm_of(r, NormKind.ONE)
-            residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
-            self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
+            m_norm = np.abs(ab).sum(axis=0).max()
+            if info == 0 and certifiable and _certified(lu, piv, kl, ku, m_norm):
+                positive = True
+            else:
+                eye = np.eye(d, order="F")
+                r = np.full((d, d), np.nan) if info > 0 else dgbtrs(lu, kl, ku, eye, piv)[0]
+                kappa = m_norm * norm_of(r, NormKind.ONE)
+                residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
+                self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
+                positive = (r >= 0.0).all()
             if self.kept[i]:
                 self._factors.append((lu, piv))
-                nonneg.append((r >= 0.0).all())
+                nonneg.append(positive)
         self.nonneg = np.array(nonneg, dtype=bool)
 
     def _solve(self, i: int, rhs: np.ndarray, trans: int = 0) -> np.ndarray:

@@ -26,9 +26,12 @@ SKIP_BUDGET = 0.10
 TAIL_REL = 1e-3
 TAIL_ABS = 1e-9
 # ANormEvaluator's band mode wants d >= _BAND_MIN_DIM and _BAND_DIM_PER_DIAGONAL rows
-# per band diagonal. Band over dense time of a grid build and one diagonal-C value:
-# 1.1-1.7 at d = 32-48, 0.75-0.88 at 64 (1-3 diagonals), 0.33-0.54 at 128-256
-# (tridiagonal) and 0.7-1.0 at 12-17 rows per diagonal (5 and 11 diagonals).
+# per band diagonal. Band over dense time of a grid build and one diagonal-C value,
+# Metzler A with every mu certified by BandResolvent (best of 5, three runs): 0.8-1.2
+# at d = 32, 0.5-0.9 at 40-48, 0.2-0.4 at 64 (1-3 diagonals), 0.02-0.12 at 128-256
+# (tridiagonal) and 0.3-0.5 at 12-17 rows per diagonal (5 and 11 diagonals). A grid
+# where every mu forms R (one run): 0.7-1.5 at d = 32-48, 0.4-1.1 at 64 and 0.4-0.5
+# at 128-256.
 _BAND_MIN_DIM = 64
 _BAND_DIM_PER_DIAGONAL = 16
 

@@ -6,15 +6,17 @@ cannot silently move the expectation. lu_resolvent, two_grid_fit,
 rk4_step_loop and flat_chain_desc are the reference implementations: the
 per-mu LU rule that linop.resolvent_stack replaced, the coarse-plus-fine
 growth fit that semigroup.fit_growth_bound reduced to its fine grid, the
-per-step RK4 loop that evofam.oracle_solve streams in blocks, and the
-one-pass pairwise product that evofam._chain_desc bounds in chunks.
+per-step RK4 loop that evofam.oracle_solve streams in blocks, the
+one-pass pairwise product that evofam._chain_desc bounds in chunks, and the
+form-every-R loop whose guards linop.BandResolvent certifies from its factors.
 """
 import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from nonauto.linop import norm_stack, spectrum
+from nonauto.linop import BandResolvent, NormKind, _band_matmul, _judge, bandwidths, norm_of, norm_stack, shifted_band, spectrum
 from nonauto.semigroup import expm_stack
 
 # Diagonal nonautonomous system A = diag(-1, -2), B(t) = sin(t) diag(0.5, 0.3)
@@ -66,6 +68,34 @@ def lu_resolvent(a, mu):
     if np.abs(m @ r - np.eye(d)).sum(axis=0).max() > 1e-10 * kappa:
         return None, kappa
     return r, kappa
+
+
+class FormedBandResolvent(BandResolvent):
+    """Reference BandResolvent: every mu forms R from an identity right-hand side (gbtrs).
+
+    Each R is judged by resolvent_stack's rules (exact kappa_1, the residual of
+    a banded product) and its sign read off its entries; the kept mus' factors
+    and signs are stored as BandResolvent stores them, so norms() is shared.
+    """
+
+    def __init__(self, a, mus, skip=False):
+        d = a.shape[0]
+        self.kl, self.ku = kl, ku = bandwidths(a)
+        diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        self.kept, self._factors, nonneg = np.ones(len(mus), dtype=bool), [], []
+        eye = np.eye(d, order="F")
+        for i, mu in enumerate(mus):
+            ab = shifted_band(diagonals, mu, d)[1]
+            lu, piv, info = dgbtrf(np.concatenate([np.zeros((kl, d)), ab]), kl, ku)
+            r = np.full((d, d), np.nan) if info > 0 else dgbtrs(lu, kl, ku, eye, piv)[0]
+            kappa = np.abs(ab).sum(axis=0).max() * norm_of(r, NormKind.ONE)
+            residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
+            self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
+            if self.kept[i]:
+                self._factors.append((lu, piv))
+                nonneg.append((r >= 0.0).all())
+        self.nonneg = np.array(nonneg, dtype=bool)
 
 
 def two_grid_fit(a, margin=1e-2, horizon=5.0, grid_points=257):

@@ -17,6 +17,7 @@ from nonauto import (
     NormKindMismatch,
     Operator,
     OutOfInterval,
+    Overflow,
     PiecewiseLinearFamily,
     PreconditionViolated,
     ScaledProfileFamily,
@@ -766,6 +767,14 @@ class TestOracle:
         fam = ConstantFamily((0.0, 1.0), op2(np.zeros((1, 1))))
         with pytest.raises(PreconditionViolated):
             oracle_solve(a, fam, 0.2, 0.8)
+
+    def test_unstable_steps_raise_overflow(self):
+        # h = 1/64 puts h * -1e4 far outside RK4's stability region: M grows past doubles.
+        a = op2(np.diag([-1e4, -1.0]))
+        fam = ConstantFamily((0.0, 1.0), op2(np.zeros((2, 2))))
+        with np.errstate(all="raise"), pytest.raises(Overflow, match="rk_steps=64"):
+            oracle_solve(a, fam, 1.0, 0.0, rk_steps=64)
+        assert oracle_solve(a, fam, 1.0, 0.0, rk_steps=8192).entries[1, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     @staticmethod
     def assert_close_to_step_loop(a, fam, t, s, steps, rk_steps=None):

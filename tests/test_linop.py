@@ -1,10 +1,13 @@
 """Operators, induced norms, resolvents, spectra, and the matrix file format."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nonauto import linop
 from nonauto import (
     DimensionMismatch,
     NormKind,
@@ -22,7 +25,7 @@ from nonauto.examples import Domain, GridSpec, build_heat_generator, build_trans
 from nonauto.linop import COND_LIMIT, BandResolvent, bandwidths, norm_of, norm_stack, resolvent_stack, shifted_band
 from nonauto.metrics import MuGrid
 
-from oracles import lu_resolvent
+from oracles import FormedBandResolvent, lu_resolvent
 
 
 def op2(entries):
@@ -221,6 +224,69 @@ class TestBandResolvent:
             BandResolvent(a, mus)
         with pytest.raises(SingularResolvent, match="condition number .* at mu=3.0"):
             BandResolvent(a, mus[3:])
+
+    @staticmethod
+    def certified_build(a, mus):
+        """BandResolvent(a, mus, skip=True) and what linop._certified decided at each mu it was asked about."""
+        certified, decide = [], linop._certified
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linop, "_certified", lambda *args: certified.append(decide(*args)) or certified[-1])
+            return BandResolvent(a, mus, skip=True), certified
+
+    @pytest.mark.parametrize(
+        "kappa, certified_want, kept_want",
+        [(0.5 * COND_LIMIT, True, True), (COND_LIMIT * (1.0 - 1e-7), False, True), (COND_LIMIT * (1.0 + 1e-7), False, False)],
+    )
+    def test_condition_margin_forms_r(self, kappa, certified_want, kept_want):
+        # mu I - A = diag(1, 1 / kappa): kappa_1 is kappa up to rounding. Within
+        # 1e-6 of COND_LIMIT the certificate leaves the decision to the formed R.
+        a, mus = np.diag([-1.0, -1.0 / kappa]), np.zeros(1)
+        band, certified = self.certified_build(a, mus)
+        assert certified == [certified_want]
+        assert band.kept.tolist() == FormedBandResolvent(a, mus, skip=True).kept.tolist() == [kept_want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kl=st.integers(0, 3),
+        ku=st.integers(0, 3),
+        d=st.integers(8, 96),
+        metzler=st.booleans(),
+    )
+    def test_certified_guards_match_formed_resolvents(self, seed, kl, ku, d, metzler):
+        rng = np.random.default_rng(seed)
+        a = np.diag(-rng.uniform(1.0, 3.0, d))
+        for k in range(-kl, ku + 1):
+            if k:
+                scale = rng.uniform(0.0, 1.0, d - abs(k))
+                a += np.diag(scale if metzler else scale * rng.choice([-1.0, 1.0], d - abs(k)), k)
+        s = float(np.linalg.eigvals(a).real.max())
+        mus = np.concatenate([s + np.geomspace(1e-3, 1e3, 12), s - np.geomspace(1e-2, 1e2, 6)])
+        # A row holding only mu_k on the diagonal makes mu_k I - A exactly singular,
+        # one a few ulps off mu_k puts kappa_1 far above COND_LIMIT. Both lie below
+        # the two largest mus.
+        rows, picked = rng.choice(d, 2, replace=False), rng.choice(10, 2, replace=False)
+        a[rows] = 0.0
+        a[rows, rows] = mus[picked] * np.array([1.0, 1.0 + 4e-16])
+        band, certified = self.certified_build(a, mus)
+        ref = FormedBandResolvent(a, mus, skip=True)
+        assert not band.kept[picked].any()
+        assert np.array_equal(band.kept, ref.kept)
+        assert np.array_equal(band.nonneg, ref.nonneg)
+        assert len(band._factors) == len(ref._factors)
+        for (lu, piv), (ref_lu, ref_piv) in zip(band._factors, ref._factors):
+            assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        # An M-matrix shift far right of the spectrum is decided without forming R.
+        if metzler:
+            assert any(certified)
+        c = rng.uniform(0.5, 1.0, d)
+        mats = np.stack([np.diag(c), np.diag(c * rng.choice([-1.0, 1.0], d)), rng.standard_normal((d, d))])
+        for kind in NormKind:
+            assert np.array_equal(band.norms(mats, kind), ref.norms(mats, kind))
+        with pytest.raises(SingularResolvent) as want:
+            FormedBandResolvent(a, mus)
+        with pytest.raises(SingularResolvent, match=re.escape(str(want.value))):
+            BandResolvent(a, mus)
 
 
 class TestSpectrum:

@@ -255,6 +255,22 @@ class TestBandMode:
                 assert ANormEvaluator(a, gb)._band is not None
         assert ANormEvaluator(build_heat_generator(GridSpec(8.0, 32, Domain.LINE)), gb)._band is None
 
+    def test_model_problems_form_no_resolvent(self, monkeypatch):
+        # The factors certify every grid point: no gbtrs call solves a d-column identity.
+        from scipy.linalg.lapack import dgbtrs
+
+        from nonauto import linop
+        from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
+
+        widths = []
+        monkeypatch.setattr(linop, "dgbtrs", lambda lu, kl, ku, b, piv, **kw: widths.append(b.shape[1]) or dgbtrs(lu, kl, ku, b, piv, **kw))
+        for a in (build_heat_generator(GridSpec(8.0, 128, Domain.LINE)),
+                  build_translation_generator(GridSpec(8.0, 128, Domain.HALF_LINE))):
+            widths.clear()
+            ev = ANormEvaluator(a, GrowthBound(1.0, 0.0))
+            assert ev._band is not None and ev.skipped == 0 and ev._band.nonneg.all()
+            assert widths.count(1) == 221 and 128 not in widths
+
 
 class TestFactoredA2:
     @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
