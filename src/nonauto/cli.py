@@ -50,6 +50,7 @@ CONFIG_ERRORS = (
     FileNotFoundError,
     json.JSONDecodeError,
     KeyError,
+    TypeError,
     ValueError,
 )
 NUMERICAL_ERRORS = (
@@ -83,6 +84,8 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_config(args) -> dict:
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise TypeError(f"a config is a JSON object, not a {type(config).__name__}")
     for key in ("seed", "tol", "n_max", "level", "out"):
         value = getattr(args, key, None)
         if value is not None:

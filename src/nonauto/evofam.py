@@ -49,6 +49,9 @@ _INTERP_K_MAX = 12
 # about 4 while refusing any truncation error above a few times that rounding.
 _CHECK_ULPS = 4.0
 _UNIT_ROUNDOFF = 2.0**-53
+# expm_stack blocks per fold chunk (_spans), so a fold holds about this many
+# BLOCK_BYTES stacks of cells at a time.
+_CHUNK_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -385,7 +388,7 @@ class EvolutionFamilyApprox:
         """Yield U(t_k, t_{k-1}) for ascending ts with t_{-1} = s, None for an empty span.
 
         One pass over the cells from s to the last t, taking them from _cells a
-        chunk at a time: four expm_stack blocks per pool worker, a tail under
+        chunk at a time: _CHUNK_BLOCKS expm_stack blocks, a tail under
         half a chunk joining the last. Chunks start at multiples of the block
         length, so each cell has the bits of a whole-level call. A partial cell
         within 1e-12 delta of a cell boundary is snapped to it, so nodes up to
@@ -401,7 +404,7 @@ class EvolutionFamilyApprox:
             last = t
         step = max(1, BLOCK_BYTES // (8 * d * d))
         stop = min(-(-(p.cell_of(ts[-1]) + 1) // step) * step, p.cells) if ts else 0
-        size = 4 * step * semigroup._WORKERS
+        size = _CHUNK_BLOCKS * step
         first, exps = self._chunk
 
         def cells(lo: int, hi: int):
@@ -675,8 +678,14 @@ def refine_to_tolerance(
     evaluate_path fold per level. Stops once two consecutive increments sit
     below tol, guarding against accidental zeros on coarse dyadic grids.
     Each level also records the a-priori bound (b - a) e^{4 omega1} Omega_n,
-    inf where e^{4 omega1} exceeds doubles.
+    inf where e^{4 omega1} exceeds doubles. tol <= 0 or NaN, which no level
+    meets, and n_max > MAX_LEVEL, which no partition reaches, are refused
+    before level 0.
     """
+    if not tol > 0.0:
+        raise PreconditionViolated(f"refine_to_tolerance wants tol > 0, got {tol!r}")
+    if n_max > MAX_LEVEL:
+        raise PreconditionViolated(f"refine_to_tolerance wants n_max <= MAX_LEVEL = {MAX_LEVEL}, got {n_max}")
     t0, t1 = family.interval
     evaluator = anorm or ANormEvaluator(a, gb)
     omega1 = float(family.sup_anorm(evaluator))

@@ -45,8 +45,12 @@ class MuGrid:
     points_per_decade: int = 20
 
     def offsets(self) -> np.ndarray:
-        if not (0.0 < self.min_offset < self.max_offset):
-            raise PreconditionViolated("MuGrid wants 0 < min_offset < max_offset")
+        if not (0.0 < self.min_offset < self.max_offset < math.inf):
+            raise PreconditionViolated(
+                f"MuGrid wants 0 < min_offset < max_offset < inf, got {self.min_offset!r}, {self.max_offset!r}"
+            )
+        if not self.points_per_decade >= 1:
+            raise PreconditionViolated(f"MuGrid wants points_per_decade >= 1, got {self.points_per_decade!r}")
         decades = math.log10(self.max_offset / self.min_offset)
         count = max(2, round(decades * self.points_per_decade) + 1)
         return np.geomspace(self.min_offset, self.max_offset, count)

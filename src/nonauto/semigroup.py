@@ -8,9 +8,6 @@ blocked truncated-Taylor kernel expm_stack; expm is its one-item form.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,36 +25,6 @@ EXP_ARG_LIMIT = 700.0
 FIT_HORIZON = 5.0
 FIT_MARGIN = 1e-2
 FIT_POINTS = 513
-# expm_stack runs the blocks of a stack on a thread pool of one worker per
-# CPU this process may run on, when the stack has more blocks than workers.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# Largest dimension whose blocks take the pool. On 2 cores, 8-block stacks,
-# pooled over serial time was 0.65-0.92 at d = 64 and 96 (up to 1.14 while
-# another process held a core), but 0.99-1.03 at d = 128, where OpenBLAS
-# already threads each product.
-_POOL_MAX_DIM = 96
-# Made on first use. A forked child drops it, and its lock, which another
-# thread may have held at the fork: the parent's worker threads do not exist
-# there, and a call into their queue would wait forever.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _block_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS)
-        return _pool
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -138,13 +105,8 @@ def expm_stack(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     otherwise it takes degree 16 after scaling each matrix by 2^-s, then s
     squarings. Matrix products alone evaluate every degree; there is no
     solve. scipy's expm walks a stack matrix by matrix, whose per-call
-    overhead dominates dyadic refinement at small dimensions.
-
-    Blocks are independent, so a stack of more blocks than there are CPUs,
-    at d <= 96, runs them on a thread pool (numpy releases the GIL in its
-    products); the result is bitwise that of the serial loop, on
-    any number of cores. On an error every block has finished, and the first
-    failing block in stack order raises.
+    overhead dominates dyadic refinement at small dimensions. Blocks run in
+    stack order, and the first failing block raises.
 
     With out, a float64 array of the stack's shape, each block's result is
     written there and out is returned. out may be mats itself: a block is
@@ -162,20 +124,8 @@ def expm_stack(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if mats.shape[0] <= step:
             return _expm_block(mats)
         out = np.empty(mats.shape)
-
-    def block(i: int) -> None:
+    for i in range(0, mats.shape[0], step):
         out[i : i + step] = _expm_block(mats[i : i + step])
-
-    starts = range(0, mats.shape[0], step)
-    if len(starts) > _WORKERS > 1 and d <= _POOL_MAX_DIM:
-        pool = _block_pool()
-        futures = [pool.submit(block, i) for i in starts]
-        wait(futures)
-        for future in futures:
-            future.result()
-    else:
-        for i in starts:
-            block(i)
     return out
 
 

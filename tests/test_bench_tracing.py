@@ -38,8 +38,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_block_pool_workers_call_nothing_traced(monkeypatch):
-    # expm_stack's pool workers run _expm_block; the tracer keeps one span
-    # stack, so nothing a worker calls may be wrapped.
+    # expm_stack runs _expm_block once per block; what a block calls stays
+    # unwrapped, so block time is booked as expm_stack self time and the
+    # tracer adds no span per block.
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 

@@ -125,6 +125,16 @@ class TestAnormCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "run_anorm.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--max-offset", "inf"), ("--points-per-decade", "0"),
+                                             ("--points-per-decade", "-5")])
+    def test_bad_grid_exits_config(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        _write_mat(tmp_path / "a.txt", np.diag([-1.0, -2.0]))
+        _write_mat(tmp_path / "c.txt", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        argv = ["anorm", "--matrix-file", "a.txt", "--perturb-file", "c.txt", "--m", "1", "--omega0", "-1", flag, value]
+        assert main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
 
     def test_grid_lost_to_rounding_exits_config(self, tmp_path, monkeypatch, capsys):
         # At omega0 = 1e20 every offset below about 1e4 rounds to mu = omega0.
@@ -434,6 +444,32 @@ class TestErrorPaths:
         assert main([command, "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and repr(missing) in err
+        assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize("shape", ["m-null", "tol-null", "interval-scalar", "top-level-list"])
+    def test_malformed_value_exits_config(self, tmp_path, monkeypatch, capsys, shape):
+        # A value of the wrong JSON type is a configuration error, not a traceback.
+        monkeypatch.chdir(tmp_path)
+        config = json.loads(json.dumps(TestUsageErrors.CONFIGS["converge"]))
+        if shape == "m-null":
+            config["m"] = None
+        elif shape == "tol-null":
+            config["tol"] = None
+        elif shape == "interval-scalar":
+            config["family"]["interval"] = 5
+        else:
+            config = [config]
+        assert main(["converge", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize("key, value", [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("n_max", 25)])
+    def test_impossible_refinement_exits_config(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        config = dict(TestUsageErrors.CONFIGS["converge"], family={
+            "kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.5]]}, **{key: value})
+        assert main(["converge", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -33,14 +33,13 @@ from nonauto import (
     refine_to_tolerance,
     verify_generator_derivative,
 )
-from nonauto import evofam, semigroup
+from nonauto import evofam
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_spiky_b
 from nonauto.metrics import ANormEvaluator, MuGrid
 from nonauto.linop import norm_stack
 from nonauto.semigroup import expm_stack
 
 from oracles import DIAG_U11, DIAG_U22, SCALAR_POLY, StackPolygon, flat_chain_desc, rk4_step_loop, sin_modulus
-from test_semigroup import two_workers  # noqa: F401  (fixture)
 
 
 def op2(entries):
@@ -416,17 +415,6 @@ def level_stack_bytes(d: int, n: int) -> int:
     return 2**n * d * d * 8
 
 
-@pytest.fixture
-def one_worker(monkeypatch):
-    """Cell exponentials inline, as on a one-CPU host.
-
-    A fold holds one chunk plus the Taylor temporaries of each block in
-    flight, 1-1.5 MiB per block at d = 32; with two workers that is
-    0.13-0.14 of a level-12 stack, so the memory bounds are taken inline.
-    """
-    monkeypatch.setattr(semigroup, "_WORKERS", 1)
-
-
 class Unfactored(ScaledProfileFamily):
     """A profile family that hides its factor: the same values, modulus and norms, and direct cells."""
 
@@ -467,13 +455,13 @@ class TestOneLevelStack:
                 ref = expm_stack(p.delta * (a.entries + family.values_stack(p.nodes()[:-1])))
             assert np.array_equal(cells, ref)
 
-    def test_level_fold_holds_no_stack(self, one_worker):
+    def test_level_fold_holds_no_stack(self):
         a, fam = dense_problem()
         probes = np.linspace(0.0, 1.0, 17)[1:]
         _, peak = traced_peak(lambda: euler_polygon(a, fam, 12).evaluate_path(probes, 0.0))
         assert peak < 0.1 * level_stack_bytes(32, 12)
 
-    def test_piecewise_family_fills_one_stack(self, one_worker):
+    def test_piecewise_family_fills_one_stack(self):
         d = 32
         rng = np.random.default_rng(4)
         a = op2(-np.eye(d) + 0.1 * rng.standard_normal((d, d)))
@@ -490,13 +478,13 @@ class TestOneLevelStack:
         _, peak = traced_peak(lambda: euler_polygon(a, fam, 12).evaluate(1.0, 0.0))
         assert peak < 0.1 * level_stack_bytes(d, 12)
 
-    def test_full_span_evaluate_is_bounded(self, one_worker):
+    def test_full_span_evaluate_is_bounded(self):
         a, fam = dense_problem()
         u = euler_polygon(a, fam, 12)
         _, peak = traced_peak(lambda: u.evaluate(1.0, 0.0))
         assert peak < 0.1 * level_stack_bytes(32, 12)
 
-    def test_refinement_to_level_12_holds_no_stack(self, one_worker):
+    def test_refinement_to_level_12_holds_no_stack(self):
         # The A-norm evaluator and the family's memo of ||B0||_A are built
         # first: their memory is the same at every level.
         a, fam = dense_problem()
@@ -585,13 +573,13 @@ class TestFold:
                     assert np.array_equal(u.evaluate(t, t - 0.5).entries, ref.evaluate(t, t - 0.5))
             assert calls == []
 
-    def test_chunking_does_not_move_bits(self, two_workers, monkeypatch):
-        # Fold chunks of 2 and of 16 blocks give the same cells and products.
+    def test_chunking_does_not_move_bits(self, monkeypatch):
+        # Fold chunks of 1 and of 16 blocks give the same cells and products.
         a, fam, _ = self.problem(24)
         probes = np.linspace(0.0, 1.0, 17)[1:]
         paths = []
-        for workers in (1, 8):
-            monkeypatch.setattr(semigroup, "_WORKERS", workers)
+        for blocks in (1, 16):
+            monkeypatch.setattr(evofam, "_CHUNK_BLOCKS", blocks)
             paths.append([op.entries for op in euler_polygon(a, fam, 12).evaluate_path(probes, 0.0)])
         assert all(np.array_equal(x, y) for x, y in zip(*paths))
 
@@ -673,7 +661,7 @@ class TestInterpolatedCells:
         assert np.array_equal(euler_polygon(a, fam, 10).evaluate(1.0, 0.0).entries, direct)
 
     @pytest.mark.parametrize("d", [24, 128])
-    def test_cells_ignore_chunk_shape(self, d, two_workers, monkeypatch):
+    def test_cells_ignore_chunk_shape(self, d, monkeypatch):
         a, fam = dense_problem(d)
         whole = source_cells(a, fam, 9)
         u = euler_polygon(a, fam, 9)
@@ -681,8 +669,8 @@ class TestInterpolatedCells:
         assert np.array_equal(np.concatenate([u._cells(i, j) for i, j in zip(cuts, cuts[1:])]), whole)
         probes = np.linspace(0.0, 1.0, 17)[1:]
         paths = []
-        for workers in (1, 8):
-            monkeypatch.setattr(semigroup, "_WORKERS", workers)
+        for blocks in (1, 16):
+            monkeypatch.setattr(evofam, "_CHUNK_BLOCKS", blocks)
             paths.append([op.entries for op in euler_polygon(a, fam, 9).evaluate_path(probes, 0.0)])
         assert all(np.array_equal(x, y) for x, y in zip(*paths))
 
@@ -886,6 +874,19 @@ class TestRefine:
             refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-14, n_max=3)
         assert exc.value.best_delta > 1e-14
         assert len(exc.value.levels) >= 2
+
+    @pytest.mark.parametrize("tol, n_max", [(0.0, 14), (-1.0, 14), (math.nan, 14), (1e-4, evofam.MAX_LEVEL + 1)])
+    def test_impossible_request_refused_before_level_zero(self, tol, n_max, monkeypatch):
+        # No level can meet tol <= 0 (or NaN), and no partition goes past
+        # MAX_LEVEL: both are refused before any polygon is built.
+        def refuse(*args):
+            raise AssertionError("built a polygon")
+
+        monkeypatch.setattr(evofam, "euler_polygon", refuse)
+        a = op2(np.diag([-1.0, -2.0]))
+        fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2(np.diag([0.5, 0.5])))
+        with pytest.raises(PreconditionViolated):
+            refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol, n_max=n_max)
 
     def test_budget_exhaustion_message_reports_last_increment(self):
         # Both left nodes of level 1 sit at zeros of sin, so the level-1

@@ -49,6 +49,13 @@ class TestMuGrid:
         ratios = offsets[1:] / offsets[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-10)
 
+    @pytest.mark.parametrize("grid", [MuGrid(1e-3, math.inf), MuGrid(points_per_decade=0), MuGrid(points_per_decade=-5)])
+    def test_bad_grid_refused(self, grid):
+        # An infinite offset has no point count; fewer than one point per
+        # decade used to sample a silent 2-point grid.
+        with pytest.raises(PreconditionViolated):
+            grid.offsets()
+
 
 class TestANorm:
     def test_zero_perturbation(self):
