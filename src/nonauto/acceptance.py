@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dichotomy import _growth_adjusted_bound, roughness_sweep
 from .evofam import (
@@ -81,6 +80,8 @@ def _random_op(rng: np.random.Generator, dim: int, scale: float) -> Operator:
 
 def criterion_01(seed: int) -> CriterionResult:
     """Constant perturbation: every dyadic level reproduces e^{A+B0} exactly."""
+    import scipy.linalg
+
     rng = _rng(seed, 1)
     worst = 0.0
     for _ in range(20):

@@ -100,8 +100,8 @@ class PerturbationFamily:
 
     def __init__(self, interval, dim: int, norm_kind: NormKind):
         t0, t1 = float(interval[0]), float(interval[1])
-        if not (t1 > t0):
-            raise PreconditionViolated("family interval wants t1 > t0")
+        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+            raise PreconditionViolated(f"family interval wants finite t0 < t1, got [{t0!r}, {t1!r}]")
         self.interval = (t0, t1)
         self.dim = int(dim)
         self.norm_kind = norm_kind

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, PreconditionViolated
 from .evofam import ScaledProfileFamily, oracle_solve, refine_to_tolerance
@@ -56,8 +55,8 @@ class GridSpec:
     domain: Domain
 
     def __post_init__(self):
-        if not (self.length > 0.0):
-            raise PreconditionViolated("grid length must be positive")
+        if not (0.0 < self.length < math.inf):
+            raise PreconditionViolated(f"grid length must be positive and finite, got {self.length!r}")
         if self.points < 2:
             raise PreconditionViolated("grid needs at least 2 cells")
 
@@ -184,6 +183,8 @@ def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -
     and the induced 1-norm of B R is the largest entry of (mu I - G)^{-T} b.
     This never forms a dense matrix and scales to fine grids.
     """
+    from scipy.linalg import solve_banded
+
     b = np.asarray(b_values, dtype=float)
     if b.shape != (g.points,) or np.any(b < 0.0):
         raise PreconditionViolated("sweep wants a nonnegative diagonal of grid length")

@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, EigenFailure, NormKindMismatch, SingularResolvent
 
@@ -30,6 +29,17 @@ BLOCK_BYTES = 256 * 1024
 # C R(mu, A) blocks, evofam._chain_desc's chunks): a bound on the temporaries
 # of a product over a whole grid or a whole level.
 PRODUCT_BYTES = 8 * 1024 * 1024
+# Band LU (BandResolvent) replaces dense resolvents from d >= _BAND_MIN_DIM with
+# _BAND_DIM_PER_DIAGONAL rows per band diagonal (band_pays). Band over dense time of
+# an A-norm grid build and one diagonal-C value, Metzler A with every mu certified by
+# BandResolvent (best of 5, three runs): 0.8-1.2 at d = 32, 0.5-0.9 at 40-48, 0.2-0.4
+# at 64 (1-3 diagonals), 0.02-0.12 at 128-256 (tridiagonal) and 0.3-0.5 at 12-17 rows
+# per diagonal (5 and 11 diagonals). A grid where every mu forms R (one run): 0.7-1.5
+# at d = 32-48, 0.4-1.1 at 64 and 0.4-0.5 at 128-256. One certified R by an identity
+# solve (resolvent, tridiagonal A, best of 20): 1.06 at d = 64, 0.46 at 128 and
+# 0.34-0.41 at 256-512.
+_BAND_MIN_DIM = 64
+_BAND_DIM_PER_DIAGONAL = 16
 
 
 class NormKind(enum.Enum):
@@ -198,6 +208,19 @@ def bandwidths(m: np.ndarray) -> tuple:
     return int((i - j).max(initial=0)), int((j - i).max(initial=0))
 
 
+def band_pays(m: np.ndarray) -> bool:
+    """Whether resolvents of the square matrix m come from band LU (BandResolvent) rather than dense inverses."""
+    d = m.shape[0]
+    return d >= _BAND_MIN_DIM and d >= _BAND_DIM_PER_DIAGONAL * (sum(bandwidths(m)) + 1)
+
+
+def _band_lu() -> tuple:
+    """(dgbtrf, dgbtrs): LAPACK band LU, imported on first use so that a run with no band solve never loads scipy."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    return dgbtrf, dgbtrs
+
+
 def shifted_band(diagonals: dict, mu: float, d: int) -> tuple:
     """((kl, ku), ab): solve_banded's storage of mu I - G, bit for bit, for G's diagonals {offset: values}."""
     kl, ku = max(0, -min(diagonals)), max(0, max(diagonals))
@@ -230,6 +253,7 @@ def _certified(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, m_norm: float)
     if not (np.array_equal(piv, np.arange(d)) and (lu[kv] > 0.0).all()
             and (lu[:kv] <= 0.0).all() and (lu[kv + 1 :] <= 0.0).all()):
         return False
+    dgbtrs = _band_lu()[1]
     col_sums = dgbtrs(lu, kl, ku, np.ones((d, 1)), piv, trans=1)[0][:, 0]
     if not m_norm * col_sums.max() <= COND_LIMIT * (1.0 - _COND_MARGIN):
         return False
@@ -278,6 +302,7 @@ class BandResolvent:
         self.kl, self.ku = kl, ku = bandwidths(a)
         diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        dgbtrf, dgbtrs = _band_lu()
         self.kept, self._factors, nonneg = np.ones(len(mus), dtype=bool), [], []
         certifiable = _gamma(8 * d * (kl + ku + 2)) < _COND_MARGIN
         for i, mu in enumerate(mus):
@@ -299,8 +324,12 @@ class BandResolvent:
         self.nonneg = np.array(nonneg, dtype=bool)
 
     def _solve(self, i: int, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        lu, piv = self._factors[i]
+        (lu, piv), dgbtrs = self._factors[i], _band_lu()[1]
         return dgbtrs(lu, self.kl, self.ku, rhs, piv, trans=trans)[0]
+
+    def resolvent(self, i: int) -> np.ndarray:
+        """R(mu, A) at the i-th kept mu: one solve of the factors on the identity."""
+        return self._solve(i, np.eye(self._factors[i][0].shape[1], order="F"))
 
     def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
         """(k, kept) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack over the kept mus.
@@ -321,14 +350,20 @@ class BandResolvent:
                 out[fast, i] = (x if trans else c * x).max(axis=0)
             rest = np.flatnonzero(~fast if nonneg else np.ones(k, dtype=bool))
             if rest.size:
-                r = self._solve(i, np.eye(d, order="F"))
+                r = self.resolvent(i)
                 for lo in range(0, rest.size, rows):
                     out[rest[lo : lo + rows], i] = norm_stack(mats[rest[lo : lo + rows]] @ r, norm_kind)
         return out
 
 
 def resolvent(a: Operator, mu: float) -> Operator:
-    """R(mu, A) = (mu I - A)^{-1}: resolvent_stack's one-item form, under its exact-kappa_1 guards."""
+    """R(mu, A) = (mu I - A)^{-1} under resolvent_stack's exact-kappa_1 guards and messages.
+
+    Where band_pays(A), R comes from BandResolvent's band LU factors by one
+    identity solve; otherwise it is resolvent_stack's one-item form.
+    """
+    if band_pays(a.entries):
+        return Operator(BandResolvent(a.entries, mu).resolvent(0), a.norm_kind)
     return Operator(resolvent_stack(a.entries, mu)[0][0], a.norm_kind)
 
 

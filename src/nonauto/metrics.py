@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NormKindMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
-from .linop import PRODUCT_BYTES, BandResolvent, Operator, bandwidths, norm_stack, op_norm, resolvent_stack, spectrum
+from .linop import PRODUCT_BYTES, BandResolvent, Operator, band_pays, norm_stack, op_norm, resolvent_stack, spectrum
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
 LAMBDA_CEILING = 1e8
@@ -25,15 +25,6 @@ LAMBDA_POINTS_PER_DECADE = 4
 SKIP_BUDGET = 0.10
 TAIL_REL = 1e-3
 TAIL_ABS = 1e-9
-# ANormEvaluator's band mode wants d >= _BAND_MIN_DIM and _BAND_DIM_PER_DIAGONAL rows
-# per band diagonal. Band over dense time of a grid build and one diagonal-C value,
-# Metzler A with every mu certified by BandResolvent (best of 5, three runs): 0.8-1.2
-# at d = 32, 0.5-0.9 at 40-48, 0.2-0.4 at 64 (1-3 diagonals), 0.02-0.12 at 128-256
-# (tridiagonal) and 0.3-0.5 at 12-17 rows per diagonal (5 and 11 diagonals). A grid
-# where every mu forms R (one run): 0.7-1.5 at d = 32-48, 0.4-1.1 at 64 and 0.4-0.5
-# at 128-256.
-_BAND_MIN_DIM = 64
-_BAND_DIM_PER_DIAGONAL = 16
 
 
 @dataclass(frozen=True)
@@ -73,9 +64,10 @@ class ANormEvaluator:
 
     Building the grid is one resolvent_stack call: one batched inverse per
     block of mu points. Each evaluation then multiplies C against the grid in
-    blocks of PRODUCT_BYTES. A narrow-banded A (band mode) holds band LU factors
-    in a linop.BandResolvent instead. Grid points whose resolvent is refused
-    are skipped and counted; more than SKIP_BUDGET of them is an error.
+    blocks of PRODUCT_BYTES. A narrow-banded A (band mode, linop.band_pays)
+    holds band LU factors in a linop.BandResolvent instead. Grid points
+    whose resolvent is refused are skipped and counted; more than
+    SKIP_BUDGET of them is an error.
     """
 
     def __init__(self, a: Operator, gb: GrowthBound, grid: MuGrid | None = None):
@@ -89,7 +81,7 @@ class ANormEvaluator:
             raise PreconditionViolated(
                 f"mu-grid offsets from {self.grid.min_offset:g} are lost to rounding at omega0 = {gb.omega0:g}"
             )
-        banded = a.dim >= max(_BAND_MIN_DIM, _BAND_DIM_PER_DIAGONAL * (sum(bandwidths(a.entries)) + 1))
+        banded = band_pays(a.entries)
         self._band = BandResolvent(a.entries, mus, skip=True) if banded else None
         self._stack, kept = (None, self._band.kept) if banded else resolvent_stack(a.entries, mus, skip=True)
         self.total, self.skipped = len(mus), int(np.count_nonzero(~kept))
@@ -102,7 +94,7 @@ class ANormEvaluator:
 
     def _grid_norms(self, mats: np.ndarray) -> np.ndarray:
         """(k, n_mu) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack, PRODUCT_BYTES of products at a time."""
-        if self._band is not None:
+        if self._stack is None:
             return self._band.norms(mats, self.a.norm_kind)
         d, n_mu = self.a.dim, self._stack.shape[0]
         cols = max(1, min(n_mu, PRODUCT_BYTES // (8 * d * d)))
@@ -252,7 +244,7 @@ def check_assumptions(family, a: Operator, gb: GrowthBound) -> AssumptionReport:
     mus = gb.omega0 + np.geomspace(10.0, 1e6, 11)
     ts = np.linspace(t0 + h_fd, t1 - h_fd, 33)
     factored = family.factor()
-    if factored is not None and evaluator._band is not None:
+    if factored is not None and band_pays(a.entries):
         # B'(t) R(mu) = phi'(t) B0 R(mu): one band norm per mu, not one product per (mu, t).
         profile, b0 = factored
         plus, minus = (np.array([float(profile(float(t))) for t in ts + s]) for s in (h_fd, -h_fd))

@@ -132,7 +132,7 @@ def expm_stack(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _expm_block(mats: np.ndarray) -> np.ndarray:
     """e^{M_j} for one block, at the lowest Taylor degree its largest 1-norm allows."""
     if not np.isfinite(mats).all():
-        raise Overflow("a cell exponential overflows doubles")
+        raise Overflow("a cell exponential's input has a non-finite entry")
     norms = norm_stack(mats, NormKind.ONE)
     top = norms.max()
     for m, s, theta in _TAYLOR:

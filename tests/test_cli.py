@@ -404,6 +404,14 @@ class TestExamplesCommand:
         assert payload["a1_pass"] and payload["a2_pass"]
         assert payload["pipeline_agreement"] is None
 
+    def test_infinite_length_exits_config(self, tmp_path, monkeypatch, capsys):
+        # L = inf passed every bound and wrote a NaN spike mass.
+        monkeypatch.chdir(tmp_path)
+        assert main(["examples", "--which", "translation", "--grid", "64,inf", "--no-pipeline"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "finite" in err
+        assert not list(tmp_path.glob("run_*"))
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, monkeypatch):
@@ -471,6 +479,28 @@ class TestErrorPaths:
         assert main(["converge", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize("command", ["converge", "dichotomy"])
+    def test_infinite_interval_exits_config(self, tmp_path, monkeypatch, capsys, command):
+        # An interval end at inf reached "math domain error" in the level count.
+        monkeypatch.chdir(tmp_path)
+        config = json.loads(json.dumps(TestUsageErrors.CONFIGS[command]))
+        config["family"]["interval"] = [0.0, float("inf")]
+        assert main([command, "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "finite" in err
+        assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize("key, value", [("frequency", float("nan")), ("entries", [[float("nan")]]),
+                                            ("amplitude", float("inf"))], ids=["frequency", "entries", "amplitude"])
+    def test_non_finite_family_exits_numerical(self, tmp_path, monkeypatch, capsys, key, value):
+        # A cell whose input is already non-finite was reported as one that overflows doubles.
+        monkeypatch.chdir(tmp_path)
+        config = dict(TestUsageErrors.CONFIGS["converge"], family={
+            "kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.5]], key: value})
+        assert main(["converge", "--config", _write_config(tmp_path / "cfg.json", config)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "non-finite entry" in err and "overflows" not in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_matrix_exits_numerical(self, tmp_path, monkeypatch, capsys, bad):
@@ -608,6 +638,31 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "verify-all" in proc.stdout
+
+    def test_small_runs_load_no_scipy(self, tmp_path):
+        # scipy serves band LU, the example sweep and criterion 1's reference only;
+        # importing the CLI and a 2 x 2 converge run load none of it.
+        config = {
+            "matrix": [[-1.0, 0.0], [0.0, -2.0]],
+            "m": 1.0,
+            "omega0": -1.0,
+            "family": {"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.0, 0.3], [0.0, 0.0]]},
+            "tol": 1e-3,
+        }
+        _write_config(tmp_path / "cfg.json", config)
+        code = (
+            "import json, sys\n"
+            "import nonauto.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "imported = loaded()\n"
+            "rc = nonauto.cli.main(['converge', '--config', 'cfg.json'])\n"
+            "print(json.dumps([imported, rc, loaded()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 
 
 class TestDeterminism:

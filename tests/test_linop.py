@@ -201,6 +201,30 @@ class TestResolventStack:
         assert r.shape == (0, 3, 3) and kept.shape == (0,)
 
 
+def assert_band_resolvent_matches_dense(a: np.ndarray, mus) -> None:
+    """linop.resolvent in band mode against resolvent_stack at each mu.
+
+    The same mus are kept, a refused mu raises the same SingularResolvent
+    message, and a kept R agrees to 2 d ulps times kappa_1 relative to ||R||_1.
+    """
+    d, op = a.shape[0], Operator(a, NormKind.ONE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linop, "_BAND_MIN_DIM", 0)
+        mp.setattr(linop, "_BAND_DIM_PER_DIAGONAL", 0)
+        assert linop.band_pays(a)
+        for mu in mus:
+            try:
+                want = resolvent_stack(a, mu)[0][0]
+            except SingularResolvent as refused:
+                with pytest.raises(SingularResolvent, match=re.escape(str(refused))):
+                    resolvent(op, mu)
+                continue
+            got = resolvent(op, mu).entries
+            r_norm = norm_of(want, NormKind.ONE)
+            kappa = norm_of(mu * np.eye(d) - a, NormKind.ONE) * r_norm
+            assert norm_of(got - want, NormKind.ONE) <= 2.0 * d * np.finfo(float).eps * kappa * r_norm
+
+
 class TestBandResolvent:
     def test_shifted_band_holds_the_dense_entries(self):
         rng = np.random.default_rng(8)
@@ -224,6 +248,7 @@ class TestBandResolvent:
             BandResolvent(a, mus)
         with pytest.raises(SingularResolvent, match="condition number .* at mu=3.0"):
             BandResolvent(a, mus[3:])
+        assert_band_resolvent_matches_dense(a, mus)
 
     @staticmethod
     def certified_build(a, mus):
@@ -287,6 +312,7 @@ class TestBandResolvent:
             FormedBandResolvent(a, mus)
         with pytest.raises(SingularResolvent, match=re.escape(str(want.value))):
             BandResolvent(a, mus)
+        assert_band_resolvent_matches_dense(a, mus)
 
 
 class TestSpectrum:

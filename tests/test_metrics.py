@@ -24,7 +24,7 @@ from nonauto import (
     spectrum,
     yosida_distance,
 )
-from nonauto import metrics
+from nonauto import linop, metrics
 from nonauto.evofam import CallableFamily, ConstantFamily, PiecewiseLinearFamily, ScaledProfileFamily
 from nonauto.linop import bandwidths, norm_stack
 from nonauto.metrics import ANormEvaluator
@@ -182,11 +182,11 @@ def banded(rng, d: int, kl: int, ku: int, metzler: bool) -> np.ndarray:
 def both_modes(monkeypatch, a: Operator, gb: GrowthBound) -> tuple:
     """(band-mode, dense-mode) evaluators of one A, whatever its size and band."""
     with monkeypatch.context() as m:
-        m.setattr(metrics, "_BAND_MIN_DIM", 0)
-        m.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", 0)
+        m.setattr(linop, "_BAND_MIN_DIM", 0)
+        m.setattr(linop, "_BAND_DIM_PER_DIAGONAL", 0)
         band = ANormEvaluator(a, gb)
     with monkeypatch.context() as m:
-        m.setattr(metrics, "_BAND_MIN_DIM", 1 << 30)
+        m.setattr(linop, "_BAND_MIN_DIM", 1 << 30)
         dense = ANormEvaluator(a, gb)
     assert band._band is not None and dense._band is None
     return band, dense
@@ -241,8 +241,8 @@ class TestBandMode:
         if exact + near > metrics.SKIP_BUDGET * 221:
             for setting in ((0, 0), (1 << 30, 0)):
                 with monkeypatch.context() as m:
-                    m.setattr(metrics, "_BAND_MIN_DIM", setting[0])
-                    m.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", setting[1])
+                    m.setattr(linop, "_BAND_MIN_DIM", setting[0])
+                    m.setattr(linop, "_BAND_DIM_PER_DIAGONAL", setting[1])
                     with pytest.raises(SingularResolvent, match=f"{exact + near} of 221"):
                         ANormEvaluator(a, gb)
             return
@@ -264,13 +264,11 @@ class TestBandMode:
 
     def test_model_problems_form_no_resolvent(self, monkeypatch):
         # The factors certify every grid point: no gbtrs call solves a d-column identity.
-        from scipy.linalg.lapack import dgbtrs
-
-        from nonauto import linop
         from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
 
-        widths = []
-        monkeypatch.setattr(linop, "dgbtrs", lambda lu, kl, ku, b, piv, **kw: widths.append(b.shape[1]) or dgbtrs(lu, kl, ku, b, piv, **kw))
+        widths, (dgbtrf, dgbtrs) = [], linop._band_lu()
+        counted = lambda lu, kl, ku, b, piv, **kw: widths.append(b.shape[1]) or dgbtrs(lu, kl, ku, b, piv, **kw)
+        monkeypatch.setattr(linop, "_band_lu", lambda: (dgbtrf, counted))
         for a in (build_heat_generator(GridSpec(8.0, 128, Domain.LINE)),
                   build_translation_generator(GridSpec(8.0, 128, Domain.HALF_LINE))):
             widths.clear()
@@ -302,10 +300,10 @@ class TestFactoredA2:
             fam, generic = fam.scale(scale), generic.scale(scale)
         gb = GrowthBound(2.0, spectrum(a).abscissa + 0.05)
         with monkeypatch.context() as m:
-            m.setattr(metrics, "_BAND_MIN_DIM", 0)
-            m.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", 0)
+            m.setattr(linop, "_BAND_MIN_DIM", 0)
+            m.setattr(linop, "_BAND_DIM_PER_DIAGONAL", 0)
             got = check_assumptions(fam, a, gb)
-        monkeypatch.setattr(metrics, "_BAND_MIN_DIM", 1 << 30)
+        monkeypatch.setattr(linop, "_BAND_MIN_DIM", 1 << 30)
         want = check_assumptions(generic, a, gb)
         assert [mu for mu, _ in got.a2_derivative_sup] == [mu for mu, _ in want.a2_derivative_sup]
         np.testing.assert_allclose(
@@ -332,8 +330,8 @@ class TestFactoredA2:
         np.testing.assert_allclose([v for _, v in got], want, rtol=1e-12, atol=0.0)
 
     def test_constant_family_has_a_zero_column(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_BAND_MIN_DIM", 0)
-        monkeypatch.setattr(metrics, "_BAND_DIM_PER_DIAGONAL", 0)
+        monkeypatch.setattr(linop, "_BAND_MIN_DIM", 0)
+        monkeypatch.setattr(linop, "_BAND_DIM_PER_DIAGONAL", 0)
         a = op2(np.diag([-1.0, -2.0]))
         report = check_assumptions(ConstantFamily((0.0, 1.0), op2([[0.5, 1.0], [0.0, 0.2]])), a, GrowthBound(1.0, -1.0))
         assert all(v == 0.0 for _, v in report.a2_derivative_sup) and report.a2_pass

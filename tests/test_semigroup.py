@@ -63,6 +63,8 @@ class TestExpm:
     def test_non_finite_input_raises_typed_overflow(self, bad):
         with pytest.raises(Overflow, match="non-finite entry"):
             expm(op2([[bad, 0.0], [0.0, 1.0]]), 1.0)
+        with pytest.raises(Overflow, match="input has a non-finite entry"):
+            expm_stack(np.array([[[bad, 0.0], [0.0, 1.0]]]))
 
     def test_one_item_form_of_stack(self):
         rng = np.random.default_rng(5)
