@@ -55,6 +55,7 @@ from .metrics import (
     lemma32_decay,
     yosida_distance,
 )
+from .profiles import Constant, Profile, Sinusoid
 from .evofam import (
     CallableFamily,
     ConstantFamily,

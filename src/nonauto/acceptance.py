@@ -39,6 +39,7 @@ from .examples import (
 )
 from .linop import NormKind, Operator, norm_of, op_norm, resolvent
 from .metrics import ANormEvaluator, a_norm, check_generation_bound, lemma32_decay, yosida_distance
+from .profiles import Sinusoid
 from .semigroup import GrowthBound, fit_growth_bound, semigroup_diff_bound_check
 
 CONTRACTION_GB = GrowthBound(m=1.0, omega0=0.0)
@@ -100,7 +101,7 @@ def criterion_01(seed: int) -> CriterionResult:
 def _diagonal_setup():
     a = Operator(np.diag([-1.0, -2.0]), NormKind.TWO)
     b0 = Operator(np.diag([0.5, 0.3]), NormKind.TWO)
-    family = ScaledProfileFamily((0.0, 1.0), math.sin, b0)
+    family = ScaledProfileFamily((0.0, 1.0), Sinusoid(), b0)
     exact = np.diag(
         [
             math.exp(-1.0 + 0.5 * (1.0 - math.cos(1.0))),
@@ -225,7 +226,7 @@ def criterion_07(seed: int) -> CriterionResult:
 def criterion_08(seed: int) -> CriterionResult:
     """Decay exponent of sup_t ||d/dt R(mu, A + B(t))|| close to -2."""
     a = Operator(np.diag([-2.0, -3.0]), NormKind.TWO)
-    family = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, Operator(np.diag([0.5, 0.3]), NormKind.TWO))
+    family = ScaledProfileFamily((0.0, 2.0 * math.pi), Sinusoid(), Operator(np.diag([0.5, 0.3]), NormKind.TWO))
     result = lemma32_decay(a, family, CONTRACTION_GB)
     ok = -2.3 <= result.slope <= -1.7 and result.identity_residual <= 1e-8
     return CriterionResult(
@@ -268,7 +269,7 @@ def criterion_10(seed: int) -> CriterionResult:
     for _ in range(10):
         e = rng.normal(size=(2, 2))
         e_op = Operator(e / norm_of(e, NormKind.TWO), NormKind.TWO)
-        shape = ScaledProfileFamily((0.0, 4.0), math.sin, e_op)
+        shape = ScaledProfileFamily((0.0, 4.0), Sinusoid(), e_op)
         for result in roughness_sweep(a, shape, [1e-3, 1e-2], gb=gb):
             eps = result.eps
             if result.refine_error is not None:
@@ -339,9 +340,7 @@ def criterion_13(seed: int) -> CriterionResult:
         b0 = _random_op(rng, dim, 0.2)
         freq = float(rng.uniform(1.0, 2.5))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        family = ScaledProfileFamily(
-            (0.0, 1.0), lambda t, w=freq, p=phase: math.sin(w * t + p), b0
-        )
+        family = ScaledProfileFamily((0.0, 1.0), Sinusoid(freq, phase), b0)
         refined = refine_to_tolerance(a, family, CONTRACTION_GB, tol=1e-5, n_max=16)
         reference = oracle_solve(a, family, 1.0, 0.0, rk_steps=4096)
         diff = refined.full_span.entries - reference.entries

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm
 from .metrics import ANormEvaluator, _check_family
+from .profiles import Constant, Sinusoid, profile_values
 from . import semigroup
 from .semigroup import GrowthBound, expm_stack
 
@@ -201,10 +202,12 @@ class _Scaled(PerturbationFamily):
 class ScaledProfileFamily(PerturbationFamily):
     """B(t) = phi(t) B0 for a scalar profile phi.
 
-    The modulus factorises exactly: Omega(h) = Omega_phi(h) ||B0||_A, with
-    Omega_phi tabulated on PROFILE_SAMPLES equispaced profile samples; for h
-    below their step, the steepest sampled cell and its neighbours are
-    resampled at step h or finer.
+    phi is evaluated by profiles.profile_values: a Profile such as Sinusoid
+    through its array form, any other callable once per t. The modulus
+    factorises exactly: Omega(h) = Omega_phi(h) ||B0||_A, with Omega_phi the
+    largest max - min of PROFILE_SAMPLES equispaced profile samples over a
+    window of width h (_window_extrema); for h below their step, the
+    steepest sampled cell and its neighbours are resampled at step h or finer.
     """
 
     def __init__(self, interval, profile, b0: Operator):
@@ -214,12 +217,10 @@ class ScaledProfileFamily(PerturbationFamily):
         self._profile_vals = self._samples(*self.interval, PROFILE_SAMPLES)
 
     def _samples(self, start: float, stop: float, count: int) -> np.ndarray:
-        return np.array([float(self.profile(t)) for t in np.linspace(start, stop, count)])
+        return profile_values(self.profile, np.linspace(start, stop, count))
 
     def _values(self, ts: np.ndarray) -> np.ndarray:
-        # One scalar call per t: a ufunc in its place can differ in the last bit.
-        vals = np.array([float(self.profile(float(t))) for t in ts])
-        return vals[:, None, None] * self.b0.entries[None, :, :]
+        return profile_values(self.profile, ts)[:, None, None] * self.b0.entries[None, :, :]
 
     def _b0_anorm(self, anorm) -> float:
         return self._cached(anorm, "b0", lambda: anorm.value(self.b0).value)
@@ -236,10 +237,9 @@ class ScaledProfileFamily(PerturbationFamily):
             lo, hi = max(j - 1, 0), min(j + 2, PROFILE_SAMPLES - 1)
             fine = self._samples(t0 + lo * step, t0 + hi * step, (hi - lo) * k + 1)
             return float(np.abs(np.diff(fine)).max()) * self._b0_anorm(anorm)
-        w = int(round(h / step))
         # Max-min of the profile over every window of width h.
-        windows = np.lib.stride_tricks.sliding_window_view(self._profile_vals, w + 1)
-        return float((windows.max(axis=1) - windows.min(axis=1)).max()) * self._b0_anorm(anorm)
+        hi, lo = _window_extrema(self._profile_vals, int(round(h / step)) + 1)
+        return float((hi - lo).max()) * self._b0_anorm(anorm)
 
     def sup_anorm(self, anorm) -> float:
         return float(np.abs(self._profile_vals).max()) * self._b0_anorm(anorm)
@@ -248,11 +248,28 @@ class ScaledProfileFamily(PerturbationFamily):
         return self.profile, self.b0
 
 
+def _window_extrema(x: np.ndarray, width: int) -> tuple:
+    """(max, min) of x over each window of width consecutive items, 1 <= width <= len(x).
+
+    By doubling (Bender and Farach-Colton, "The LCA problem revisited", 2000):
+    after the steps to k, the largest power of two <= width, item i holds the
+    extremum of x[i : i + k], and a window of width is the overlapping pair of
+    spans at i and i + width - k. O(len(x) log width), and exact.
+    """
+    hi = lo = x
+    k = 1
+    while 2 * k <= width:
+        hi, lo = np.maximum(hi[:-k], hi[k:]), np.minimum(lo[:-k], lo[k:])
+        k *= 2
+    n, r = len(x) - width + 1, width - k
+    return np.maximum(hi[:n], hi[r:]), np.minimum(lo[:n], lo[r:])
+
+
 class ConstantFamily(ScaledProfileFamily):
     """B(t) = B0 as the phi = 1 profile family; modulus identically zero, products collapse exactly."""
 
     def __init__(self, interval, b0: Operator):
-        super().__init__(interval, lambda t: 1.0, b0)
+        super().__init__(interval, Constant(1.0), b0)
 
 
 class PiecewiseLinearFamily(PerturbationFamily):
@@ -392,7 +409,9 @@ class EvolutionFamilyApprox:
         half a chunk joining the last. Chunks start at multiples of the block
         length, so each cell has the bits of a whole-level call. A partial cell
         within 1e-12 delta of a cell boundary is snapped to it, so nodes up to
-        rounding reuse it; any other partial cell is exponentiated directly.
+        rounding reuse it; any other partial cell is exponentiated directly,
+        once for a run of equal (cell, length) pairs such as equally spaced
+        probes inside one coarse cell.
         """
         p, d, delta = self.partition, self.a.dim, self.partition.delta
         ts, last = [float(t) for t in ts], float(s)
@@ -406,6 +425,7 @@ class EvolutionFamilyApprox:
         stop = min(-(-(p.cell_of(ts[-1]) + 1) // step) * step, p.cells) if ts else 0
         size = _CHUNK_BLOCKS * step
         first, exps = self._chunk
+        last_partial = (None, None, None)  # (j, tau, cell): equal probe spacings repeat a partial cell
 
         def cells(lo: int, hi: int):
             """Exponentials of cells lo..hi-1, as views of the chunks that hold them."""
@@ -419,11 +439,15 @@ class EvolutionFamilyApprox:
                 lo = min(hi, first + len(exps))
 
         def partial(j: int, tau: float) -> np.ndarray:
+            nonlocal last_partial
             if tau <= 1e-12 * delta:
                 return np.eye(d)
             if abs(tau - delta) <= 1e-12 * delta:
                 return next(cells(j, j + 1))[0].copy()
-            return expm_stack(tau * (self.a.entries + self.family.values_stack([p.node(j)])))[0]
+            if last_partial[:2] != (j, tau):
+                value = expm_stack(tau * (self.a.entries + self.family.values_stack([p.node(j)])))[0]
+                last_partial = j, tau, value
+            return last_partial[2]
 
         last = float(s)
         for t in ts:
@@ -458,9 +482,9 @@ def _interpolated_cells(a: Operator, family: PerturbationFamily, p: DyadicPartit
 
     Every cell is E(phi_j), E(phi) = e^{delta (A + phi B0)}, an entire function
     of one scalar (Trefethen, ATAP ch. 8; Higham, Functions of Matrices ch. 10).
-    The profile is called once per node, as values_stack calls it, for the
-    level's range [c - r, c + r] of phi_j. One expm_stack call takes
-    F = E - I at c and at the K Chebyshev points c + r x_k,
+    The profile is evaluated once per node by profile_values, as values_stack
+    evaluates it, for the level's range [c - r, c + r] of phi_j. One
+    expm_stack call takes F = E - I at c and at the K Chebyshev points c + r x_k,
     x_k = cos((k + 1/2) pi / K), and the difference F(phi) - F(c), whose
     coefficients are O(z) with z = delta r ||B0||_1, is interpolated. A
     chunk's cells are I + F(c) + T(x_j) coef: one (cells x K) (K x d^2)
@@ -477,7 +501,7 @@ def _interpolated_cells(a: Operator, family: PerturbationFamily, p: DyadicPartit
     if factored is None or p.cells < max(_INTERP_MIN_CELLS, _INTERP_MIN_CELLS_X_DIM / a.dim):
         return None
     profile, b0, d = factored[0], factored[1].entries, a.dim
-    phis = np.array([float(profile(float(t))) for t in p.a + p.delta * np.arange(p.cells)])
+    phis = profile_values(profile, p.a + p.delta * np.arange(p.cells))
     lo, hi = float(phis.min()), float(phis.max())
     c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z = p.delta * r * norm_of(b0, NormKind.ONE)
@@ -762,7 +786,7 @@ def family_from_spec(config: dict, norm_kind: NormKind = NormKind.TWO) -> Pertur
         amp = float(config.get("amplitude", 1.0))
         freq = float(config.get("frequency", 1.0))
         phase = float(config.get("phase", 0.0))
-        return ScaledProfileFamily(tuple(config["interval"]), lambda t: amp * math.sin(freq * t + phase), b0)
+        return ScaledProfileFamily(tuple(config["interval"]), Sinusoid(freq, phase, amp), b0)
     if kind == "piecewise":
         mats = [Operator(np.asarray(m, dtype=float), norm_kind) for m in config["mats"]]
         return PiecewiseLinearFamily(config["nodes"], mats)

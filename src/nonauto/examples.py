@@ -20,6 +20,7 @@ from .errors import DomainTooSmall, PreconditionViolated
 from .evofam import ScaledProfileFamily, oracle_solve, refine_to_tolerance
 from .linop import NormKind, Operator, norm_of, shifted_band
 from .metrics import AssumptionReport, check_assumptions
+from .profiles import Sinusoid
 from .semigroup import GrowthBound, envelope_ratios
 
 CONTRACTION_SLACK = 1e-10
@@ -284,7 +285,7 @@ def verify_example_bounds(
     norms = tuple((float(t), float(v)) for t, v in zip(CONTRACTION_TIMES, ratios))
     contraction = bool(metzler and colsums and all(v <= 1.0 + CONTRACTION_SLACK for _, v in norms))
     gb = GrowthBound(m=1.0, omega0=0.0)
-    family_r = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(gr, n_max, mirror=mirror).operator())
+    family_r = ScaledProfileFamily((0.0, 2.0 * math.pi), Sinusoid(), build_spiky_b(gr, n_max, mirror=mirror).operator())
     assumptions = check_assumptions(family_r, a_r, gb)
 
     pipeline_levels = None
@@ -292,7 +293,7 @@ def verify_example_bounds(
     if pipeline and which == "heat":
         gp = g.coarsened(pipeline_points)
         a_p = build_generator(which, gp)
-        family = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(gp, n_max, mirror=True).operator())
+        family = ScaledProfileFamily((0.0, 2.0 * math.pi), Sinusoid(), build_spiky_b(gp, n_max, mirror=True).operator())
         refined = refine_to_tolerance(a_p, family, gb, tol=pipeline_tol, n_max=PIPELINE_MAX_LEVEL)
         reference = oracle_solve(a_p, family, 2.0 * math.pi, 0.0, rk_steps=4096)
         diff = refined.full_span.entries - reference.entries

@@ -294,8 +294,11 @@ class BandResolvent:
     Every other mu (an interchange, another sign pattern, a kappa bound in or above
     the margin, a failed residual bound, an exactly singular factor) forms R from an
     identity right-hand side and is judged as before: _judge on the exact kappa_1 and
-    the residual of a banded product, with resolvent_stack's messages.
+    the residual of a banded product, with resolvent_stack's messages. A one-mu
+    build keeps the R it formed, so resolvent(0) does not solve again.
     """
+
+    _formed = None  # R of a kept, uncertified mu of a one-mu build
 
     def __init__(self, a: np.ndarray, mus, skip: bool = False):
         d = a.shape[0]
@@ -318,6 +321,8 @@ class BandResolvent:
                 residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
                 self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
                 positive = (r >= 0.0).all()
+                if self.kept[i] and len(mus) == 1:
+                    self._formed = r
             if self.kept[i]:
                 self._factors.append((lu, piv))
                 nonneg.append(positive)
@@ -328,7 +333,9 @@ class BandResolvent:
         return dgbtrs(lu, self.kl, self.ku, rhs, piv, trans=trans)[0]
 
     def resolvent(self, i: int) -> np.ndarray:
-        """R(mu, A) at the i-th kept mu: one solve of the factors on the identity."""
+        """R(mu, A) at the i-th kept mu: the R a one-mu build formed, else one solve of the factors on the identity."""
+        if self._formed is not None:
+            return self._formed
         return self._solve(i, np.eye(self._factors[i][0].shape[1], order="F"))
 
     def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
@@ -360,7 +367,8 @@ def resolvent(a: Operator, mu: float) -> Operator:
     """R(mu, A) = (mu I - A)^{-1} under resolvent_stack's exact-kappa_1 guards and messages.
 
     Where band_pays(A), R comes from BandResolvent's band LU factors by one
-    identity solve; otherwise it is resolvent_stack's one-item form.
+    identity solve, the one that judged mu where the factors did not certify
+    it; otherwise it is resolvent_stack's one-item form.
     """
     if band_pays(a.entries):
         return Operator(BandResolvent(a.entries, mu).resolvent(0), a.norm_kind)

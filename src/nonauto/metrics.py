@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormKindMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
 from .linop import PRODUCT_BYTES, BandResolvent, Operator, band_pays, norm_stack, op_norm, resolvent_stack, spectrum
+from .profiles import profile_values
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
 LAMBDA_CEILING = 1e8
@@ -247,7 +248,7 @@ def check_assumptions(family, a: Operator, gb: GrowthBound) -> AssumptionReport:
     if factored is not None and band_pays(a.entries):
         # B'(t) R(mu) = phi'(t) B0 R(mu): one band norm per mu, not one product per (mu, t).
         profile, b0 = factored
-        plus, minus = (np.array([float(profile(float(t))) for t in ts + s]) for s in (h_fd, -h_fd))
+        plus, minus = (profile_values(profile, ts + s) for s in (h_fd, -h_fd))
         slope = float(np.abs(plus - minus).max(initial=0.0)) / (2.0 * h_fd)
         norms = slope * BandResolvent(a.entries, mus).norms(b0.entries[None], a.norm_kind)[0]
     else:

@@ -24,6 +24,8 @@ import nonauto
 import nonauto.acceptance
 from nonauto.acceptance import run_criteria
 from nonauto.dichotomy import EpsSweepResult
+from nonauto.evofam import ScaledProfileFamily
+from nonauto.profiles import Profile, Sinusoid
 
 SEED = 7
 
@@ -58,8 +60,34 @@ PARAMS = [
 
 
 @pytest.fixture(scope="session")
-def results():
-    return {r.index: r for r in run_criteria(SEED)}
+def criteria_pass():
+    """The criteria at SEED, and the profile evaluations of that pass: scalar calls,
+    items evaluated in array form, and the profiles its factored families were built on."""
+    calls = {"scalar": 0, "array": 0, "profiles": []}
+    call, values, init = Profile.__call__, Sinusoid.values, ScaledProfileFamily.__init__
+
+    def counted_init(family, interval, profile, b0):
+        calls["profiles"].append(profile)
+        init(family, interval, profile, b0)
+
+    def counted_call(profile, t):
+        calls["scalar"] += 1
+        return call(profile, t)
+
+    def counted_values(profile, ts):
+        calls["array"] += len(ts)
+        return values(profile, ts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Profile, "__call__", counted_call)
+        patch.setattr(Sinusoid, "values", counted_values)
+        patch.setattr(ScaledProfileFamily, "__init__", counted_init)
+        return {r.index: r for r in run_criteria(SEED)}, calls
+
+
+@pytest.fixture(scope="session")
+def results(criteria_pass):
+    return criteria_pass[0]
 
 
 @pytest.mark.parametrize("index", PARAMS, ids=NAMES)
@@ -68,6 +96,15 @@ def test_criterion(index, results):
     status = "PASS" if r.passed else "FAIL"
     print(f"criterion {r.index:02d} {r.name}: {status} ({r.detail})")
     assert r.passed, f"criterion {r.index:02d} {r.name}: {r.detail}"
+
+
+def test_criteria_evaluate_sinusoids_as_arrays(criteria_pass):
+    # Criteria 2, 8, 9, 10 and 13 take Sinusoid profiles, and no criterion calls a profile per t.
+    calls = criteria_pass[1]
+    assert all(isinstance(p, Profile) for p in calls["profiles"])
+    assert any(isinstance(p, Sinusoid) for p in calls["profiles"])
+    assert calls["scalar"] == 0
+    assert calls["array"] > 0
 
 
 def test_roughness_growth_adjusted_bound_holds(results):

@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nonauto import (
     CallableFamily,
@@ -21,6 +24,7 @@ from nonauto import (
     PiecewiseLinearFamily,
     PreconditionViolated,
     ScaledProfileFamily,
+    Sinusoid,
     TabulatedFamily,
     ToleranceNotReached,
     a_norm,
@@ -138,6 +142,49 @@ class TestFamilies:
             assert omega == pytest.approx(math.sin(2.0**-n) * b0_norm, rel=1e-12)
         for coarse, fine in zip(moduli, moduli[1:]):
             assert fine / coarse == pytest.approx(0.5, rel=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=arrays(float, st.integers(1, 80), elements=st.floats(-1e6, 1e6)))
+    def test_window_extrema_equal_sliding_windows(self, x):
+        # Every width, powers of two or not: the doubling extrema are exact.
+        for width in range(1, len(x) + 1):
+            windows = np.lib.stride_tricks.sliding_window_view(x, width)
+            hi, lo = evofam._window_extrema(x, width)
+            assert np.array_equal(hi, windows.max(axis=1)) and np.array_equal(lo, windows.min(axis=1)), width
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=arrays(float, st.integers(1, 40), elements=st.floats(-50.0, 50.0)),
+        frequency=st.floats(-5.0, 5.0),
+        phase=st.floats(-7.0, 7.0),
+        amplitude=st.floats(-3.0, 3.0),
+    )
+    def test_sinusoid_scalar_form_equals_array_form(self, ts, frequency, phase, amplitude):
+        # One t at a time or all at once, numpy's sin loop gives the same bits.
+        profile = Sinusoid(frequency, phase, amplitude)
+        assert np.array_equal([profile(t) for t in ts], profile.values(ts))
+
+    def test_plain_callable_profile_is_called_once_per_node(self):
+        calls = []
+        fam = ScaledProfileFamily((0.0, 1.0), lambda t: calls.append(t) or math.sin(t), op2(np.diag([0.5, 0.3])))
+        assert len(calls) == evofam.PROFILE_SAMPLES
+        ts = np.linspace(0.0, 1.0, 7)
+        calls.clear()
+        fam.values_stack(ts)
+        assert calls == ts.tolist()
+        # An interpolated level evaluates its profile once per cell's left node.
+        u = euler_polygon(op2(np.diag([-1.0, -2.0])), fam, 10)
+        calls.clear()
+        u.evaluate(1.0, 0.0)
+        assert calls == DyadicPartition(0.0, 1.0, 10).nodes()[:-1].tolist()
+
+    @pytest.mark.parametrize("key, value", [("amplitude", math.inf), ("frequency", math.inf), ("phase", math.nan)])
+    def test_non_finite_sinusoid_gives_non_finite_values_without_warning(self, key, value):
+        # Warnings are errors in this suite; the cell exponentials refuse the values.
+        fam = family_from_spec({"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.5, 0.0], [0.0, 0.5]], key: value})
+        assert not np.isfinite(fam.values_stack([0.0])).any()
+        with pytest.raises(Overflow, match="non-finite entry"):
+            euler_polygon(op2(-np.eye(2)), fam, 0).evaluate(1.0, 0.0)
 
     def test_scale_wraps_value_and_modulus(self):
         fam = ScaledProfileFamily((0.0, 3.0), np.sin, op2(np.eye(2))).scale(-2.0)
@@ -554,6 +601,20 @@ class TestFold:
             assert len(res.probe_values) == 16
             assert all(np.array_equal(x.entries, y) for x, y in zip(res.probe_values, ref))
             assert res.full_span is res.probe_values[-1]
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_coarse_path_exponentiates_one_partial_cell_per_cell(self, n, monkeypatch):
+        # The 16 probes on [0, 1] are equally spaced, so each coarse cell's partial
+        # cells repeat one (cell, length) pair.
+        a, fam, _ = self.problem(2)
+        probes = np.linspace(0.0, 1.0, 17)[1:]
+        for u, ref in self.pairs(a, fam, n):
+            mats = []
+            with monkeypatch.context() as patch:
+                patch.setattr(evofam, "expm_stack", lambda m, out=None: mats.append(len(m)) or expm_stack(m, out=out))
+                got = [op.entries for op in u.evaluate_path(probes, 0.0)]
+            assert len(mats) <= 2**n
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(probes, 0.0)))
 
     def test_nearby_spans_reuse_the_last_chunk(self, monkeypatch):
         # Time-1 maps after a refinement take no cell from the source again.

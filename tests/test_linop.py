@@ -270,6 +270,29 @@ class TestBandResolvent:
         assert certified == [certified_want]
         assert band.kept.tolist() == FormedBandResolvent(a, mus, skip=True).kept.tolist() == [kept_want]
 
+    def test_uncertified_resolvent_solves_the_identity_once(self, monkeypatch):
+        # Random-sign off-diagonals leave the M-matrix sign pattern, so mu = 5 is
+        # judged from a formed R, and resolvent returns that R.
+        rng = np.random.default_rng(3)
+        d = 128
+        a = np.diag(-rng.uniform(1.0, 3.0, d))
+        for k in (-1, 1):
+            a += np.diag(rng.uniform(0.0, 1.0, d - 1) * rng.choice([-1.0, 1.0], d - 1), k)
+        assert linop.band_pays(a)
+        dgbtrf, dgbtrs = linop._band_lu()
+        widths = []
+
+        def counted(lu, kl, ku, rhs, piv, trans=0):
+            widths.append(rhs.shape[1])
+            return dgbtrs(lu, kl, ku, rhs, piv, trans=trans)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linop, "_band_lu", lambda: (dgbtrf, counted))
+            r = resolvent(op2(a), 5.0).entries
+        assert widths == [d]
+        # A multi-mu build keeps no R and solves again, to the same bits.
+        assert np.array_equal(r, BandResolvent(a, [5.0, 6.0]).resolvent(0))
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
