@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotInvertible, OutOfInterval, Overflow, PreconditionViolated, SingularResolvent, ToleranceNotReached
 from .evofam import EvolutionFamilyApprox, PerturbationFamily, refine_to_tolerance
-from .linop import Operator, norm_of, resolvent_stack
+from .linop import Operator, norm_of, norm_stack, resolvent_stack
 from .metrics import ANormEvaluator
 from .semigroup import GrowthBound, expm
 
@@ -76,18 +76,17 @@ def check_hyperbolic(t1: Operator) -> DichotomyReport:
     q_raw = (vecs * (~stable)[None, :]) @ vinv
     p = np.real(p_raw + (np.eye(t1.dim) - q_raw)) / 2.0
     alpha = gap
+    # T^k P and T^{-k} (I - P) for k = 0..K_MAX, normed by one norm_stack call.
+    powers = np.empty((K_MAX + 1, 2, t1.dim, t1.dim))
+    powers[0] = p, np.eye(t1.dim) - p
+    for k in range(K_MAX):
+        np.matmul(t1.entries, powers[k, 0], out=powers[k + 1, 0])
+        np.matmul(t1_inv, powers[k, 1], out=powers[k + 1, 1])
+    norms = norm_stack(powers.reshape(-1, t1.dim, t1.dim), t1.norm_kind).reshape(K_MAX + 1, 2)
     m_dich = 0.0
-    p_pow = p.copy()
-    u_pow = np.eye(t1.dim) - p
-    for k in range(K_MAX + 1):
+    for k, (p_norm, u_norm) in enumerate(norms.tolist()):
         decay = math.exp(-alpha * k)
-        m_dich = max(
-            m_dich,
-            norm_of(p_pow, t1.norm_kind) / decay,
-            norm_of(u_pow, t1.norm_kind) / decay,
-        )
-        p_pow = t1.entries @ p_pow
-        u_pow = t1_inv @ u_pow
+        m_dich = max(m_dich, p_norm / decay, u_norm / decay)
     return DichotomyReport(
         hyperbolic=hyperbolic,
         spectral_gap=gap,

@@ -220,7 +220,9 @@ class ScaledProfileFamily(PerturbationFamily):
         return profile_values(self.profile, np.linspace(start, stop, count))
 
     def _values(self, ts: np.ndarray) -> np.ndarray:
-        return profile_values(self.profile, ts)[:, None, None] * self.b0.entries[None, :, :]
+        # An infinite profile value times a zero entry of B0 is NaN, with no warning; the cell exponentials refuse it.
+        with np.errstate(invalid="ignore"):
+            return profile_values(self.profile, ts)[:, None, None] * self.b0.entries[None, :, :]
 
     def _b0_anorm(self, anorm) -> float:
         return self._cached(anorm, "b0", lambda: anorm.value(self.b0).value)

@@ -79,6 +79,24 @@ class GridSpec:
         return GridSpec(self.length, max_points, self.domain)
 
 
+def _stencil(which: str, g: GridSpec) -> dict:
+    """Diagonals {offset: value} of the named model generator on grid g: the one source of its entries."""
+    h = g.h
+    if which == "translation":
+        return {-1: 1.0 / h, 0: -1.0 / h}
+    if which == "heat":
+        return {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}
+    raise PreconditionViolated(f"unknown example {which!r}")
+
+
+def _stencil_matrix(stencil: dict, n: int) -> np.ndarray:
+    """The dense n x n matrix with the given diagonals {offset: value} and zeros elsewhere."""
+    m = np.zeros((n, n))
+    for k, v in stencil.items():
+        np.fill_diagonal(m[:, k:] if k >= 0 else m[-k:], v)
+    return m
+
+
 def build_translation_generator(g: GridSpec) -> Operator:
     """Upwind discretization of -d/dx on [0, L] with absorbing inflow.
 
@@ -88,18 +106,14 @@ def build_translation_generator(g: GridSpec) -> Operator:
     """
     if g.domain is not Domain.HALF_LINE:
         raise PreconditionViolated("translation generator lives on the half-line")
-    n, h = g.points, g.h
-    entries = (-np.eye(n) + np.eye(n, k=-1)) / h
-    return Operator(entries, NormKind.ONE)
+    return Operator(_stencil_matrix(_stencil("translation", g), g.points), NormKind.ONE)
 
 
 def build_heat_generator(g: GridSpec) -> Operator:
     """Second-difference Laplacian on [-L/2, L/2] with Dirichlet closure."""
     if g.domain is not Domain.LINE:
         raise PreconditionViolated("heat generator lives on the symmetric line")
-    n, h = g.points, g.h
-    entries = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / h**2
-    return Operator(entries, NormKind.ONE)
+    return Operator(_stencil_matrix(_stencil("heat", g), g.points), NormKind.ONE)
 
 
 def heat_resolvent_green(g: GridSpec, mu: float) -> Operator:
@@ -167,16 +181,6 @@ def build_spiky_b(g: GridSpec, n_max: int, mirror: bool = False) -> SpikyMultipl
     return SpikyMultiplier(n_max=n_max, values=values, unresolved=unresolved, mass=float(g.h * values.sum()))
 
 
-def _transpose_stencil(which: str, g: GridSpec) -> dict:
-    """Diagonals {offset: value} of G^T for the named generator, the entries its builder writes."""
-    h = g.h
-    if which == "translation":
-        return {0: -1.0 / h, 1: 1.0 / h}
-    if which == "heat":
-        return {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}
-    raise PreconditionViolated(f"unknown example {which!r}")
-
-
 def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -> list:
     """mu ||B R(mu, G)||_1 for diagonal B >= 0, via banded solves.
 
@@ -189,13 +193,13 @@ def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -
     b = np.asarray(b_values, dtype=float)
     if b.shape != (g.points,) or np.any(b < 0.0):
         raise PreconditionViolated("sweep wants a nonnegative diagonal of grid length")
-    stencil = _transpose_stencil(which, g)
+    transpose = {-k: v for k, v in _stencil(which, g).items()}
     out = []
     for mu in mus:
         mu = float(mu)
         if mu <= 0.0:
             raise PreconditionViolated(f"sweep needs mu > 0, got mu={mu}")
-        col_sums = solve_banded(*shifted_band(stencil, mu, g.points), b)
+        col_sums = solve_banded(*shifted_band(transpose, mu, g.points), b)
         out.append((mu, float(mu * col_sums.max())))
     return out
 
@@ -235,8 +239,11 @@ class ExampleReport:
 
 
 def build_generator(which: str, g: GridSpec) -> Operator:
-    """The named model generator ("translation" or "heat") on grid g."""
-    return build_translation_generator(g) if which == "translation" else build_heat_generator(g)
+    """The named model generator ("translation" or "heat") on grid g; any other name raises PreconditionViolated."""
+    builders = {"translation": build_translation_generator, "heat": build_heat_generator}
+    if which not in builders:
+        raise PreconditionViolated(f"unknown example {which!r}")
+    return builders[which](g)
 
 
 def verify_example_bounds(

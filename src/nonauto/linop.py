@@ -25,12 +25,12 @@ _COND_MARGIN = 1e-6
 # semigroup.expm_stack, the RK4 steps of evofam.oracle_solve): each block's
 # temporaries stay in cache instead of streaming whole-stack arrays.
 BLOCK_BYTES = 256 * 1024
-# Bytes of the products one reduction block forms (metrics.ANormEvaluator's
-# C R(mu, A) blocks, evofam._chain_desc's chunks): a bound on the temporaries
+# Bytes of the products one reduction block forms (the C R(mu, A) blocks of
+# _product_norms, evofam._chain_desc's chunks): a bound on the temporaries
 # of a product over a whole grid or a whole level.
 PRODUCT_BYTES = 8 * 1024 * 1024
 # Band LU (BandResolvent) replaces dense resolvents from d >= _BAND_MIN_DIM with
-# _BAND_DIM_PER_DIAGONAL rows per band diagonal (band_pays). Band over dense time of
+# _BAND_DIM_PER_DIAGONAL rows per band diagonal (resolvents). Band over dense time of
 # an A-norm grid build and one diagonal-C value, Metzler A with every mu certified by
 # BandResolvent (best of 5, three runs): 0.8-1.2 at d = 32, 0.5-0.9 at 40-48, 0.2-0.4
 # at 64 (1-3 diagonals), 0.02-0.12 at 128-256 (tridiagonal) and 0.3-0.5 at 12-17 rows
@@ -209,7 +209,7 @@ def bandwidths(m: np.ndarray) -> tuple:
 
 
 def band_pays(m: np.ndarray) -> bool:
-    """Whether resolvents of the square matrix m come from band LU (BandResolvent) rather than dense inverses."""
+    """Whether resolvents serves the square matrix m by band LU (BandResolvent) rather than dense inverses."""
     d = m.shape[0]
     return d >= _BAND_MIN_DIM and d >= _BAND_DIM_PER_DIAGONAL * (sum(bandwidths(m)) + 1)
 
@@ -342,37 +342,62 @@ class BandResolvent:
         """(k, kept) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack over the kept mus.
 
         A diagonal C where R >= 0 takes one band solve: ||C R||_1 = max (mu I - A)^{-T} |c| and
-        ||C R||_inf = max |c| o (mu I - A)^{-1} 1. Else R is solved again and multiplied, as dense mode does.
+        ||C R||_inf = max |c| o (mu I - A)^{-1} 1. Else R is solved again and _product_norms
+        multiplies, as dense mode does.
         """
         k, d = mats.shape[0], mats.shape[-1]
         diag = np.diagonal(mats, axis1=1, axis2=2)
         fast = np.count_nonzero(mats, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
         fast &= norm_kind is not NormKind.TWO
-        c, rows = np.abs(diag[fast]).T, max(1, PRODUCT_BYTES // (8 * d * d))
+        c, general = np.abs(diag[fast]).T, mats[~fast] if fast.any() else mats
         out = np.empty((k, len(self._factors)))
         for i, nonneg in enumerate(self.nonneg):
-            if nonneg and fast.any():
+            shortcut = nonneg and fast.any()
+            if shortcut:
                 trans = norm_kind is NormKind.ONE
                 x = self._solve(i, c if trans else np.ones((d, 1)), trans=int(trans))
                 out[fast, i] = (x if trans else c * x).max(axis=0)
-            rest = np.flatnonzero(~fast if nonneg else np.ones(k, dtype=bool))
-            if rest.size:
-                r = self.resolvent(i)
-                for lo in range(0, rest.size, rows):
-                    out[rest[lo : lo + rows], i] = norm_stack(mats[rest[lo : lo + rows]] @ r, norm_kind)
+            if not (shortcut and fast.all()):
+                rows = ~fast if shortcut else slice(None)
+                out[rows, i] = _product_norms(general if shortcut else mats, self.resolvent(i)[None], norm_kind)[:, 0]
         return out
 
 
-def resolvent(a: Operator, mu: float) -> Operator:
-    """R(mu, A) = (mu I - A)^{-1} under resolvent_stack's exact-kappa_1 guards and messages.
+class DenseResolvents:
+    """R(mu_j, A) for one A against k mus as resolvent_stack's dense inverses, with BandResolvent's three members."""
 
-    Where band_pays(A), R comes from BandResolvent's band LU factors by one
-    identity solve, the one that judged mu where the factors did not certify
-    it; otherwise it is resolvent_stack's one-item form.
-    """
-    if band_pays(a.entries):
-        return Operator(BandResolvent(a.entries, mu).resolvent(0), a.norm_kind)
-    return Operator(resolvent_stack(a.entries, mu)[0][0], a.norm_kind)
+    def __init__(self, a: np.ndarray, mus, skip: bool = False):
+        self._stack, self.kept = resolvent_stack(a, mus, skip)
+
+    def resolvent(self, i: int) -> np.ndarray:
+        return self._stack[i]
+
+    def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+        return _product_norms(mats, self._stack, norm_kind)
+
+
+def _product_norms(mats: np.ndarray, rs: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """(k, n) norms ||C_j R_i|| of a (k, d, d) stack against an (n, d, d) stack, PRODUCT_BYTES of products at a time."""
+    n, d = rs.shape[0], rs.shape[-1]
+    cols = max(1, min(n, PRODUCT_BYTES // (8 * d * d)))
+    rows = max(1, PRODUCT_BYTES // (8 * d * d * cols))
+    out = np.empty((mats.shape[0], n))
+    for lo in range(0, mats.shape[0], rows):
+        for mlo in range(0, n, cols):
+            products = mats[lo : lo + rows, None] @ rs[None, mlo : mlo + cols]
+            norms = norm_stack(products.reshape(-1, d, d), norm_kind)
+            out[lo : lo + rows, mlo : mlo + cols] = norms.reshape(products.shape[:2])
+    return out
+
+
+def resolvents(a: np.ndarray, mus, skip: bool = False):
+    """The one band-or-dense decision: R(mu_j, A) as a BandResolvent where band LU pays, else a DenseResolvents."""
+    return (BandResolvent if band_pays(a) else DenseResolvents)(a, mus, skip)
+
+
+def resolvent(a: Operator, mu: float) -> Operator:
+    """R(mu, A) = (mu I - A)^{-1}, the one-mu form of resolvents: a refused mu raises SingularResolvent."""
+    return Operator(resolvents(a.entries, mu).resolvent(0), a.norm_kind)
 
 
 def spectrum(a: Operator) -> Spectrum:

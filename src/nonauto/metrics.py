@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NormKindMismatch, PreconditionViolated, SingularResolvent, TailNotSettled
-from .linop import PRODUCT_BYTES, BandResolvent, Operator, band_pays, norm_stack, op_norm, resolvent_stack, spectrum
+from .linop import Operator, norm_stack, op_norm, resolvent_stack, resolvents, spectrum
 from .profiles import profile_values
 from .semigroup import BOUND_SLACK, BoundCheck, GrowthBound, envelope_ratios, worst_ratio
 
@@ -63,12 +63,10 @@ class ANormResult:
 class ANormEvaluator:
     """Shared mu-grid resolvents of a fixed A, reused across many C.
 
-    Building the grid is one resolvent_stack call: one batched inverse per
-    block of mu points. Each evaluation then multiplies C against the grid in
-    blocks of PRODUCT_BYTES. A narrow-banded A (band mode, linop.band_pays)
-    holds band LU factors in a linop.BandResolvent instead. Grid points
-    whose resolvent is refused are skipped and counted; more than
-    SKIP_BUDGET of them is an error.
+    The grid is one linop.resolvents object: dense inverses, or band LU
+    factors for a narrow-banded A (band mode), and the norms of C R(mu, A)
+    over it. Grid points whose resolvent is refused are skipped and counted;
+    more than SKIP_BUDGET of them is an error.
     """
 
     def __init__(self, a: Operator, gb: GrowthBound, grid: MuGrid | None = None):
@@ -82,37 +80,19 @@ class ANormEvaluator:
             raise PreconditionViolated(
                 f"mu-grid offsets from {self.grid.min_offset:g} are lost to rounding at omega0 = {gb.omega0:g}"
             )
-        banded = band_pays(a.entries)
-        self._band = BandResolvent(a.entries, mus, skip=True) if banded else None
-        self._stack, kept = (None, self._band.kept) if banded else resolvent_stack(a.entries, mus, skip=True)
-        self.total, self.skipped = len(mus), int(np.count_nonzero(~kept))
+        self.resolvents = resolvents(a.entries, mus, skip=True)
+        self.total, self.skipped = len(mus), int(np.count_nonzero(~self.resolvents.kept))
         if self.skipped > SKIP_BUDGET * self.total:
             raise SingularResolvent(
                 f"{self.skipped} of {self.total} mu-grid points unsolvable; grid does not cover (omega0, inf)"
             )
-        self._mus = mus[kept]
+        self._mus = mus[self.resolvents.kept]
         self._weights = self._mus - gb.omega0
-
-    def _grid_norms(self, mats: np.ndarray) -> np.ndarray:
-        """(k, n_mu) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack, PRODUCT_BYTES of products at a time."""
-        if self._stack is None:
-            return self._band.norms(mats, self.a.norm_kind)
-        d, n_mu = self.a.dim, self._stack.shape[0]
-        cols = max(1, min(n_mu, PRODUCT_BYTES // (8 * d * d)))
-        rows = max(1, PRODUCT_BYTES // (8 * d * d * cols))
-        out = np.empty((mats.shape[0], n_mu))
-        for lo in range(0, mats.shape[0], rows):
-            for mlo in range(0, n_mu, cols):
-                products = mats[lo : lo + rows, None] @ self._stack[None, mlo : mlo + cols]
-                norms = norm_stack(products.reshape(-1, d, d), self.a.norm_kind)
-                out[lo : lo + rows, mlo : mlo + cols] = norms.reshape(products.shape[:2])
-        return out
 
     def sweep(self, c: Operator) -> list:
         """Per-mu samples (mu, (mu - omega0) ||C R(mu, A)|| / M)."""
         self.a._check(c)
-        norms = self._grid_norms(c.entries[None])[0]
-        scaled = self._weights * norms / self.gb.m
+        scaled = self._weights * self.resolvents.norms(c.entries[None], self.a.norm_kind)[0] / self.gb.m
         return [(float(mu), float(v)) for mu, v in zip(self._mus, scaled)]
 
     def value(self, c: Operator) -> ANormResult:
@@ -130,7 +110,7 @@ class ANormEvaluator:
             raise DimensionMismatch(f"expected a (k, {self.a.dim}, {self.a.dim}) stack, got {mats.shape}")
         if mats.shape[0] == 0:
             return np.zeros(0)
-        scaled = (self._weights[None, :] * self._grid_norms(mats)).max(axis=1)
+        scaled = (self._weights[None, :] * self.resolvents.norms(mats, self.a.norm_kind)).max(axis=1)
         return np.maximum(scaled, norm_stack(mats, self.a.norm_kind)) / self.gb.m
 
 
@@ -230,8 +210,7 @@ def check_assumptions(family, a: Operator, gb: GrowthBound) -> AssumptionReport:
     (last below a quarter of the first), with identically-zero moduli passing
     outright. a2: sup_t ||d/dt B(t) R(mu, A)|| over 33 t-samples is tabulated
     over a mu ladder and should stay bounded (last at most twice the median);
-    in band mode a family phi(t) B0 takes
-    max_t |phi(t+h) - phi(t-h)|/(2h) ||B0 R(mu, A)||.
+    a family phi(t) B0 takes max_t |phi(t+h) - phi(t-h)|/(2h) ||B0 R(mu, A)||.
     """
     _check_family(a, family)
     t0, t1 = family.interval
@@ -244,27 +223,20 @@ def check_assumptions(family, a: Operator, gb: GrowthBound) -> AssumptionReport:
     h_fd = fd_step(family.interval)
     mus = gb.omega0 + np.geomspace(10.0, 1e6, 11)
     ts = np.linspace(t0 + h_fd, t1 - h_fd, 33)
-    factored = family.factor()
-    if factored is not None and band_pays(a.entries):
-        # B'(t) R(mu) = phi'(t) B0 R(mu): one band norm per mu, not one product per (mu, t).
+    factored, grid = family.factor(), resolvents(a.entries, mus)
+    if factored is not None:
+        # B'(t) R(mu) = phi'(t) B0 R(mu): one norm per mu, not one product per (mu, t).
         profile, b0 = factored
         plus, minus = (profile_values(profile, ts + s) for s in (h_fd, -h_fd))
         slope = float(np.abs(plus - minus).max(initial=0.0)) / (2.0 * h_fd)
-        norms = slope * BandResolvent(a.entries, mus).norms(b0.entries[None], a.norm_kind)[0]
+        norms = slope * grid.norms(b0.entries[None], a.norm_kind)[0]
     else:
         dbdt = (family.values_stack(ts + h_fd) - family.values_stack(ts - h_fd)) / (2.0 * h_fd)
-        rs, _ = resolvent_stack(a.entries, mus)
-        norms = [norm_stack(dbdt @ r, a.norm_kind).max(initial=0.0) for r in rs]
+        norms = grid.norms(dbdt, a.norm_kind).max(axis=0)
     a2 = [(float(mu), float(v)) for mu, v in zip(mus, norms)]
     med = float(np.median([v for _, v in a2]))
     a2_pass = a2[-1][1] <= 2.0 * med + 1e-300
-    return AssumptionReport(
-        a1_modulus=tuple(a1),
-        a1_pass=bool(a1_pass),
-        a2_derivative_sup=tuple(a2),
-        a2_pass=bool(a2_pass),
-        h_fd=h_fd,
-    )
+    return AssumptionReport(tuple(a1), bool(a1_pass), tuple(a2), bool(a2_pass), h_fd)
 
 
 @dataclass(frozen=True)

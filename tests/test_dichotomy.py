@@ -21,7 +21,9 @@ from nonauto import (
     perturbation_proximity,
     roughness_sweep,
 )
+from nonauto import dichotomy
 from nonauto.errors import OutOfInterval
+from nonauto.linop import norm_of
 
 
 def op2(entries):
@@ -81,6 +83,21 @@ class TestCheckHyperbolic:
                 back = tk_inv @ back
                 assert op_norm(op2(tk @ p)) <= report.m_dich * math.exp(-report.alpha * k) * (1.0 + 1e-9)
                 assert op_norm(op2(back @ (np.eye(4) - p))) <= report.m_dich * math.exp(-report.alpha * k) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    def test_m_dich_matches_pointwise_loop(self, kind):
+        # The stacked powers normed by one norm_stack call against one norm_of per power: equal to the bit.
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 5, 8):
+            t1 = Operator(expm(Operator(rng.standard_normal((d, d)), kind), 1.0).entries, kind)
+            report = check_hyperbolic(t1)
+            p, t1_inv = report.projector.entries, dichotomy._inverse(t1.entries)
+            want, p_pow, u_pow = 0.0, p.copy(), np.eye(d) - p
+            for k in range(dichotomy.K_MAX + 1):
+                decay = math.exp(-report.alpha * k)
+                want = max(want, norm_of(p_pow, kind) / decay, norm_of(u_pow, kind) / decay)
+                p_pow, u_pow = t1.entries @ p_pow, t1_inv @ u_pow
+            assert report.m_dich == want
 
 
 class TestAutonomousDichotomy:

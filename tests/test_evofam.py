@@ -186,6 +186,16 @@ class TestFamilies:
         with pytest.raises(Overflow, match="non-finite entry"):
             euler_polygon(op2(-np.eye(2)), fam, 0).evaluate(1.0, 0.0)
 
+    def test_infinite_profile_times_zero_entry_is_nan_without_warning(self):
+        # inf x 0 is NaN: the product of an infinite profile value and B0's zero entries warns
+        # nothing, and the cell exponentials refuse the values.
+        spec = {"kind": "sinusoid", "interval": [0.0, 3.0], "entries": [[0.5, 0.0], [0.0, 0.5]], "amplitude": math.inf}
+        fam = family_from_spec(spec)
+        vals = fam.values_stack([0.5])
+        assert np.isposinf(np.diagonal(vals[0])).all() and np.isnan(vals[0, [0, 1], [1, 0]]).all()
+        with pytest.raises(Overflow, match="non-finite entry"):
+            euler_polygon(op2(-np.eye(2)), fam, 1).evaluate(3.0, 0.0)
+
     def test_scale_wraps_value_and_modulus(self):
         fam = ScaledProfileFamily((0.0, 3.0), np.sin, op2(np.eye(2))).scale(-2.0)
         assert np.allclose(fam(1.0).entries, -2.0 * math.sin(1.0) * np.eye(2))

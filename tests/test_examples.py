@@ -24,7 +24,7 @@ from nonauto import (
     scaled_resolvent_sweep,
     verify_example_bounds,
 )
-from nonauto.examples import Domain, GridSpec
+from nonauto.examples import Domain, GridSpec, build_generator
 
 from oracles import SPIKE_MASS_3
 from test_acceptance import _child_env
@@ -75,6 +75,21 @@ class TestGenerators:
     def test_heat_needs_line(self):
         with pytest.raises(PreconditionViolated):
             build_heat_generator(GridSpec(8.0, 4, Domain.HALF_LINE))
+
+    @pytest.mark.parametrize("points", [2, 3, 17, 64, 255, 2048])
+    def test_builders_write_the_difference_formulas(self, points):
+        # Each builder's matrix is its dense difference formula, bit for bit, signs of zeros included.
+        h = 8.0 / points
+        translation = (-np.eye(points) + np.eye(points, k=-1)) / h
+        heat = (np.eye(points, k=-1) - 2.0 * np.eye(points) + np.eye(points, k=1)) / h**2
+        got = build_translation_generator(GridSpec(8.0, points, Domain.HALF_LINE)).entries
+        assert got.tobytes() == translation.tobytes()
+        assert build_heat_generator(GridSpec(8.0, points, Domain.LINE)).entries.tobytes() == heat.tobytes()
+
+    def test_unknown_generator_refused(self):
+        # An unknown name used to build the heat generator.
+        with pytest.raises(PreconditionViolated, match="unknown example 'advection'"):
+            build_generator("advection", GridSpec(8.0, 64, Domain.LINE))
 
     @pytest.mark.parametrize("which", ["translation", "heat"])
     def test_flows_are_contractions(self, which):

@@ -216,8 +216,13 @@ def assert_band_resolvent_matches_dense(a: np.ndarray, mus) -> None:
             try:
                 want = resolvent_stack(a, mu)[0][0]
             except SingularResolvent as refused:
-                with pytest.raises(SingularResolvent, match=re.escape(str(refused))):
+                # The same reason at the same mu. A kappa_1 above COND_LIMIT is read off an R
+                # that inaccurate, so dense and band LU may print different digits of it
+                # (4.044e+16 against 5.740e+16 at seed=1702, kl=3, ku=0, d=45, metzler).
+                with pytest.raises(SingularResolvent) as got:
                     resolvent(op, mu)
+                reason = lambda exc: re.sub(r"condition number \S+", "condition number K", str(exc))  # noqa: E731
+                assert reason(got.value) == reason(refused)
                 continue
             got = resolvent(op, mu).entries
             r_norm = norm_of(want, NormKind.ONE)

@@ -13,6 +13,7 @@ from nonauto import (
     Operator,
     PreconditionViolated,
     SingularResolvent,
+    Sinusoid,
     TailNotSettled,
     a_norm,
     check_assumptions,
@@ -26,7 +27,7 @@ from nonauto import (
 )
 from nonauto import linop, metrics
 from nonauto.evofam import CallableFamily, ConstantFamily, PiecewiseLinearFamily, ScaledProfileFamily
-from nonauto.linop import bandwidths, norm_stack
+from nonauto.linop import BandResolvent, DenseResolvents, bandwidths, norm_stack
 from nonauto.metrics import ANormEvaluator
 
 from oracles import YDIST_DIAG_LIMIT
@@ -131,7 +132,7 @@ class TestEvaluatorBlocks:
     @pytest.mark.parametrize("products", [5, 3 * 221, None])
     def test_blocked_products_match_whole_grid(self, monkeypatch, products):
         if products is not None:
-            monkeypatch.setattr(metrics, "PRODUCT_BYTES", 8 * 9 * products)
+            monkeypatch.setattr(linop, "PRODUCT_BYTES", 8 * 9 * products)
         a = op2([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -0.5]])
         gb = GrowthBound(2.0, -0.4)
         ev = ANormEvaluator(a, gb)
@@ -146,7 +147,7 @@ class TestEvaluatorBlocks:
     def test_sweep_allocates_one_block_not_the_grid(self, monkeypatch):
         import tracemalloc
 
-        monkeypatch.setattr(metrics, "PRODUCT_BYTES", 1 << 20)
+        monkeypatch.setattr(linop, "PRODUCT_BYTES", 1 << 20)
         a = op2(np.diag(-np.linspace(1.0, 2.0, 64)))
         ev = ANormEvaluator(a, GrowthBound(1.0, -1.0))
         c = op2(np.random.default_rng(2).standard_normal((64, 64)))
@@ -179,6 +180,16 @@ def banded(rng, d: int, kl: int, ku: int, metzler: bool) -> np.ndarray:
     return a
 
 
+class Unfactored(ScaledProfileFamily):
+    """A ScaledProfileFamily's phi(t) B0 with factor() hidden: check_assumptions takes its generic a2 column."""
+
+    def __init__(self, fam: ScaledProfileFamily):
+        super().__init__(fam.interval, fam.profile, fam.b0)
+
+    def factor(self):
+        return None
+
+
 def both_modes(monkeypatch, a: Operator, gb: GrowthBound) -> tuple:
     """(band-mode, dense-mode) evaluators of one A, whatever its size and band."""
     with monkeypatch.context() as m:
@@ -188,7 +199,7 @@ def both_modes(monkeypatch, a: Operator, gb: GrowthBound) -> tuple:
     with monkeypatch.context() as m:
         m.setattr(linop, "_BAND_MIN_DIM", 1 << 30)
         dense = ANormEvaluator(a, gb)
-    assert band._band is not None and dense._band is None
+    assert isinstance(band.resolvents, BandResolvent) and isinstance(dense.resolvents, DenseResolvents)
     return band, dense
 
 
@@ -211,7 +222,7 @@ class TestBandMode:
         gb = GrowthBound(2.0, s + 0.05 if kl or ku else s - 0.3)
         band, dense = both_modes(monkeypatch, a, gb)
         # The one-solve shortcut runs at some mu exactly when A is Metzler here.
-        assert band._band.nonneg.any() == metzler
+        assert band.resolvents.nonneg.any() == metzler
         # A nonnegative diagonal, a signed diagonal and a general C.
         c = rng.uniform(0.5, 1.0, d)
         mats = np.stack([np.diag(c), np.diag(c * rng.choice([-1.0, 1.0], d)), np.diag(c) + rng.standard_normal((d, d)) / d])
@@ -259,8 +270,9 @@ class TestBandMode:
         for points in (64, 256):
             for a in (build_heat_generator(GridSpec(8.0, points, Domain.LINE)),
                       build_translation_generator(GridSpec(8.0, points, Domain.HALF_LINE))):
-                assert ANormEvaluator(a, gb)._band is not None
-        assert ANormEvaluator(build_heat_generator(GridSpec(8.0, 32, Domain.LINE)), gb)._band is None
+                assert isinstance(ANormEvaluator(a, gb).resolvents, BandResolvent)
+        small = build_heat_generator(GridSpec(8.0, 32, Domain.LINE))
+        assert isinstance(ANormEvaluator(small, gb).resolvents, DenseResolvents)
 
     def test_model_problems_form_no_resolvent(self, monkeypatch):
         # The factors certify every grid point: no gbtrs call solves a d-column identity.
@@ -273,7 +285,7 @@ class TestBandMode:
                   build_translation_generator(GridSpec(8.0, 128, Domain.HALF_LINE))):
             widths.clear()
             ev = ANormEvaluator(a, GrowthBound(1.0, 0.0))
-            assert ev._band is not None and ev.skipped == 0 and ev._band.nonneg.all()
+            assert isinstance(ev.resolvents, BandResolvent) and ev.skipped == 0 and ev.resolvents.nonneg.all()
             assert widths.count(1) == 221 and 128 not in widths
 
 
@@ -294,8 +306,8 @@ class TestFactoredA2:
         w, phase = rng.uniform(1.0, 4.0, 2)
         fam = ScaledProfileFamily((0.0, 3.0), lambda t: math.sin(w * t + phase) + 0.3 * t, Operator(b0, kind))
         # A CallableFamily's a1 modulus samples pairs, an SVD per pair and mu
-        # in the 2-norm; there the dense mode's generic column of fam is the reference.
-        generic = CallableFamily((0.0, 3.0), fam, 6, kind) if kind is not NormKind.TWO else fam
+        # in the 2-norm; there the reference is fam with its factor hidden.
+        generic = CallableFamily((0.0, 3.0), fam, 6, kind) if kind is not NormKind.TWO else Unfactored(fam)
         if scale is not None:
             fam, generic = fam.scale(scale), generic.scale(scale)
         gb = GrowthBound(2.0, spectrum(a).abscissa + 0.05)
@@ -321,13 +333,30 @@ class TestFactoredA2:
         fam = ScaledProfileFamily((0.0, 2.0 * math.pi), math.sin, build_spiky_b(g, 3, mirror=which == "heat").operator())
         gb = GrowthBound(1.0, 0.0)
         # The evaluator takes band mode at 64 cells; the generic column is check_assumptions' own.
-        assert ANormEvaluator(a, gb)._band is not None
+        assert isinstance(ANormEvaluator(a, gb).resolvents, BandResolvent)
         got = check_assumptions(fam, a, gb).a2_derivative_sup
         h = fd_step(fam.interval)
         ts = np.linspace(h, 2.0 * math.pi - h, 33)
         dbdt = (fam.values_stack(ts + h) - fam.values_stack(ts - h)) / (2.0 * h)
         want = [norm_stack(dbdt @ resolvent(a, mu).entries, NormKind.ONE).max() for mu, _ in got]
         np.testing.assert_allclose([v for _, v in got], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    def test_dense_column_is_slope_times_b0_norm(self, kind):
+        # At d = 6 (dense mode) the factored column takes one product per mu: the
+        # profile's steepest difference quotient times ||B0 R(mu, A)||, to the bit.
+        rng = np.random.default_rng(9)
+        a = Operator(banded(rng, 6, 1, 1, True), kind)
+        b0 = Operator(rng.standard_normal((6, 6)), kind)
+        fam = ScaledProfileFamily((0.0, 3.0), Sinusoid(2.0, 0.5), b0)
+        gb = GrowthBound(2.0, spectrum(a).abscissa + 0.05)
+        assert isinstance(ANormEvaluator(a, gb).resolvents, DenseResolvents)
+        report = check_assumptions(fam, a, gb)
+        h = report.h_fd
+        ts = np.linspace(h, 3.0 - h, 33)
+        slope = float(np.abs(fam.profile.values(ts + h) - fam.profile.values(ts - h)).max()) / (2.0 * h)
+        for mu, v in report.a2_derivative_sup:
+            assert v == slope * norm_of(b0.entries @ resolvent(a, mu).entries, kind)
 
     def test_constant_family_has_a_zero_column(self, monkeypatch):
         monkeypatch.setattr(linop, "_BAND_MIN_DIM", 0)
@@ -422,10 +451,11 @@ class TestAssumptions:
         assert not report.a1_pass
 
     def test_a2_column_matches_pointwise_loop(self):
-        # The stacked a2 column against one difference quotient and one norm
-        # per (mu, t), the same arithmetic in a loop: equal to the bit.
+        # The stacked a2 column of a family with no factor against one difference
+        # quotient and one norm per (mu, t), the same arithmetic in a loop: equal to the bit.
         a = op2([[-1.0, 0.4], [0.0, -2.0]])
-        fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2([[0.5, 1.0], [-0.3, 0.2]]))
+        b0 = np.array([[0.5, 1.0], [-0.3, 0.2]])
+        fam = CallableFamily((0.0, 1.0), lambda t: math.sin(t) * b0, dim=2)
         report = check_assumptions(fam, a, GrowthBound(1.0, -1.0))
         h = report.h_fd
         for mu, sup in report.a2_derivative_sup:
