@@ -352,14 +352,13 @@ class BandResolvent:
         c, general = np.abs(diag[fast]).T, mats[~fast] if fast.any() else mats
         out = np.empty((k, len(self._factors)))
         for i, nonneg in enumerate(self.nonneg):
-            shortcut = nonneg and fast.any()
-            if shortcut:
+            if nonneg and fast.any():
                 trans = norm_kind is NormKind.ONE
                 x = self._solve(i, c if trans else np.ones((d, 1)), trans=int(trans))
                 out[fast, i] = (x if trans else c * x).max(axis=0)
-            if not (shortcut and fast.all()):
-                rows = ~fast if shortcut else slice(None)
-                out[rows, i] = _product_norms(general if shortcut else mats, self.resolvent(i)[None], norm_kind)[:, 0]
+            rest = ~(fast & nonneg)
+            if rest.any():
+                out[rest, i] = _product_norms(general if nonneg else mats, self.resolvent(i)[None], norm_kind)[:, 0]
         return out
 
 

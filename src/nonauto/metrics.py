@@ -92,15 +92,14 @@ class ANormEvaluator:
     def sweep(self, c: Operator) -> list:
         """Per-mu samples (mu, (mu - omega0) ||C R(mu, A)|| / M)."""
         self.a._check(c)
-        scaled = self._weights * self.resolvents.norms(c.entries[None], self.a.norm_kind)[0] / self.gb.m
+        norms = self.resolvents.norms(c.entries[None], self.a.norm_kind)[0]
+        scaled = self._weights * norms / self.gb.m
         return [(float(mu), float(v)) for mu, v in zip(self._mus, scaled)]
 
     def value(self, c: Operator) -> ANormResult:
-        samples = self.sweep(c)
-        best_mu, best = float("inf"), op_norm(c) / self.gb.m
-        for mu, v in samples:
-            if v > best:
-                best_mu, best = mu, v
+        # The exact tail op_norm(C)/M comes first, so it wins a tie (argmax_mu = inf).
+        tail = (float("inf"), op_norm(c) / self.gb.m)
+        best_mu, best = max([tail, *self.sweep(c)], key=lambda sample: sample[1])
         return ANormResult(best, best_mu, self.gb.m, self.gb.omega0, self.skipped, self.total)
 
     def value_stack(self, mats: np.ndarray) -> np.ndarray:
@@ -108,8 +107,6 @@ class ANormEvaluator:
         mats = np.asarray(mats, dtype=float)
         if mats.ndim != 3 or mats.shape[-2:] != (self.a.dim, self.a.dim):
             raise DimensionMismatch(f"expected a (k, {self.a.dim}, {self.a.dim}) stack, got {mats.shape}")
-        if mats.shape[0] == 0:
-            return np.zeros(0)
         scaled = (self._weights[None, :] * self.resolvents.norms(mats, self.a.norm_kind)).max(axis=1)
         return np.maximum(scaled, norm_stack(mats, self.a.norm_kind)) / self.gb.m
 
@@ -236,7 +233,13 @@ def check_assumptions(family, a: Operator, gb: GrowthBound) -> AssumptionReport:
     a2 = [(float(mu), float(v)) for mu, v in zip(mus, norms)]
     med = float(np.median([v for _, v in a2]))
     a2_pass = a2[-1][1] <= 2.0 * med + 1e-300
-    return AssumptionReport(tuple(a1), bool(a1_pass), tuple(a2), bool(a2_pass), h_fd)
+    return AssumptionReport(
+        a1_modulus=tuple(a1),
+        a1_pass=bool(a1_pass),
+        a2_derivative_sup=tuple(a2),
+        a2_pass=bool(a2_pass),
+        h_fd=h_fd,
+    )
 
 
 @dataclass(frozen=True)

@@ -204,8 +204,9 @@ class TestResolventStack:
 def assert_band_resolvent_matches_dense(a: np.ndarray, mus) -> None:
     """linop.resolvent in band mode against resolvent_stack at each mu.
 
-    The same mus are kept, a refused mu raises the same SingularResolvent
-    message, and a kept R agrees to 2 d ulps times kappa_1 relative to ||R||_1.
+    The same mus are kept, a refused mu raises SingularResolvent for the same
+    reason, limit and mu (a kappa_1 above COND_LIMIT may print other digits),
+    and a kept R agrees to 2 d ulps times kappa_1 relative to ||R||_1.
     """
     d, op = a.shape[0], Operator(a, NormKind.ONE)
     with pytest.MonkeyPatch.context() as mp:

@@ -204,6 +204,12 @@ def both_modes(monkeypatch, a: Operator, gb: GrowthBound) -> tuple:
 
 
 class TestBandMode:
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    def test_empty_stack_has_no_values(self, monkeypatch, kind):
+        a = Operator(banded(np.random.default_rng(5), 64, 1, 1, True), kind)
+        for ev in both_modes(monkeypatch, a, GrowthBound(2.0, spectrum(a).abscissa + 0.05)):
+            assert ev.value_stack(np.zeros((0, 64, 64))).shape == (0,)
+
     # Dense products and SVDs bound the cost: the 2-norm stops at d = 96,
     # and d = 256 takes the 1-norm of the model problems only.
     @pytest.mark.parametrize(
