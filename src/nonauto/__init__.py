@@ -13,6 +13,7 @@ from .errors import (
     NonautoError,
     NormKindMismatch,
     NotInvertible,
+    NumericalFailure,
     Overflow,
     OutOfInterval,
     PreconditionViolated,

@@ -6,9 +6,10 @@ artifact starts with a comment line recording the hash of the effective
 config and the seed, and all numbers are written with 17 significant digits,
 so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 a checked bound was
-violated, 3 numerical failure (singular solve, unsettled tail, tolerance
-not reached, overflow).
+Exit codes: 0 success, 1 configuration error (any other NonautoError, or an
+unreadable or malformed input), 2 a checked bound was violated, 3 numerical
+failure (a NumericalFailure: singular solve, unsettled tail, tolerance not
+reached, overflow).
 """
 from __future__ import annotations
 
@@ -22,46 +23,12 @@ import numpy as np
 
 from .acceptance import verify_all_rows
 from .dichotomy import roughness_sweep
-from .errors import (
-    DimensionMismatch,
-    DomainTooSmall,
-    EigenFailure,
-    NormKindMismatch,
-    NotInvertible,
-    OutOfInterval,
-    Overflow,
-    PreconditionViolated,
-    SingularResolvent,
-    TailNotSettled,
-    ToleranceNotReached,
-)
+from .errors import NonautoError, NumericalFailure, ToleranceNotReached
 from .evofam import euler_polygon, family_from_spec, refine_to_tolerance
 from .examples import Domain, GridSpec, build_generator, verify_example_bounds
 from .linop import NormKind, Operator, read_matrix, write_matrix
 from .metrics import ANormEvaluator, MuGrid, yosida_distance
 from .semigroup import GrowthBound, fit_growth_bound
-
-CONFIG_ERRORS = (
-    PreconditionViolated,
-    OutOfInterval,
-    DimensionMismatch,
-    NormKindMismatch,
-    DomainTooSmall,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    KeyError,
-    TypeError,
-    ValueError,
-)
-NUMERICAL_ERRORS = (
-    SingularResolvent,
-    TailNotSettled,
-    ToleranceNotReached,
-    Overflow,
-    EigenFailure,
-    NotInvertible,
-)
-
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -100,6 +67,12 @@ class _Artifacts:
         blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
         self.tag = {"config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16], "seed": seed}
         self.out = out
+
+    @classmethod
+    def of_flags(cls, args) -> _Artifacts:
+        """The writer of a flag-driven command: its config is every parsed flag but the handler, --out and --seed."""
+        config = {key: value for key, value in vars(args).items() if key not in ("func", "out", "seed")}
+        return cls(config, args.seed, args.out)
 
     def csv(self, name: str, columns, rows) -> None:
         header = f"# config_hash={self.tag['config_hash']} seed={self.tag['seed']}\n"
@@ -142,20 +115,9 @@ def cmd_anorm(args) -> int:
     c = read_matrix(args.perturb_file, kind)
     gb = GrowthBound(m=args.m, omega0=args.omega0)
     grid = MuGrid(args.min_offset, args.max_offset, args.points_per_decade)
-    config = {
-        "command": "anorm",
-        "matrix_file": args.matrix_file,
-        "perturb_file": args.perturb_file,
-        "m": args.m,
-        "omega0": args.omega0,
-        "norm": args.norm,
-        "grid": [args.min_offset, args.max_offset, args.points_per_decade],
-    }
-    evaluator = ANormEvaluator(a, gb, grid)
-    samples = evaluator.sweep(c)
-    result = evaluator.value(c)
-    artifacts = _Artifacts(config, args.seed, args.out)
-    artifacts.csv("anorm", ["mu", "scaled_norm"], ([_fmt(mu), _fmt(v)] for mu, v in samples))
+    result = ANormEvaluator(a, gb, grid).value(c)
+    artifacts = _Artifacts.of_flags(args)
+    artifacts.csv("anorm", ["mu", "scaled_norm"], ([_fmt(mu), _fmt(v)] for mu, v in result.samples))
     artifacts.json(
         "anorm",
         {
@@ -176,14 +138,8 @@ def cmd_ydist(args) -> int:
     kind = NormKind.parse(args.norm)
     a = read_matrix(args.matrix_file, kind)
     b = read_matrix(args.second_file, kind)
-    config = {
-        "command": "ydist",
-        "matrix_file": args.matrix_file,
-        "second_file": args.second_file,
-        "norm": args.norm,
-    }
     result = yosida_distance(a, b)
-    artifacts = _Artifacts(config, args.seed, args.out)
+    artifacts = _Artifacts.of_flags(args)
     artifacts.csv("ydist", ["lambda", "scaled_difference"], ([_fmt(lam), _fmt(v)] for lam, v in result.samples))
     artifacts.json("ydist", {"value": result.value, "uncertainty": result.uncertainty})
     print(f"yosida distance {result.value:.12g} (spread {result.uncertainty:.3g})")
@@ -284,17 +240,10 @@ def cmd_examples(args) -> int:
     which = args.which
     domain = Domain.HALF_LINE if which == "translation" else Domain.LINE
     g = GridSpec(length, points, domain)
-    config = {
-        "command": "examples",
-        "which": which,
-        "nmax": args.nmax,
-        "grid": [points, length],
-        "pipeline": not args.no_pipeline,
-    }
     report = verify_example_bounds(which, g, n_max=args.nmax, pipeline=not args.no_pipeline)
     matrix_grid = g.coarsened(512)
     write_matrix(f"{args.out}_generator.txt", build_generator(which, matrix_grid))
-    artifacts = _Artifacts(config, args.seed, args.out)
+    artifacts = _Artifacts.of_flags(args)
     artifacts.csv("sweep", ["mu", "scaled_norm"], ([_fmt(mu), _fmt(v)] for mu, v in report.sweep))
     artifacts.json(
         "summary",
@@ -319,7 +268,7 @@ def cmd_examples(args) -> int:
 
 def cmd_verify_all(args) -> int:
     rows = verify_all_rows(args.seed)
-    _Artifacts({"command": "verify-all", "seed": args.seed}, args.seed, args.out).csv(
+    _Artifacts.of_flags(args).csv(
         "criteria",
         ["index", "name", "passed", "detail"],
         ([str(r.index), r.name, str(int(r.passed)), r.detail] for r in rows),
@@ -404,10 +353,10 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CONFIG_ERRORS as exc:
+    except (NonautoError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,20 @@
 """Failure types raised across the package.
 
-Numerical failures (singular solves, unsettled limits, exhausted refinement)
-are distinct from contract violations (bad inputs, mixed norms) so the command
-line layer can map them to distinct exit statuses.
+Every failure raised on purpose is a NonautoError. Numerical failures
+(singular solves, unsettled limits, exhausted refinement, overflow) derive
+from NumericalFailure; the rest are contract violations (bad inputs, mixed
+norms). The command line maps NumericalFailure to exit status 3 and every
+other NonautoError to 1, so a new error type picks its status by its base.
 """
 from __future__ import annotations
 
 
 class NonautoError(Exception):
     """Base class for every failure this package raises on purpose."""
+
+
+class NumericalFailure(NonautoError):
+    """Base class for failures of a computation rather than of its inputs' contract."""
 
 
 class DimensionMismatch(NonautoError):
@@ -27,15 +33,15 @@ class PreconditionViolated(NonautoError):
     """A documented entry condition of an operation does not hold."""
 
 
-class SingularResolvent(NonautoError):
+class SingularResolvent(NumericalFailure):
     """mu I - A is singular or too ill conditioned to solve reliably."""
 
 
-class EigenFailure(NonautoError):
+class EigenFailure(NumericalFailure):
     """The eigenvalue iteration did not converge."""
 
 
-class Overflow(NonautoError):
+class Overflow(NumericalFailure):
     """A matrix exponential, or an exponential bound, overflows double precision."""
 
     def __init__(self, message: str, required_squarings: int = 0):
@@ -43,7 +49,7 @@ class Overflow(NonautoError):
         self.required_squarings = required_squarings
 
 
-class TailNotSettled(NonautoError):
+class TailNotSettled(NumericalFailure):
     """The large-lambda tail of a limit has not stabilised on the given grid."""
 
     def __init__(self, message: str, value: float = float("nan"), spread: float = float("nan")):
@@ -52,7 +58,7 @@ class TailNotSettled(NonautoError):
         self.spread = spread
 
 
-class ToleranceNotReached(NonautoError):
+class ToleranceNotReached(NumericalFailure):
     """Refinement exhausted its level budget above the requested tolerance."""
 
     def __init__(self, message: str, best_delta: float, levels=None):
@@ -61,7 +67,7 @@ class ToleranceNotReached(NonautoError):
         self.levels = tuple(levels) if levels is not None else ()
 
 
-class NotInvertible(NonautoError):
+class NotInvertible(NumericalFailure):
     """The period map cannot be inverted, so no dichotomy splitting exists."""
 
 

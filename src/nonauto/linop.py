@@ -208,12 +208,6 @@ def bandwidths(m: np.ndarray) -> tuple:
     return int((i - j).max(initial=0)), int((j - i).max(initial=0))
 
 
-def band_pays(m: np.ndarray) -> bool:
-    """Whether resolvents serves the square matrix m by band LU (BandResolvent) rather than dense inverses."""
-    d = m.shape[0]
-    return d >= _BAND_MIN_DIM and d >= _BAND_DIM_PER_DIAGONAL * (sum(bandwidths(m)) + 1)
-
-
 def _band_lu() -> tuple:
     """(dgbtrf, dgbtrs): LAPACK band LU, imported on first use so that a run with no band solve never loads scipy."""
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -294,11 +288,8 @@ class BandResolvent:
     Every other mu (an interchange, another sign pattern, a kappa bound in or above
     the margin, a failed residual bound, an exactly singular factor) forms R from an
     identity right-hand side and is judged as before: _judge on the exact kappa_1 and
-    the residual of a banded product, with resolvent_stack's messages. A one-mu
-    build keeps the R it formed, so resolvent(0) does not solve again.
+    the residual of a banded product, with resolvent_stack's messages.
     """
-
-    _formed = None  # R of a kept, uncertified mu of a one-mu build
 
     def __init__(self, a: np.ndarray, mus, skip: bool = False):
         d = a.shape[0]
@@ -321,8 +312,6 @@ class BandResolvent:
                 residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
                 self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
                 positive = (r >= 0.0).all()
-                if self.kept[i] and len(mus) == 1:
-                    self._formed = r
             if self.kept[i]:
                 self._factors.append((lu, piv))
                 nonneg.append(positive)
@@ -333,9 +322,7 @@ class BandResolvent:
         return dgbtrs(lu, self.kl, self.ku, rhs, piv, trans=trans)[0]
 
     def resolvent(self, i: int) -> np.ndarray:
-        """R(mu, A) at the i-th kept mu: the R a one-mu build formed, else one solve of the factors on the identity."""
-        if self._formed is not None:
-            return self._formed
+        """R(mu, A) at the i-th kept mu: one solve of its factors on the identity."""
         return self._solve(i, np.eye(self._factors[i][0].shape[1], order="F"))
 
     def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
@@ -391,7 +378,9 @@ def _product_norms(mats: np.ndarray, rs: np.ndarray, norm_kind: NormKind) -> np.
 
 def resolvents(a: np.ndarray, mus, skip: bool = False):
     """The one band-or-dense decision: R(mu_j, A) as a BandResolvent where band LU pays, else a DenseResolvents."""
-    return (BandResolvent if band_pays(a) else DenseResolvents)(a, mus, skip)
+    d = a.shape[0]
+    band = d >= _BAND_MIN_DIM and d >= _BAND_DIM_PER_DIAGONAL * (sum(bandwidths(a)) + 1)
+    return (BandResolvent if band else DenseResolvents)(a, mus, skip)
 
 
 def resolvent(a: Operator, mu: float) -> Operator:

@@ -50,7 +50,7 @@ class MuGrid:
 
 @dataclass(frozen=True)
 class ANormResult:
-    """Value of ||C||_A with the mu realising it (inf means the tail did)."""
+    """Value of ||C||_A with the mu realising it (inf means the tail did) and the sweep's (mu, scaled norm) samples."""
 
     value: float
     argmax_mu: float
@@ -58,6 +58,7 @@ class ANormResult:
     omega0: float
     skipped: int
     total: int
+    samples: tuple
 
 
 class ANormEvaluator:
@@ -99,8 +100,9 @@ class ANormEvaluator:
     def value(self, c: Operator) -> ANormResult:
         # The exact tail op_norm(C)/M comes first, so it wins a tie (argmax_mu = inf).
         tail = (float("inf"), op_norm(c) / self.gb.m)
-        best_mu, best = max([tail, *self.sweep(c)], key=lambda sample: sample[1])
-        return ANormResult(best, best_mu, self.gb.m, self.gb.omega0, self.skipped, self.total)
+        samples = tuple(self.sweep(c))
+        best_mu, best = max([tail, *samples], key=lambda sample: sample[1])
+        return ANormResult(best, best_mu, self.gb.m, self.gb.omega0, self.skipped, self.total, samples)
 
     def value_stack(self, mats: np.ndarray) -> np.ndarray:
         """Norm values for a whole (k, d, d) stack at once; no argmax bookkeeping."""

@@ -28,6 +28,7 @@ from nonauto import (
     write_matrix,
 )
 import nonauto.cli
+from nonauto import errors, linop
 from nonauto.acceptance import CriterionResult
 from nonauto.cli import _build_parser, main
 
@@ -86,6 +87,18 @@ class TestAnormCommand:
         assert payload["skipped"] == 0
         assert payload["total"] == 221
         assert payload["tail_attained"] == (payload["argmax_mu"] is None)
+
+    def test_grid_norms_are_computed_once(self, tmp_path, monkeypatch):
+        # The CSV rows and the JSON value come from one pass over the mu-grid.
+        monkeypatch.chdir(tmp_path)
+        _write_mat(tmp_path / "a.txt", np.diag([-1.0, -2.0]))
+        _write_mat(tmp_path / "c.txt", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        calls = []
+        for cls in (linop.BandResolvent, linop.DenseResolvents):
+            monkeypatch.setattr(cls, "norms", _recording(cls.norms, calls))
+        argv = ["anorm", "--matrix-file", "a.txt", "--perturb-file", "c.txt", "--m", "1", "--omega0", "-1"]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_norm_flag_selects_norm(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -514,6 +527,32 @@ class TestErrorPaths:
         _write_config(tmp_path / "cfg.json", config)
         assert main(["dichotomy", "--config", "cfg.json"]) == 3
         assert "non-finite entry" in capsys.readouterr().err
+
+
+class TestExitStatuses:
+    """Each error type of nonauto.errors, raised inside a command, gives one exit status."""
+
+    NUMERICAL = {"SingularResolvent", "TailNotSettled", "ToleranceNotReached", "Overflow", "EigenFailure", "NotInvertible"}
+    ERRORS = sorted(
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.NonautoError) and obj is not errors.NonautoError
+    )
+
+    @pytest.mark.parametrize("name", ERRORS)
+    def test_error_type_sets_exit_status(self, name, tmp_path, monkeypatch, capsys):
+        cls = getattr(errors, name)
+        exc = cls("raised", 1.0) if cls is errors.ToleranceNotReached else cls("raised")
+
+        def raising(seed):
+            raise exc
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(nonauto.cli, "verify_all_rows", raising)
+        numerical = name in self.NUMERICAL or name == "NumericalFailure"
+        assert main(["verify-all"]) == (3 if numerical else 1)
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: raised" if numerical else "configuration error: raised")
 
 
 class TestUsageErrors:

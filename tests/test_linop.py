@@ -212,7 +212,7 @@ def assert_band_resolvent_matches_dense(a: np.ndarray, mus) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linop, "_BAND_MIN_DIM", 0)
         mp.setattr(linop, "_BAND_DIM_PER_DIAGONAL", 0)
-        assert linop.band_pays(a)
+        assert isinstance(linop.resolvents(a, mus, skip=True), BandResolvent)
         for mu in mus:
             try:
                 want = resolvent_stack(a, mu)[0][0]
@@ -276,27 +276,28 @@ class TestBandResolvent:
         assert certified == [certified_want]
         assert band.kept.tolist() == FormedBandResolvent(a, mus, skip=True).kept.tolist() == [kept_want]
 
-    def test_uncertified_resolvent_solves_the_identity_once(self, monkeypatch):
+    def test_uncertified_resolvent_solves_the_identity_twice(self, monkeypatch):
         # Random-sign off-diagonals leave the M-matrix sign pattern, so mu = 5 is
-        # judged from a formed R, and resolvent returns that R.
+        # judged from a formed R; resolvent keeps only the factors and solves again,
+        # to the same bits.
         rng = np.random.default_rng(3)
         d = 128
         a = np.diag(-rng.uniform(1.0, 3.0, d))
         for k in (-1, 1):
             a += np.diag(rng.uniform(0.0, 1.0, d - 1) * rng.choice([-1.0, 1.0], d - 1), k)
-        assert linop.band_pays(a)
+        assert isinstance(linop.resolvents(a, [5.0]), BandResolvent)
         dgbtrf, dgbtrs = linop._band_lu()
-        widths = []
+        solved = []
 
         def counted(lu, kl, ku, rhs, piv, trans=0):
-            widths.append(rhs.shape[1])
-            return dgbtrs(lu, kl, ku, rhs, piv, trans=trans)
+            solved.append(dgbtrs(lu, kl, ku, rhs, piv, trans=trans))
+            return solved[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(linop, "_band_lu", lambda: (dgbtrf, counted))
             r = resolvent(op2(a), 5.0).entries
-        assert widths == [d]
-        # A multi-mu build keeps no R and solves again, to the same bits.
+        assert [x.shape[1] for x, _ in solved] == [d, d]
+        assert np.array_equal(solved[0][0], r)
         assert np.array_equal(r, BandResolvent(a, [5.0, 6.0]).resolvent(0))
 
     @settings(max_examples=60, deadline=None)
