@@ -14,6 +14,7 @@ reached, overflow).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -285,6 +286,7 @@ def _grid_pair(text: str):
     return int(parts[0]), float(parts[1])
 
 
+@functools.cache  # parse_args leaves the parser as it was; building it costs about 2 ms a call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonauto",

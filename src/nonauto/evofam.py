@@ -10,6 +10,7 @@ t -> B(t) in ||.||_A at mesh width 2^{-n}(b - a).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -363,10 +364,12 @@ class EvolutionFamilyApprox:
     """Propagators of the frozen-coefficient scheme at one dyadic level.
 
     A handle on (a, family, partition) with no level stack: _spans, the one
-    product loop, forms U(t, s) a chunk of cells at a time from a partial cell
-    on each end and the full cells between, factors ordered by decreasing
-    node index. It keeps its last chunk, so nearby spans reuse the cells.
-    Every full cell comes from _cells, the level's one cell source.
+    product loop, forms U(t, s) from the full cells between its ends, a chunk
+    at a time, and a partial cell at each end off a node, factors ordered by
+    decreasing node index. Spans between nodes that share a chunk are one
+    batched product, and a pass's partial cells one exponential call. It
+    keeps its last chunk, so nearby spans reuse the cells. Every full cell
+    comes from _cells, the level's one cell source.
     """
 
     def __init__(self, a: Operator, family: PerturbationFamily, partition: DyadicPartition):
@@ -406,14 +409,20 @@ class EvolutionFamilyApprox:
     def _spans(self, ts, s: float):
         """Yield U(t_k, t_{k-1}) for ascending ts with t_{-1} = s, None for an empty span.
 
-        One pass over the cells from s to the last t, taking them from _cells a
-        chunk at a time: _CHUNK_BLOCKS expm_stack blocks, a tail under
-        half a chunk joining the last. Chunks start at multiples of the block
-        length, so each cell has the bits of a whole-level call. A partial cell
-        within 1e-12 delta of a cell boundary is snapped to it, so nodes up to
-        rounding reuse it; any other partial cell is exponentiated directly,
-        once for a run of equal (cell, length) pairs such as equally spaced
-        probes inside one coarse cell.
+        Each end is mapped once to (j, tau), its offset tau from node j, with
+        tau = 0 within 1e-12 delta of node j or of node j + 1 (which then
+        becomes j). With P(j, tau) = e^{tau (A + B(node_j))}, a partial cell,
+        the span from (js, taus) to (jt, taut) is
+        (P(jt, taut) @ tree(cells[js + (taus > 0) : jt])) @ P(js, delta - taus),
+        or P(js, taut - taus) inside one cell; an end at a node adds no factor.
+        tree is _chain_desc over the full cells, taken from _cells a chunk at
+        a time: _CHUNK_BLOCKS expm_stack blocks, a tail under half a chunk
+        joining the last. Chunks start at multiples of the block length, so
+        each cell has the bits of a whole-level call. Consecutive node-to-node
+        spans of equal length inside one chunk are one batched _chain_desc
+        call on a view of it; a span crossing chunks streams through them.
+        The pass's distinct partial cells, in order of first use, are one
+        expm_stack call.
         """
         p, d, delta = self.partition, self.a.dim, self.partition.delta
         ts, last = [float(t) for t in ts], float(s)
@@ -427,44 +436,74 @@ class EvolutionFamilyApprox:
         stop = min(-(-(p.cell_of(ts[-1]) + 1) // step) * step, p.cells) if ts else 0
         size = _CHUNK_BLOCKS * step
         first, exps = self._chunk
-        last_partial = (None, None, None)  # (j, tau, cell): equal probe spacings repeat a partial cell
+
+        # Every end as (j, tau), by the arithmetic of cell_of and node.
+        x = np.array([float(s), *ts])
+        j = np.minimum(((x - p.a) / delta).astype(int), p.cells - 1)
+        tau = x - (p.a + delta * j)
+        up = delta - tau <= 1e-12 * delta
+        tau[(tau <= 1e-12 * delta) | up] = 0.0
+        ends = list(zip((j + up).tolist(), tau.tolist()))
+        # Spans as (end, lo, hi, start): partial-cell indices (None at a node) around cells lo..hi-1.
+        keys, plan = {}, []
+        for (js, taus), (jt, taut) in zip(ends, ends[1:]):
+            if (js, taus) == (jt, taut):
+                plan.append(None)
+            elif js == jt:
+                plan.append((keys.setdefault((js, taut - taus), len(keys)), js, js, None))
+            else:
+                start = keys.setdefault((js, delta - taus), len(keys)) if taus else None
+                end = keys.setdefault((jt, taut), len(keys)) if taut else None
+                plan.append((end, js + (taus > 0), jt, start))
+        if keys:
+            cell, length = np.array(list(keys)).T
+            parts = self.family.values_stack(p.a + delta * cell)
+            parts += self.a.entries
+            parts *= length[:, None, None]
+            expm_stack(parts, out=parts)
+
+        def load(lo: int):
+            """Make the chunk hold cell lo."""
+            nonlocal first, exps
+            if not first <= lo < first + len(exps):
+                self._chunk = first, exps = lo - lo % step, ()  # the old chunk dies before the next is built
+                end = first + size if stop - first >= 3 * size // 2 else stop
+                self._chunk = first, exps = first, self._cells(first, end)
 
         def cells(lo: int, hi: int):
             """Exponentials of cells lo..hi-1, as views of the chunks that hold them."""
-            nonlocal first, exps
             while lo < hi:
-                if not first <= lo < first + len(exps):
-                    self._chunk = first, exps = lo - lo % step, ()  # the old chunk dies before the next is built
-                    end = first + size if stop - first >= 3 * size // 2 else stop
-                    self._chunk = first, exps = first, self._cells(first, end)
+                load(lo)
                 yield exps[lo - first : hi - first]
                 lo = min(hi, first + len(exps))
 
-        def partial(j: int, tau: float) -> np.ndarray:
-            nonlocal last_partial
-            if tau <= 1e-12 * delta:
-                return np.eye(d)
-            if abs(tau - delta) <= 1e-12 * delta:
-                return next(cells(j, j + 1))[0].copy()
-            if last_partial[:2] != (j, tau):
-                value = expm_stack(tau * (self.a.entries + self.family.values_stack([p.node(j)])))[0]
-                last_partial = j, tau, value
-            return last_partial[2]
+        def product(end, lo: int, hi: int, start) -> np.ndarray:
+            """(P_end @ tree(cells lo..hi-1)) @ P_start, absent factors left out."""
+            out = _chain_desc(cells(lo, hi)) if hi > lo else None
+            if end is not None:
+                out = parts[end] if out is None else parts[end] @ out
+            if start is not None:
+                out = parts[start] if out is None else out @ parts[start]
+            return out
 
-        last = float(s)
-        for t in ts:
-            js, jt = p.cell_of(last), p.cell_of(t)
-            if t == last:
-                yield None
-            elif js == jt:
-                yield partial(js, t - last)
-            else:
-                # Formed in cell order, multiplied as (end @ chain) @ start.
-                start = partial(js, p.node(js + 1) - last)
-                chain = _chain_desc(cells(js + 1, jt)) if jt > js + 1 else None
-                out = partial(jt, t - p.node(jt))
-                yield (out if chain is None else out @ chain) @ start
-            last = t
+        # Runs of consecutive node-to-node spans of k cells each; k is False for any other span.
+        nodes_only = lambda span: span is not None and span[0] is None and span[3] is None and span[2] - span[1]
+        for k, group in itertools.groupby(plan, nodes_only):
+            if not k:
+                for span in group:
+                    yield None if span is None else product(*span)
+                continue
+            group = list(group)
+            lo, count = group[0][1], len(group)
+            while count:
+                load(lo)
+                n = min(count, (first + len(exps) - lo) // k)
+                if n:  # n spans inside the chunk: one batched product on a view of it
+                    yield from _chain_desc(exps[lo - first : lo - first + n * k].reshape(n, k, d, d))
+                else:  # a span crossing chunks streams through them
+                    n = 1
+                    yield product(None, lo, lo + k, None)
+                lo, count = lo + n * k, count - n
 
     def evaluate(self, t: float, s: float) -> Operator:
         span = next(self._spans([t], s))
@@ -569,23 +608,25 @@ def _chebyshev_rows(x: np.ndarray, k: int) -> np.ndarray:
 def _chain_desc(runs) -> np.ndarray:
     """Descending-index product x_{k-1} @ ... @ x_0 of the matrices of consecutive runs.
 
-    A (k, d, d) stack is one run. Bit for bit the flat tree pairing neighbours
-    level by level, an odd last item carrying over: its complete subtrees,
-    aligned power-of-two pieces, are formed a prefix of at most PRODUCT_BYTES
-    at a time and merged like a binary counter; its carries join the
-    leftover pieces smallest first.
+    A (k, d, d) stack is one run. A (S, k, d, d) run, or runs sharing a
+    leading batch axis, give the S products of its S segments at once, each
+    bit for bit the product of that segment alone. Bit for bit the flat tree
+    pairing neighbours level by level, an odd last item carrying over: its
+    complete subtrees, aligned power-of-two pieces, are formed a prefix of at
+    most PRODUCT_BYTES at a time and merged like a binary counter; its
+    carries join the leftover pieces smallest first.
     """
     parts, count = [], 0  # (size, product), sizes decreasing: a binary counter
     for run in (runs,) if isinstance(runs, np.ndarray) else runs:
-        cap = 1 << (max(2, PRODUCT_BYTES // run[0].nbytes).bit_length() - 1)
-        while len(run):
+        cap = 1 << (max(2, PRODUCT_BYTES // run[..., 0, :, :].nbytes).bit_length() - 1)
+        while run.shape[-3]:
             # A prefix's pieces stay aligned while its largest fits the count's lowest bit.
-            n = min(len(run), cap, 2 * (count & -count) - 1 if count else cap)
-            for size, prod in _pairwise_pieces(run[:n]):
+            n = min(run.shape[-3], cap, 2 * (count & -count) - 1 if count else cap)
+            for size, prod in _pairwise_pieces(run[..., :n, :, :]):
                 while parts and parts[-1][0] == size:
                     prod, size = prod @ parts.pop()[1], 2 * size
                 parts.append((size, prod))
-            run, count = run[n:], count + n
+            run, count = run[..., n:, :, :], count + n
         del run  # no view keeps a finished chunk alive while the next is built
     out = parts.pop()[1]
     while parts:
@@ -594,13 +635,13 @@ def _chain_desc(runs) -> np.ndarray:
 
 
 def _pairwise_pieces(block: np.ndarray) -> list:
-    """(size, product) of block's power-of-two pieces, largest first, neighbours paired level by level."""
+    """(size, product) of block's power-of-two pieces along axis -3, largest first, neighbours paired level by level."""
     pieces, size = [], 1
-    while len(block):
-        m, odd = divmod(len(block), 2)
+    while block.shape[-3]:
+        m, odd = divmod(block.shape[-3], 2)
         if odd:
-            pieces.append((size, block[-1].copy()))
-        block = np.matmul(block[1 : 2 * m : 2], block[0 : 2 * m : 2])
+            pieces.append((size, block[..., -1, :, :].copy()))
+        block = np.matmul(block[..., 1 : 2 * m : 2, :, :], block[..., 0 : 2 * m : 2, :, :])
         size *= 2
     return pieces[::-1]
 

@@ -145,13 +145,16 @@ def flat_chain_desc(block):
 class StackPolygon:
     """Reference Euler polygon: the whole level's cell exponentials held in one stack.
 
-    One expm_stack call over every frozen generator delta (A + B(node_j)),
-    and each span partial(jt) @ flat_chain_desc(cells[js+1:jt]) @ partial(js)
-    over slices of that stack, a partial cell within one part in 1e12 of a
-    cell boundary snapped to it. This is the stored-stack path that the
-    folding EvolutionFamilyApprox replaced. Given cells, the whole level's
-    cell stack from a polygon's cell source, it checks the fold's products
-    alone.
+    One expm_stack call over every frozen generator delta (A + B(node_j)).
+    Each end of a span is (j, tau), tau = t - node_j snapped to 0 within
+    1e-12 delta of node j or of node j + 1 (which then becomes j). The span
+    (js, taus) -> (jt, taut) is (P(jt, taut) @ T) @ P(js, delta - taus),
+    T = flat_chain_desc(cells[js + (taus > 0) : jt]), or P(js, taut - taus)
+    inside one cell; an end at a node adds no factor. A path's distinct
+    partial cells P(j, tau) = e^{tau (A + B(node_j))}, in cell order of first
+    use, are one expm_stack call. This is the stored-stack path that the folding
+    EvolutionFamilyApprox replaced. Given cells, the whole level's cell stack
+    from a polygon's cell source, it checks the fold's products alone.
     """
 
     def __init__(self, a, family, partition, cells=None):
@@ -163,31 +166,46 @@ class StackPolygon:
             cells = expm_stack(gens, out=gens)
         self.cells = cells
 
-    def _partial(self, j, tau):
-        delta = self.p.delta
-        if tau <= 1e-12 * delta:
-            return np.eye(self.a.dim)
-        if abs(tau - delta) <= 1e-12 * delta:
-            return self.cells[j]
-        return expm_stack(tau * (self.a.entries + self.family.values_stack([self.p.node(j)])))[0]
+    def _end(self, t):
+        p = self.p
+        j = p.cell_of(t)
+        tau = t - p.node(j)
+        if tau <= 1e-12 * p.delta:
+            return j, 0.0
+        if p.delta - tau <= 1e-12 * p.delta:
+            return j + 1, 0.0
+        return j, tau
 
     def evaluate(self, t, s):
-        p = self.p
-        if t == s:
-            return np.eye(self.a.dim)
-        js, jt = p.cell_of(s), p.cell_of(t)
-        if js == jt:
-            return self._partial(js, t - s)
-        out = self._partial(jt, t - p.node(jt))
-        if jt > js + 1:
-            out = out @ flat_chain_desc(self.cells[js + 1 : jt])
-        return out @ self._partial(js, p.node(js + 1) - s)
+        return self.evaluate_path([t], s)[-1]
 
     def evaluate_path(self, ts, s):
-        out, cur, last = [], np.eye(self.a.dim), s
-        for t in ts:
-            if t > last:
-                cur = self.evaluate(t, last) @ cur
-                last = t
+        delta, ends = self.p.delta, [self._end(t) for t in [s, *ts]]
+        # Each span's factors in cell order: ("P", j, tau) a partial cell, ("T", lo, hi) the tree of cells lo..hi-1.
+        spans = []
+        for (js, taus), (jt, taut) in zip(ends, ends[1:]):
+            if js == jt:
+                factors = [("P", js, taut - taus)] if taut > taus else []
+            else:
+                lo = js + (taus > 0)
+                factors = [("P", js, delta - taus)] if taus > 0 else []
+                factors += [("T", lo, jt)] if jt > lo else []
+                factors += [("P", jt, taut)] if taut > 0 else []
+            spans.append(factors)
+        keys = list(dict.fromkeys(f[1:] for factors in spans for f in factors if f[0] == "P"))
+        if keys:
+            gens = self.family.values_stack([self.p.node(j) for j, _ in keys])
+            gens += self.a.entries
+            gens *= np.array([tau for _, tau in keys])[:, None, None]
+            parts = dict(zip(keys, expm_stack(gens)))
+        out, cur = [], np.eye(self.a.dim)
+        for factors in spans:
+            if factors:
+                # (end @ tree) @ start: the last factor first, each earlier one multiplied on the right.
+                mats = [parts[f[1:]] if f[0] == "P" else flat_chain_desc(self.cells[f[1] : f[2]]) for f in factors]
+                span = mats.pop()
+                while mats:
+                    span = span @ mats.pop()
+                cur = span @ cur
             out.append(cur)
         return out

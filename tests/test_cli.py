@@ -604,6 +604,20 @@ class TestUsageErrors:
         assert main(["converge", "--help"]) == 0
         assert "--tol" in capsys.readouterr().out
 
+    def test_two_calls_build_the_parser_once(self, monkeypatch):
+        # Subparsers are built with prog "nonauto <command>"; only the top-level parser is "nonauto".
+        _build_parser.cache_clear()
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["--help"]) == 0
+        assert main(["verify-all", "--bogus"]) == 1
+        assert built.count("nonauto") == 1
+
 
 def _recording(fn, written):
     def wrapper(path, *args):

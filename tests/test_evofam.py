@@ -614,8 +614,9 @@ class TestFold:
 
     @pytest.mark.parametrize("n", range(4))
     def test_coarse_path_exponentiates_one_partial_cell_per_cell(self, n, monkeypatch):
-        # The 16 probes on [0, 1] are equally spaced, so each coarse cell's partial
-        # cells repeat one (cell, length) pair.
+        # The 16 probes on [0, 1] are equally spaced and every other one is a node,
+        # so each coarse cell's partial cells repeat one (cell, length) pair, no
+        # span takes a full cell, and the pass's partial cells are one call.
         a, fam, _ = self.problem(2)
         probes = np.linspace(0.0, 1.0, 17)[1:]
         for u, ref in self.pairs(a, fam, n):
@@ -623,8 +624,39 @@ class TestFold:
             with monkeypatch.context() as patch:
                 patch.setattr(evofam, "expm_stack", lambda m, out=None: mats.append(len(m)) or expm_stack(m, out=out))
                 got = [op.entries for op in u.evaluate_path(probes, 0.0)]
-            assert len(mats) <= 2**n
+            assert mats == [2**n]
             assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(probes, 0.0)))
+
+    def test_node_probes_in_one_chunk_are_one_product_call(self, monkeypatch):
+        # At d = 2 a level-12 fold is one chunk and the 16 probes are nodes 256 cells
+        # apart: one batched _chain_desc call, not one per span.
+        a, fam, _ = self.problem(2)
+        probes = np.linspace(0.0, 1.0, 17)[1:]
+        calls, chain_desc = [], evofam._chain_desc
+
+        def counted(runs):
+            calls.append(getattr(runs, "shape", None))  # None for an iterator of runs
+            return chain_desc(runs)
+
+        monkeypatch.setattr(evofam, "_chain_desc", counted)
+        for u, ref in self.pairs(a, fam, 12):
+            calls.clear()
+            got = [op.entries for op in u.evaluate_path(probes, 0.0)]
+            assert calls == [(16, 256, 2, 2)]
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(probes, 0.0)))
+
+    def test_ends_within_rounding_of_a_node_snap_to_it(self):
+        # An end within 1e-12 delta of a node, on either side, is that node: the same bits.
+        a, fam, _ = self.problem(2)
+        u = euler_polygon(a, unfactored(fam), 6)
+        p, off = u.partition, 0.5e-12 * u.partition.delta
+        nodes = [p.node(j) for j in (5, 17, 40, 64)]
+        exact = [op.entries for op in u.evaluate_path(nodes[1:], nodes[0])]
+        for sign in (-1.0, 1.0):
+            near = [min(max(t + sign * off, p.a), p.b) for t in nodes]
+            assert near != nodes
+            got = [op.entries for op in u.evaluate_path(near[1:], near[0])]
+            assert all(np.array_equal(x, y) for x, y in zip(got, exact))
 
     def test_nearby_spans_reuse_the_last_chunk(self, monkeypatch):
         # Time-1 maps after a refinement take no cell from the source again.
@@ -779,6 +811,13 @@ class TestChainDesc:
         for length in range(1, 3 * chunk + 2):
             stack = self.rotations(rng, length, d)
             assert np.array_equal(evofam._chain_desc(stack), flat_chain_desc(stack))
+            # A (S, k, d, d) batch gives each segment's product bit for bit, whole or as runs.
+            batch = self.rotations(rng, 3 * length, d).reshape(3, length, d, d)
+            each = np.stack([evofam._chain_desc(segment) for segment in batch])
+            assert np.array_equal(evofam._chain_desc(batch), each)
+            cuts = np.sort(rng.integers(0, length + 1, 2))
+            runs = [run for run in np.split(batch, cuts, axis=1) if run.shape[1]]
+            assert np.array_equal(evofam._chain_desc(iter(runs)), each)
 
     def test_budget_below_one_matrix_reduces_in_pairs(self, monkeypatch):
         monkeypatch.setattr(evofam, "PRODUCT_BYTES", 8)
