@@ -39,8 +39,6 @@ from .semigroup import (
     expm,
     fit_growth_bound,
     semigroup_diff_bound_check,
-    yosida_approx,
-    yosida_semigroup_limit,
 )
 from .metrics import (
     ANormEvaluator,

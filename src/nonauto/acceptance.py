@@ -37,7 +37,7 @@ from .examples import (
     no_growth,
     scaled_resolvent_sweep,
 )
-from .linop import NormKind, Operator, norm_of, op_norm, resolvent
+from .linop import NormKind, Operator, norm_of, norm_stack, op_norm, resolvent
 from .metrics import ANormEvaluator, a_norm, check_generation_bound, lemma32_decay, yosida_distance
 from .profiles import Sinusoid
 from .semigroup import GrowthBound, fit_growth_bound, semigroup_diff_bound_check
@@ -173,15 +173,16 @@ def criterion_05(seed: int) -> CriterionResult:
         dim = int(rng.integers(2, 5))
         kcap = 0.8 + 0.7 * rng.random()
         delta = 10.0 ** rng.uniform(-4.0, -2.0)
-        a_list, b_list = [], []
-        for _ in range(count):
-            m = rng.normal(size=(dim, dim))
-            m = m * (kcap * rng.random() / max(norm_of(m, NormKind.TWO), 1e-300))
-            p = rng.normal(size=(dim, dim))
-            p = p * (delta * 0.9 * rng.random() / max(norm_of(p, NormKind.TWO), 1e-300))
-            a_list.append(Operator(m, NormKind.TWO))
-            b_list.append(Operator(m + p, NormKind.TWO))
-        lhs, rhs = product_difference_bound(a_list, b_list)
+        ms, ps = np.empty((2, count, dim, dim)), np.empty((2, count))
+        for i in range(count):  # m, its scale, p, its scale: the draw order of the factor lists
+            ms[0, i], ps[0, i] = rng.normal(size=(dim, dim)), rng.random()
+            ms[1, i], ps[1, i] = rng.normal(size=(dim, dim)), rng.random()
+        norms = norm_stack(ms.reshape(-1, dim, dim), NormKind.TWO).reshape(2, count)
+        ms *= (ps * np.array([[kcap], [delta * 0.9]]) / np.maximum(norms, 1e-300))[..., None, None]
+        ms[1] += ms[0]
+        lhs, rhs = product_difference_bound(
+            [Operator(m, NormKind.TWO) for m in ms[0]], [Operator(m, NormKind.TWO) for m in ms[1]]
+        )
         worst = max(worst, lhs / (rhs * (1.0 + 1e-9)))
     return CriterionResult(5, "product-difference", worst <= 1.0, f"worst diff/bound {worst:.6f}")
 

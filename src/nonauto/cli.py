@@ -154,13 +154,9 @@ def cmd_evolve(args) -> int:
     t0, t1 = family.interval
     s = float(config.get("s", t0))
     ts = _t_grid(config.get("t_grid"), np.linspace(s, t1, 17))
-    ops = u.evaluate_path(ts, s)
-    dim = a.dim
-    columns = ["t"] + [f"u_{i}_{j}" for i in range(dim) for j in range(dim)]
-    rows = (
-        [_fmt(t)] + [_fmt(v) for v in op.entries.reshape(-1)]
-        for t, op in zip(ts, ops)
-    )
+    path = u.evaluate_path(ts, s)
+    columns = ["t"] + [f"u_{i}_{j}" for i in range(a.dim) for j in range(a.dim)]
+    rows = ([_fmt(t)] + [_fmt(v) for v in u_t.reshape(-1)] for t, u_t in zip(ts, path))
     artifacts.csv("evolve", columns, rows)
     print(f"evolved level {level} at {len(ts)} samples")
     return 0

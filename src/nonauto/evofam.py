@@ -13,7 +13,7 @@ import csv
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
     ToleranceNotReached,
 )
-from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack, op_norm
+from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack
 from .metrics import ANormEvaluator, _check_family
 from .profiles import Constant, Sinusoid, profile_values
 from . import semigroup
@@ -509,12 +509,14 @@ class EvolutionFamilyApprox:
         span = next(self._spans([t], s))
         return Operator(np.eye(self.a.dim) if span is None else span, self.a.norm_kind)
 
-    def evaluate_path(self, ts, s: float) -> list:
-        """U(t, s) for ascending t samples from one pass over the cells, the spans accumulated."""
-        out, cur = [], np.eye(self.a.dim)
-        for span in self._spans(ts, s):
-            cur = cur if span is None else span @ cur
-            out.append(Operator(cur, self.a.norm_kind))
+    def evaluate_path(self, ts, s: float) -> np.ndarray:
+        """(len(ts), d, d) stack of U(t, s) at ascending t from one pass over the cells: out[k] = span_k @ out[k-1]."""
+        out, cur = np.empty((len(ts), self.a.dim, self.a.dim)), np.eye(self.a.dim)
+        for k, span in enumerate(self._spans(ts, s)):
+            if span is None:
+                out[k] = cur
+            else:
+                cur = np.matmul(span, cur, out=out[k])
         return out
 
 
@@ -710,11 +712,11 @@ def product_difference_bound(a_factors, b_factors):
     ref = a_factors[0]
     for f in list(a_factors) + list(b_factors):
         ref._check(f)
-    k = max(1.0, max(op_norm(f) for f in list(a_factors) + list(b_factors)))
-    delta = max(op_norm(fa - fb) for fa, fb in zip(a_factors, b_factors))
-    prod_a = _chain_desc(np.stack([f.entries for f in a_factors]))
-    prod_b = _chain_desc(np.stack([f.entries for f in b_factors]))
-    lhs = norm_of(prod_a - prod_b, ref.norm_kind)
+    stack_a = np.stack([f.entries for f in a_factors])
+    stack_b = np.stack([f.entries for f in b_factors])
+    k = max(1.0, float(norm_stack(np.concatenate([stack_a, stack_b]), ref.norm_kind).max()))
+    delta = float(norm_stack(stack_a - stack_b, ref.norm_kind).max())
+    lhs = norm_of(_chain_desc(stack_a) - _chain_desc(stack_b), ref.norm_kind)
     return float(lhs), float(n * delta * k ** (n - 1))
 
 
@@ -722,16 +724,21 @@ def product_difference_bound(a_factors, b_factors):
 class RefineResult:
     """Outcome of dyadic refinement down to a target Cauchy increment.
 
-    probe_values are the final level's U(t_k, t0) at the 16 probe times
-    t_k = t0 + k (t1 - t0) / 16, and full_span is the last, U(t1, t0).
+    probe_values is the final level's read-only (16, d, d) stack of U(t_k, t0)
+    at the probe times t_k = t0 + k (t1 - t0) / 16, k = 1..16, and full_span
+    the last of them, U(t1, t0), as an Operator.
     """
 
     approx: EvolutionFamilyApprox
     levels: tuple
     achieved_delta: float
     omega1: float
-    probe_values: tuple
-    full_span: Operator
+    probe_values: np.ndarray
+    full_span: Operator = field(init=False)
+
+    def __post_init__(self):
+        self.probe_values.setflags(write=False)
+        object.__setattr__(self, "full_span", Operator(self.probe_values[-1], self.approx.a.norm_kind))
 
 
 def refine_to_tolerance(
@@ -762,24 +769,23 @@ def refine_to_tolerance(
         growth = math.inf
     ts = np.linspace(t0, t1, 17)[1:]
     cur = euler_polygon(a, family, 0)
-    cur_vals = tuple(cur.evaluate_path(ts, t0))
+    cur_vals = cur.evaluate_path(ts, t0)
     # A family constant in ||.||_A is propagated exactly at level 0.
     if family.modulus(t1 - t0, evaluator) == 0.0:
-        return RefineResult(cur, ((0, 0.0, 0.0, 0.0),), 0.0, omega1, cur_vals, cur_vals[-1])
+        return RefineResult(cur, ((0, 0.0, 0.0, 0.0),), 0.0, omega1, cur_vals)
     levels = []
     below = 0
     for n in range(1, n_max + 1):
         prev_vals = cur_vals
         cur = euler_polygon(a, family, n)
-        cur_vals = tuple(cur.evaluate_path(ts, t0))
-        diffs = np.stack([u.entries for u in cur_vals]) - np.stack([u.entries for u in prev_vals])
-        delta = norm_stack(diffs, a.norm_kind).max()
+        cur_vals = cur.evaluate_path(ts, t0)
+        delta = norm_stack(cur_vals - prev_vals, a.norm_kind).max()
         omega_n = family.modulus((t1 - t0) * 2.0 ** (-n), evaluator)
         bound = growth * omega_n
         levels.append((n, float(delta), float(omega_n), float(bound)))
         below = below + 1 if delta <= tol else 0
         if below >= 2:
-            return RefineResult(cur, tuple(levels), float(delta), omega1, cur_vals, cur_vals[-1])
+            return RefineResult(cur, tuple(levels), float(delta), omega1, cur_vals)
     last = f"last increment {levels[-1][1]:.3e} at level {levels[-1][0]}" if levels else "no level refined"
     raise ToleranceNotReached(
         f"tol {tol:.3e} not met at two levels in a row by level {n_max}; {last}",

@@ -191,14 +191,14 @@ def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -
     from scipy.linalg import solve_banded
 
     b = np.asarray(b_values, dtype=float)
-    if b.shape != (g.points,) or np.any(b < 0.0):
-        raise PreconditionViolated("sweep wants a nonnegative diagonal of grid length")
+    if b.shape != (g.points,) or not np.all((b >= 0.0) & (b < math.inf)):
+        raise PreconditionViolated("sweep wants a finite nonnegative diagonal of grid length")
     transpose = {-k: v for k, v in _stencil(which, g).items()}
     out = []
     for mu in mus:
         mu = float(mu)
-        if mu <= 0.0:
-            raise PreconditionViolated(f"sweep needs mu > 0, got mu={mu}")
+        if not 0.0 < mu < math.inf:
+            raise PreconditionViolated(f"sweep needs finite mu > 0, got mu={mu}")
         col_sums = solve_banded(*shifted_band(transpose, mu, g.points), b)
         out.append((mu, float(mu * col_sums.max())))
     return out

@@ -1,4 +1,4 @@
-"""Matrix semigroups T_A(t) = e^{tA}: exponentials, growth certificates, Yosida approximants.
+"""Matrix semigroups T_A(t) = e^{tA}: exponentials and growth certificates.
 
 A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} on a
 verified horizon. Certificates are fitted from the spectral abscissa plus
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Overflow, PreconditionViolated
-from .linop import BLOCK_BYTES, NormKind, Operator, norm_of, norm_stack, resolvent_stack, spectrum
+from .linop import BLOCK_BYTES, NormKind, Operator, norm_of, norm_stack, spectrum
 
 # Safety inflation applied to a fitted M and to checked bounds.
 FIT_INFLATION = 1e-6
@@ -182,23 +182,6 @@ def _taylor(x: np.ndarray, m: int, s: int) -> np.ndarray:
     return p
 
 
-def yosida_approx(a: Operator, lam: float) -> Operator:
-    """Yosida approximant A_lambda = lambda^2 R(lambda, A) - lambda I.
-
-    Equals lambda A R(lambda, A); the bounded approximant whose semigroups
-    converge to e^{tA} as lambda grows. lam must exceed the growth bound
-    omega0 of A, otherwise the resolvent solve itself refuses.
-    """
-    return Operator(_yosida_stack(a, lam)[0], a.norm_kind)
-
-
-def _yosida_stack(a: Operator, lams) -> np.ndarray:
-    """Yosida approximants lambda^2 R(lambda, A) - lambda I of A for each lambda, as a stack."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    lam = lams[:, None, None]
-    return lam * lam * resolvent_stack(a.entries, lams)[0] - lam * np.eye(a.dim)
-
-
 def envelope_ratios(a: Operator, ts, omega0: float) -> np.ndarray:
     """||e^{tA}|| e^{-omega0 t} at each t of ts, from one expm_stack call."""
     ts = np.asarray(ts, dtype=float)
@@ -247,10 +230,3 @@ def semigroup_diff_bound_check(g: Operator, h: Operator, m: float, omega: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, float("inf")))
     return worst_ratio(ratios, ts)
-
-
-def yosida_semigroup_limit(a: Operator, t: float, lambdas) -> list:
-    """Sample ||e^{t A_lambda} - e^{tA}|| over a lambda grid; decays like 1/lambda."""
-    target = expm(a, t).entries
-    diffs = expm_stack(t * _yosida_stack(a, lambdas)) - target
-    return [(float(lam), float(v)) for lam, v in zip(lambdas, norm_stack(diffs, a.norm_kind))]

@@ -29,10 +29,6 @@ DIAG_U22 = 0.15534750686729865  # exp(-2 + 0.3 (1 - cos 1))
 # exp(int_0^1 (-1 + sin tau) dtau) = exp(-cos 1).
 SCALAR_POLY = 0.58257211078330851
 
-# Yosida approximant of a scalar a at parameter lam: lam^2/(lam - a) - lam
-# = lam a / (lam - a); for a = -1, lam = 9 this is -0.9 exactly.
-YOSIDA_SCALAR = -0.9
-
 # lam^2 (1/(lam - 2) - 1/(lam + 1)) = 3 lam^2 / ((lam - 2)(lam + 1)) -> 3,
 # the scalar Yosida-distance limit for diag(2, 0) vs diag(-1, 0).
 YDIST_DIAG_LIMIT = 3.0

@@ -134,6 +134,14 @@ def test_roughness_refinement_failure_is_a_fail_verdict(monkeypatch):
     assert "refinement failed at eps 0.01: tol 1.000e-04 not met" in r.detail
 
 
+def test_product_criterion_norms_factor_stacks(monkeypatch):
+    # Per draw: one 2-norm stack for both factor lists' scales, one each for K and delta, one for the product difference.
+    calls, two_norm_stack = [], nonauto.linop.two_norm_stack
+    monkeypatch.setattr(nonauto.linop, "two_norm_stack", lambda ms: calls.append(len(ms)) or two_norm_stack(ms))
+    assert nonauto.acceptance.criterion_05(7).passed
+    assert len(calls) <= 250
+
+
 def test_spiky_sweep_criterion_forms_no_dense_diagonal():
     # Criterion 12 runs on 4096 cells; a dense diagonal there is 134 MB.
     tracemalloc.start()

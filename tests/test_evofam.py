@@ -422,8 +422,9 @@ class TestEvolutionFamily:
         approx = euler_polygon(a, fam, 6)
         ts = [0.2, 0.35, 0.5, 0.8125, 1.0]
         path = approx.evaluate_path(ts, 0.2)
+        assert path.shape == (len(ts), 2, 2)
         for t, u in zip(ts, path):
-            assert np.allclose(u.entries, approx.evaluate(t, 0.2).entries, atol=1e-13)
+            assert np.allclose(u, approx.evaluate(t, 0.2).entries, atol=1e-13)
 
     def test_equal_times_outside_interval_raise(self):
         a = op2(np.diag([-1.0, -2.0]))
@@ -597,7 +598,7 @@ class TestFold:
         paths = ((np.linspace(0.0, 1.0, 17)[1:], 0.0), (np.sort(rng.uniform(0.3, 1.0, 7)), 0.3))
         for u, ref in self.pairs(a, fam, 11):
             for ts, s in paths:
-                got = [op.entries for op in u.evaluate_path(ts, s)]
+                got = u.evaluate_path(ts, s)
                 assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(ts, s)))
 
     @pytest.mark.parametrize("d", [2, 24, 32])
@@ -608,9 +609,10 @@ class TestFold:
             res = refine_to_tolerance(a, family, GrowthBound(1.0, 0.0), 2e-3)
             cells = source_cells(a, fam, res.approx.level) if family is fam else None
             ref = StackPolygon(a, family, res.approx.partition, cells=cells).evaluate_path(ts, 0.0)
-            assert len(res.probe_values) == 16
-            assert all(np.array_equal(x.entries, y) for x, y in zip(res.probe_values, ref))
-            assert res.full_span is res.probe_values[-1]
+            assert res.probe_values.shape == (16, d, d)
+            assert not res.probe_values.flags.writeable
+            assert all(np.array_equal(x, y) for x, y in zip(res.probe_values, ref))
+            assert np.array_equal(res.full_span.entries, res.probe_values[-1])
 
     @pytest.mark.parametrize("n", range(4))
     def test_coarse_path_exponentiates_one_partial_cell_per_cell(self, n, monkeypatch):
@@ -623,7 +625,7 @@ class TestFold:
             mats = []
             with monkeypatch.context() as patch:
                 patch.setattr(evofam, "expm_stack", lambda m, out=None: mats.append(len(m)) or expm_stack(m, out=out))
-                got = [op.entries for op in u.evaluate_path(probes, 0.0)]
+                got = u.evaluate_path(probes, 0.0)
             assert mats == [2**n]
             assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(probes, 0.0)))
 
@@ -641,7 +643,7 @@ class TestFold:
         monkeypatch.setattr(evofam, "_chain_desc", counted)
         for u, ref in self.pairs(a, fam, 12):
             calls.clear()
-            got = [op.entries for op in u.evaluate_path(probes, 0.0)]
+            got = u.evaluate_path(probes, 0.0)
             assert calls == [(16, 256, 2, 2)]
             assert all(np.array_equal(x, y) for x, y in zip(got, ref.evaluate_path(probes, 0.0)))
 
@@ -651,11 +653,11 @@ class TestFold:
         u = euler_polygon(a, unfactored(fam), 6)
         p, off = u.partition, 0.5e-12 * u.partition.delta
         nodes = [p.node(j) for j in (5, 17, 40, 64)]
-        exact = [op.entries for op in u.evaluate_path(nodes[1:], nodes[0])]
+        exact = u.evaluate_path(nodes[1:], nodes[0])
         for sign in (-1.0, 1.0):
             near = [min(max(t + sign * off, p.a), p.b) for t in nodes]
             assert near != nodes
-            got = [op.entries for op in u.evaluate_path(near[1:], near[0])]
+            got = u.evaluate_path(near[1:], near[0])
             assert all(np.array_equal(x, y) for x, y in zip(got, exact))
 
     def test_nearby_spans_reuse_the_last_chunk(self, monkeypatch):
@@ -683,7 +685,7 @@ class TestFold:
         paths = []
         for blocks in (1, 16):
             monkeypatch.setattr(evofam, "_CHUNK_BLOCKS", blocks)
-            paths.append([op.entries for op in euler_polygon(a, fam, 12).evaluate_path(probes, 0.0)])
+            paths.append(euler_polygon(a, fam, 12).evaluate_path(probes, 0.0))
         assert all(np.array_equal(x, y) for x, y in zip(*paths))
 
 
@@ -774,7 +776,7 @@ class TestInterpolatedCells:
         paths = []
         for blocks in (1, 16):
             monkeypatch.setattr(evofam, "_CHUNK_BLOCKS", blocks)
-            paths.append([op.entries for op in euler_polygon(a, fam, 9).evaluate_path(probes, 0.0)])
+            paths.append(euler_polygon(a, fam, 9).evaluate_path(probes, 0.0))
         assert all(np.array_equal(x, y) for x, y in zip(*paths))
 
     def test_factored_level_takes_k_max_plus_3_exponentials(self, monkeypatch):
@@ -976,6 +978,16 @@ class TestRefine:
         # every recorded increment sits under its per-level certificate
         for _, delta, _, bound in res.levels:
             assert delta <= bound * (1.0 + 1e-9)
+
+    def test_levels_pass_stacks_not_operators(self, monkeypatch):
+        # The fold and the stop rule work on (16, d, d) stacks; only full_span becomes an Operator.
+        built, post_init = [], Operator.__post_init__
+        a = op2(np.diag([-1.0, -2.0]))
+        fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2(np.diag([0.5, 0.5])))
+        monkeypatch.setattr(Operator, "__post_init__", lambda op: built.append(op) or post_init(op))
+        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-4)
+        assert res.levels[-1][0] >= 8
+        assert len(built) <= 2
 
     def test_budget_exhaustion_reports_progress(self):
         a = op2(np.diag([-1.0, -2.0]))

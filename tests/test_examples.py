@@ -206,8 +206,14 @@ class TestScaledResolventSweep:
             scaled_resolvent_sweep("translation", g, np.ones(8), [1.0])
         with pytest.raises(PreconditionViolated):
             scaled_resolvent_sweep("translation", g, -np.ones(16), [1.0])
-        with pytest.raises(PreconditionViolated):
-            scaled_resolvent_sweep("translation", g, np.ones(16), [0.0])
+        for mu in (0.0, math.nan, math.inf):
+            with pytest.raises(PreconditionViolated):
+                scaled_resolvent_sweep("translation", g, np.ones(16), [mu])
+        for bad in (math.nan, math.inf):
+            b = np.ones(16)
+            b[3] = bad
+            with pytest.raises(PreconditionViolated):
+                scaled_resolvent_sweep("translation", g, b, [1.0])
         with pytest.raises(PreconditionViolated):
             scaled_resolvent_sweep("advection", g, np.ones(16), [1.0])
 

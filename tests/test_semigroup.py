@@ -1,4 +1,4 @@
-"""Exponentials, growth certificates, Yosida approximants, pair difference bound."""
+"""Exponentials, growth certificates, pair difference bound."""
 import math
 from fractions import Fraction
 
@@ -16,14 +16,12 @@ from nonauto import (
     fit_growth_bound,
     op_norm,
     semigroup_diff_bound_check,
-    yosida_approx,
-    yosida_semigroup_limit,
 )
 from nonauto import semigroup
 from nonauto.linop import BLOCK_BYTES, norm_stack
 from nonauto.semigroup import expm_stack
 
-from oracles import YOSIDA_SCALAR, two_grid_fit
+from oracles import two_grid_fit
 
 
 def op2(entries):
@@ -208,52 +206,6 @@ class TestBlocks:
             expm_stack(stack)
         with pytest.raises(Overflow):
             expm_stack(stack, out=stack)
-
-
-class TestYosida:
-    def test_zero_generator(self):
-        assert np.allclose(yosida_approx(op2(np.zeros((2, 2))), 5.0).entries, 0.0, atol=1e-13)
-
-    def test_scalar_formula(self):
-        got = yosida_approx(op2([[-1.0]]), 9.0)
-        assert got.entries[0, 0] == pytest.approx(YOSIDA_SCALAR, rel=1e-12)
-
-    def test_large_lambda_close_to_a(self):
-        # scalar error |a^2 / (lam - a)| <= 4 / (1e6 - 2) per entry
-        a = op2(np.diag([-1.0, -2.0]))
-        diff = yosida_approx(a, 1e6) - a
-        assert op_norm(diff) <= 3e-5
-
-    def test_equals_lambda_a_resolvent(self):
-        from nonauto import resolvent
-
-        a = op2([[0.0, 1.0], [-2.0, -3.0]])
-        lam = 50.0
-        direct = yosida_approx(a, lam).entries
-        alt = lam * a.entries @ resolvent(a, lam).entries
-        assert np.allclose(direct, alt, atol=1e-10)
-
-    def test_semigroup_limit_decays(self):
-        a = op2(np.diag([-1.0, -3.0]))
-        samples = yosida_semigroup_limit(a, 1.0, [10.0, 100.0, 1000.0, 10000.0])
-        values = [v for _, v in samples]
-        assert values == sorted(values, reverse=True)
-        assert values[-1] <= 1e-3
-
-    def test_semigroup_limit_matches_scipy_loop(self):
-        a = op2([[0.0, 1.0], [-2.0, -0.3]])
-        lambdas = [5.0, 20.0, 100.0, 1000.0]
-        target = scipy.linalg.expm(0.8 * a.entries)
-        for (lam, got), ref_lam in zip(yosida_semigroup_limit(a, 0.8, lambdas), lambdas):
-            ya = yosida_approx(a, ref_lam).entries
-            ref = np.linalg.norm(scipy.linalg.expm(0.8 * ya) - target, 2)
-            assert lam == ref_lam
-            assert got == pytest.approx(ref, rel=1e-12)
-
-    def test_semigroup_limit_rotation(self):
-        a = op2([[0.0, 1.0], [-1.0, 0.0]])
-        samples = yosida_semigroup_limit(a, 1.0, [100.0, 10000.0])
-        assert samples[1][1] < samples[0][1]
 
 
 class TestFitGrowthBound:
