@@ -91,6 +91,7 @@ from .examples import (
     build_spiky_b,
     build_translation_generator,
     decade_maxima,
+    heat_green_column_sums,
     heat_resolvent_green,
     scaled_resolvent_sweep,
     verify_example_bounds,

@@ -116,6 +116,14 @@ def build_heat_generator(g: GridSpec) -> Operator:
     return Operator(_stencil_matrix(_stencil("heat", g), g.points), NormKind.ONE)
 
 
+def _green(g: GridSpec, mu: float, x: np.ndarray, y) -> np.ndarray:
+    """h e^{-sqrt(mu) |x - y|} / (2 sqrt(mu)): the heat resolvent's Green kernel between points x and y."""
+    if not 0.0 < mu < math.inf:
+        raise PreconditionViolated(f"Green kernel needs a finite mu > 0, got {mu!r}")
+    root = math.sqrt(mu)
+    return g.h * np.exp(-root * np.abs(x - y)) / (2.0 * root)
+
+
 def heat_resolvent_green(g: GridSpec, mu: float) -> Operator:
     """Midpoint quadrature of the whole-line heat resolvent kernel.
 
@@ -123,12 +131,21 @@ def heat_resolvent_green(g: GridSpec, mu: float) -> Operator:
     kernel, so the induced 1-norm is at most 1/mu up to quadrature and
     domain-truncation error.
     """
-    if not (mu > 0.0):
-        raise PreconditionViolated("Green kernel needs mu > 0")
     x = g.centers()
-    root = math.sqrt(mu)
-    entries = g.h * np.exp(-root * np.abs(x[:, None] - x[None, :])) / (2.0 * root)
-    return Operator(entries, NormKind.ONE)
+    return Operator(_green(g, mu, x[:, None], x[None, :]), NormKind.ONE)
+
+
+def heat_green_column_sums(g: GridSpec, mu: float) -> np.ndarray:
+    """Column sums of heat_resolvent_green(g, mu) from its first column, in O(points).
+
+    On the uniform grid K_ij = f(|i - j|) with f = K[:, 0], so column j sums to
+    c[j] + c[n-1-j] - f(0) for c = cumsum(f). K >= 0, so the largest sum is its
+    induced 1-norm.
+    """
+    x = g.centers()
+    f = _green(g, mu, x, x[0])
+    c = np.cumsum(f)
+    return c + c[::-1] - f[0]
 
 
 @dataclass(frozen=True)

@@ -203,9 +203,15 @@ def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
 
 
 def bandwidths(m: np.ndarray) -> tuple:
-    """(kl, ku): the lower and upper bandwidth of a square matrix, read from its nonzero entries."""
-    i, j = np.nonzero(m)
-    return int((i - j).max(initial=0)), int((j - i).max(initial=0))
+    """(kl, ku): the lower and upper bandwidth of a square matrix, read from each row's first and last nonzero entry."""
+    nz = m != 0
+    rows = nz.any(axis=1)
+    i = np.flatnonzero(rows)
+    if i.size == 0:
+        return 0, 0
+    first = nz.argmax(axis=1)[rows]
+    last = m.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)[rows]
+    return max(int((i - first).max()), 0), max(int((last - i).max()), 0)
 
 
 def _band_lu() -> tuple:

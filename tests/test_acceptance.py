@@ -153,6 +153,26 @@ def test_spiky_sweep_criterion_forms_no_dense_diagonal():
     assert peak < 16 * 2**20
 
 
+def test_green_kernel_criterion_takes_its_mass_from_kernel_rows(monkeypatch):
+    # The mass check reads 2048-point column sums from one kernel row; only the
+    # halving ratio forms dense kernels, at 512 and 1024 points (a 2048-point one is 32 MB).
+    sizes, green = [], nonauto.acceptance.heat_resolvent_green
+    record = lambda g, mu: sizes.append(g.points) or green(g, mu)  # noqa: E731
+    monkeypatch.setattr(nonauto.acceptance, "heat_resolvent_green", record)
+    assert nonauto.acceptance.criterion_11(SEED).passed
+    assert sizes and max(sizes) <= 1024
+
+
+def test_green_kernel_criterion_memory_peak():
+    tracemalloc.start()
+    try:
+        nonauto.acceptance.criterion_11(SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def _child_env():
     # A child started in another working directory must import the same
     # nonauto as this process; a relative PYTHONPATH entry such as `src`

@@ -18,6 +18,7 @@ from nonauto import (
     build_translation_generator,
     decade_maxima,
     expm,
+    heat_green_column_sums,
     heat_resolvent_green,
     op_norm,
     resolvent,
@@ -130,8 +131,23 @@ class TestHeatGreenKernel:
         assert diff <= 1e-3 / mu
 
     def test_mu_guard(self):
-        with pytest.raises(PreconditionViolated):
-            heat_resolvent_green(GridSpec(8.0, 16, Domain.LINE), 0.0)
+        # A non-finite mu is refused before it builds a NaN kernel.
+        for fn in (heat_resolvent_green, heat_green_column_sums):
+            for mu in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(PreconditionViolated):
+                    fn(GridSpec(8.0, 16, Domain.LINE), mu)
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("points", [2, 3, 7, 512, 2047, 2048])
+    def test_column_sums_match_the_dense_kernel(self, points, domain):
+        # The row-based sums and the dense kernel's sum in different orders, so
+        # they agree to rounding (6.6e-15 was the largest gap seen), not bit for bit.
+        for mu in (0.25, 1.0, 4.0, 16.0):
+            g = GridSpec(40.0 / math.sqrt(mu), points, domain)
+            kernel = heat_resolvent_green(g, mu)
+            sums = heat_green_column_sums(g, mu)
+            np.testing.assert_allclose(sums, kernel.entries.sum(axis=0), rtol=1e-13, atol=0.0)
+            assert sums.max() == pytest.approx(op_norm(kernel), rel=1e-13)
 
 
 class TestSpikyMultiplier:

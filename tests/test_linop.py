@@ -244,6 +244,23 @@ class TestBandResolvent:
                 dense[i, j] = ab[ku + i - j, j]
         assert np.array_equal(dense, 1.7 * np.eye(9) - g)
 
+    def test_bandwidths_match_the_nonzero_definition(self):
+        # The row scan against the definition: the largest i - j and j - i over nonzero entries (NaN counts).
+        def defined(m):
+            i, j = np.nonzero(m)
+            return int((i - j).max(initial=0)), int((j - i).max(initial=0))
+
+        rng = np.random.default_rng(11)
+        cases = [np.zeros((5, 5)), np.zeros((1, 1)), np.diag([0.0, np.nan, 0.0]), np.full((3, 3), np.nan)]
+        for _ in range(200):
+            d = int(rng.integers(1, 12))
+            m = rng.standard_normal((d, d)) * (rng.random((d, d)) < rng.random())
+            m[rng.random(d) < 0.3] = 0.0
+            m[rng.random((d, d)) < 0.05] = np.nan
+            cases.append(m)
+        for m in cases:
+            assert bandwidths(m) == defined(m)
+
     def test_refuses_what_resolvent_stack_refuses(self):
         # mu = 2 is an eigenvalue, and 3 + 1e-15 puts kappa_1 above COND_LIMIT.
         a = np.diag([2.0, -1.0, 3.0 + 1e-15]) + np.diag([0.5, 0.0], -1)
