@@ -3,7 +3,7 @@
 Each criterion is a standalone function taking the master seed and returning
 a CriterionResult; run_criteria executes the thirteen computational ones and
 verify_all_rows adds the determinism row by running the batch twice and
-comparing the rendered CSV bodies byte for byte. Criterion 10 checks the
+comparing the two result lists field by field. Criterion 10 checks the
 stated proximity estimate literally; it is expected to fail for base flows
 with strict exponential growth and its detail line records the
 growth-adjusted bound that does hold.
@@ -38,7 +38,7 @@ from .examples import (
     no_growth,
     scaled_resolvent_sweep,
 )
-from .linop import NormKind, Operator, norm_of, norm_stack, op_norm, resolvent
+from .linop import NormKind, Operator, log_norm, norm_of, norm_stack, op_norm, resolvent
 from .metrics import ANormEvaluator, a_norm, check_generation_bound, lemma32_decay, yosida_distance
 from .profiles import Sinusoid
 from .semigroup import GrowthBound, fit_growth_bound, semigroup_diff_bound_check
@@ -60,11 +60,6 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _log_norm(entries: np.ndarray) -> float:
-    """2-norm logarithmic norm: largest eigenvalue of the symmetric part."""
-    return float(np.linalg.eigvalsh((entries + entries.T) / 2.0).max())
-
-
 def _dissipative(rng: np.random.Generator, dim: int) -> Operator:
     """Random matrix shifted so its 2-norm log-norm is <= -0.1.
 
@@ -72,7 +67,7 @@ def _dissipative(rng: np.random.Generator, dim: int) -> Operator:
     (1, 0) is an exact growth certificate.
     """
     raw = rng.normal(size=(dim, dim))
-    shift = max(_log_norm(raw), 0.0) + 0.1
+    shift = max(log_norm(raw, NormKind.TWO), 0.0) + 0.1
     return Operator(raw - shift * np.eye(dim), NormKind.TWO)
 
 
@@ -161,7 +156,7 @@ def criterion_04(seed: int) -> CriterionResult:
         e = rng.normal(size=(dim, dim))
         e = Operator(0.01 * e / norm_of(e, NormKind.TWO), NormKind.TWO)
         h = g + e
-        omega = max(0.0, _log_norm(g.entries), _log_norm(h.entries))
+        omega = max(0.0, log_norm(g.entries, NormKind.TWO), log_norm(h.entries, NormKind.TWO))
         dy = yosida_distance(g, h).value
         check = semigroup_diff_bound_check(g, h, m=1.0, omega=omega, delta=dy)
         worst = max(worst, check.max_ratio)
@@ -375,24 +370,11 @@ def run_criteria(seed: int = 7) -> list:
     return [fn(seed) for fn in CRITERIA]
 
 
-def render_criteria_csv(results) -> str:
-    lines = ["index,name,passed,detail"]
-    for r in results:
-        lines.append(f"{r.index},{r.name},{int(r.passed)},{r.detail}")
-    return "\n".join(lines) + "\n"
-
-
 def verify_all_rows(seed: int = 7) -> list:
     """Criteria 1-13 plus the determinism row from a full second pass."""
     first = run_criteria(seed)
     second = run_criteria(seed)
-    identical = render_criteria_csv(first) == render_criteria_csv(second)
-    first.append(
-        CriterionResult(
-            14,
-            "determinism",
-            bool(identical),
-            "two passes rendered byte-identical" if identical else "passes differ",
-        )
-    )
+    identical = first == second  # frozen dataclasses: equal fields render equal rows
+    detail = "two passes rendered byte-identical" if identical else "passes differ"
+    first.append(CriterionResult(14, "determinism", identical, detail))
     return first

@@ -194,9 +194,8 @@ def cmd_converge(args) -> int:
 def cmd_dichotomy(args) -> int:
     config, artifacts, a, shape = _load_run(args)
     eps_list = config.get("eps_list", [0.0, 0.01, 0.05])
-    t0, t1 = shape.interval
-    ts = _t_grid(config.get("t_grid"), np.linspace(t0 + 1.0, t1, 5))
     gb = _growth_bound(config, a)
+    ts = _t_grid(config.get("t_grid"), None)  # None: roughness_sweep's own samples
     results = roughness_sweep(a, shape, eps_list, gb, t_samples=ts, n_max=int(config.get("n_max", 14)))
     rows = []
     summary = []

@@ -102,7 +102,7 @@ def check_hyperbolic(t1: Operator) -> DichotomyReport:
 
 def autonomous_dichotomy(a: Operator) -> DichotomyReport:
     """Dichotomy report of the constant-coefficient flow, via its time-1 map."""
-    return check_hyperbolic(expm(a, 1.0))
+    return check_hyperbolic(expm(a))
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def perturbation_proximity(u: EvolutionFamilyApprox, a: Operator, gb: GrowthBoun
     if p.b - p.a < 1.0:
         raise OutOfInterval("interval shorter than 1; no time-1 map fits")
     omega1 = u.family.sup_anorm(ANormEvaluator(a, gb))
-    samples = tuple((t, d) for t, _, d in _time1_maps(u, expm(a, 1.0), np.linspace(p.a + 1.0, p.b, 9)))
+    samples = tuple((t, d) for t, _, d in _time1_maps(u, expm(a), np.linspace(p.a + 1.0, p.b, 9)))
     return ProximityReport(
         sup_diff=max(0.0, *(d for _, d in samples)),
         bound=_proximity_bound(omega1),
@@ -216,7 +216,7 @@ def roughness_sweep(
         t_samples = np.linspace(t0 + 1.0, t1, 5)
     if len(t_samples) == 0:
         raise PreconditionViolated("roughness_sweep wants at least one time sample")
-    e_a = expm(a, 1.0)
+    e_a = expm(a)
     base = check_hyperbolic(e_a)
     if not base.hyperbolic:
         raise PreconditionViolated("unperturbed generator has spectrum on the unit circle")

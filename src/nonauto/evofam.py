@@ -28,8 +28,7 @@ from .errors import (
 from .linop import BLOCK_BYTES, PRODUCT_BYTES, NormKind, Operator, norm_of, norm_stack
 from .metrics import ANormEvaluator, _check_family
 from .profiles import Constant, Sinusoid, profile_values
-from . import semigroup
-from .semigroup import GrowthBound, expm_stack
+from .semigroup import GrowthBound, _add_identity, _squarings, expm_stack
 
 MAX_LEVEL = 24
 MODULUS_PAIR_CAP = 4096
@@ -369,7 +368,8 @@ class EvolutionFamilyApprox:
     decreasing node index. Spans between nodes that share a chunk are one
     batched product, and a pass's partial cells one exponential call. It
     keeps its last chunk, so nearby spans reuse the cells. Every full cell
-    comes from _cells, the level's one cell source.
+    comes from _cells, the level's one cell source, and every cell not
+    interpolated, full or partial, from _frozen.
     """
 
     def __init__(self, a: Operator, family: PerturbationFamily, partition: DyadicPartition):
@@ -391,19 +391,21 @@ class EvolutionFamilyApprox:
 
         A factored family's level takes its cells from one interpolant
         (_interpolated_cells) where that pays and passes its check; otherwise
-        the frozen generators delta (A + B(node_j)) are exponentiated in
-        place. lo is a multiple of the expm_stack block length, so a direct
-        cell has the bits of a whole-level call; an interpolated cell has the
-        same bits from any chunk.
+        they are _frozen cells of length delta. lo is a multiple of the
+        expm_stack block length, so a direct cell has the bits of a
+        whole-level call; an interpolated cell has the same bits from any chunk.
         """
         if self._interpolant is None:
             self._interpolant = _interpolated_cells(self.a, self.family, self.partition) or False
         if self._interpolant:
             return self._interpolant(lo, hi)
-        p = self.partition
-        gens = self.family.values_stack(p.a + p.delta * np.arange(lo, hi))
+        return self._frozen(np.arange(lo, hi), self.partition.delta)
+
+    def _frozen(self, cells: np.ndarray, lengths) -> np.ndarray:
+        """e^{tau_j (A + B(node_j))} for cells j and lengths tau_j (one, or one each): one expm_stack call in place."""
+        gens = self.family.values_stack(self.partition.node(cells))
         gens += self.a.entries
-        gens *= p.delta
+        gens *= np.reshape(lengths, (-1, 1, 1))
         return expm_stack(gens, out=gens)
 
     def _spans(self, ts, s: float):
@@ -440,7 +442,7 @@ class EvolutionFamilyApprox:
         # Every end as (j, tau), by the arithmetic of cell_of and node.
         x = np.array([float(s), *ts])
         j = np.minimum(((x - p.a) / delta).astype(int), p.cells - 1)
-        tau = x - (p.a + delta * j)
+        tau = x - p.node(j)
         up = delta - tau <= 1e-12 * delta
         tau[(tau <= 1e-12 * delta) | up] = 0.0
         ends = list(zip((j + up).tolist(), tau.tolist()))
@@ -456,11 +458,7 @@ class EvolutionFamilyApprox:
                 end = keys.setdefault((jt, taut), len(keys)) if taut else None
                 plan.append((end, js + (taus > 0), jt, start))
         if keys:
-            cell, length = np.array(list(keys)).T
-            parts = self.family.values_stack(p.a + delta * cell)
-            parts += self.a.entries
-            parts *= length[:, None, None]
-            expm_stack(parts, out=parts)
+            parts = self._frozen(*np.array(list(keys)).T)
 
         def load(lo: int):
             """Make the chunk hold cell lo."""
@@ -544,7 +542,7 @@ def _interpolated_cells(a: Operator, family: PerturbationFamily, p: DyadicPartit
     if factored is None or p.cells < max(_INTERP_MIN_CELLS, _INTERP_MIN_CELLS_X_DIM / a.dim):
         return None
     profile, b0, d = factored[0], factored[1].entries, a.dim
-    phis = profile_values(profile, p.a + p.delta * np.arange(p.cells))
+    phis = profile_values(profile, p.node(np.arange(p.cells)))
     lo, hi = float(phis.min()), float(phis.max())
     c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z = p.delta * r * norm_of(b0, NormKind.ONE)
@@ -572,39 +570,30 @@ def _interpolated_cells(a: Operator, family: PerturbationFamily, p: DyadicPartit
         nodes[:, :d, :d] = nodes[:, :d, d:] = generators(np.concatenate([[c], c + r * xs]))
         nodes = expm_stack(nodes, out=nodes)
         checks = generators([lo, hi])
-        theta = semigroup._TAYLOR[-1][2]
-        squarings = np.exp2(np.ceil(np.log2(np.maximum(norm_stack(checks, NormKind.ONE), theta) / theta)))
+        squarings = np.exp2(_squarings(norm_stack(checks, NormKind.ONE)))
         want = expm_stack(checks, out=checks)
     except Overflow:
         return None
+    from numpy.polynomial.chebyshev import chebvander  # here, so a run that never interpolates never loads it
+
     fc, f = nodes[0, :d, d:].copy(), nodes[:, :d, d:]
     # Discrete orthogonality of T_0..T_{K-1} on the K points inverts the interpolation.
-    weights = (2.0 / k) * _chebyshev_rows(xs, k).T
+    weights = (2.0 / k) * chebvander(xs, k - 1).T
     weights[0] *= 0.5
     coef = weights @ (f[1:] - f[0]).reshape(k, d * d)
 
     def at(x: np.ndarray) -> np.ndarray:
-        rows = _chebyshev_rows(x, k)
+        rows = chebvander(x, k - 1)
         # numpy takes gemv for a single row, which sums in another order than gemm does.
         out = ((np.repeat(rows, 2, axis=0) if len(x) == 1 else rows) @ coef)[: len(x)].reshape(-1, d, d)
         out += fc
         # The identity comes last, so the O(1) entries are rounded once, as in expm_stack.
-        out.reshape(len(x), -1)[:, :: d + 1] += 1.0
-        return out
+        return _add_identity(out, 1.0)
 
     err = norm_stack(at(np.array([(lo - c) / r, (hi - c) / r])) - want, NormKind.ONE) / norm_stack(want, NormKind.ONE)
     if not np.all(err <= _CHECK_ULPS * _UNIT_ROUNDOFF * math.sqrt(d) * squarings):
         return None
     return lambda i, j: at((phis[i:j] - c) / r)
-
-
-def _chebyshev_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """(len(x), k) array of T_0(x) .. T_{k-1}(x) by the three-term recurrence, k >= 2."""
-    out = np.empty((len(x), k))
-    out[:, 0], out[:, 1] = 1.0, x
-    for m in range(2, k):
-        out[:, m] = 2.0 * x * out[:, m - 1] - out[:, m - 2]
-    return out
 
 
 def _chain_desc(runs) -> np.ndarray:
@@ -832,13 +821,10 @@ def family_from_spec(config: dict, norm_kind: NormKind = NormKind.TWO) -> Pertur
         return ConstantFamily(tuple(config["interval"]), b0)
     if kind == "sinusoid":
         b0 = Operator(np.asarray(config["entries"], dtype=float), norm_kind)
-        amp = float(config.get("amplitude", 1.0))
-        freq = float(config.get("frequency", 1.0))
-        phase = float(config.get("phase", 0.0))
-        return ScaledProfileFamily(tuple(config["interval"]), Sinusoid(freq, phase, amp), b0)
+        params = {key: float(config[key]) for key in ("frequency", "phase", "amplitude") if key in config}
+        return ScaledProfileFamily(tuple(config["interval"]), Sinusoid(**params), b0)
     if kind == "piecewise":
-        mats = [Operator(np.asarray(m, dtype=float), norm_kind) for m in config["mats"]]
-        return PiecewiseLinearFamily(config["nodes"], mats)
+        return PiecewiseLinearFamily(config["nodes"], config["mats"], norm_kind)
     if kind == "tabulated":
         return TabulatedFamily(config["path"], norm_kind)
     raise PreconditionViolated(f"unknown family kind {kind!r}")

@@ -1,12 +1,13 @@
 """Finite-difference model problems: upwind transport and a heat generator.
 
 Both live on cell-centered grids and carry the induced 1-norm, where they are
-contractions (Metzler structure with nonpositive column sums). The heat
-resolvent also has a closed Green's-kernel form whose discrete 1-norm is at
-most 1/mu. A spiky multiplier b(x) = sum_n n^2 1_[n, n+n^{-4}](x), truncated
-at n_max, provides a perturbation that is pointwise large while its grid
-1-mass stays near sum n^{-2}: spikes narrower than a cell are reported as
-unresolved rather than silently dropped.
+contractions: their 1-norm logarithmic norm, for these Metzler matrices the
+largest column sum, is at most 0. The heat resolvent also has a closed
+Green's-kernel form whose discrete 1-norm is at most 1/mu. A spiky multiplier
+b(x) = sum_n n^2 1_[n, n+n^{-4}](x), truncated at n_max, provides a
+perturbation that is pointwise large while its grid 1-mass stays near
+sum n^{-2}: spikes narrower than a cell are reported as unresolved rather
+than silently dropped.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainTooSmall, PreconditionViolated
 from .evofam import ScaledProfileFamily, oracle_solve, refine_to_tolerance
-from .linop import NormKind, Operator, norm_of, shifted_band
+from .linop import NormKind, Operator, log_norm, norm_of, shifted_band
 from .metrics import AssumptionReport, check_assumptions
 from .profiles import Sinusoid
 from .semigroup import GrowthBound, envelope_ratios
@@ -201,8 +202,9 @@ def build_spiky_b(g: GridSpec, n_max: int, mirror: bool = False) -> SpikyMultipl
 def scaled_resolvent_sweep(which: str, g: GridSpec, b_values: np.ndarray, mus) -> list:
     """mu ||B R(mu, G)||_1 for diagonal B >= 0, via banded solves.
 
-    mu I - G is an M-matrix for mu > 0, so R(mu, G) is entrywise nonnegative
-    and the induced 1-norm of B R is the largest entry of (mu I - G)^{-T} b.
+    G is Metzler with mu_1(G) <= 0, so for mu > 0 mu I - G is a nonsingular
+    M-matrix (strictly column diagonally dominant), R(mu, G) >= 0 and the
+    induced 1-norm of B R is the largest entry of (mu I - G)^{-T} b.
     This never forms a dense matrix and scales to fine grids.
     """
     from scipy.linalg import solve_banded
@@ -281,8 +283,8 @@ def verify_example_bounds(
     polygon-vs-integrator pipeline) run on a grid capped at REDUCED_POINTS
     or pipeline_points cells.
     """
-    if which not in ("translation", "heat"):
-        raise PreconditionViolated(f"unknown example {which!r}")
+    gr = g.coarsened(REDUCED_POINTS)
+    a_r = build_generator(which, gr)  # refuses an unknown name before any work
     mirror = which == "heat"
     multiplier = build_spiky_b(g, n_max, mirror=mirror)
     # The sweep stops growing once the resolvent kernel, of width mu^(-1/order),
@@ -300,14 +302,11 @@ def verify_example_bounds(
     bounded = no_growth(decades)[0]
 
     # Dense diagnostics at reduced resolution; both generators carry the
-    # explicit certificate (M, omega0) = (1, 0) from their Metzler structure.
-    gr = g.coarsened(REDUCED_POINTS)
-    a_r = build_generator(which, gr)
-    metzler = np.all(a_r.entries - np.diag(np.diag(a_r.entries)) >= 0.0)
-    colsums = np.all(a_r.entries.sum(axis=0) <= 1e-9 / gr.h)
+    # Lumer-Phillips certificate (M, omega0) = (1, 0): mu_1(G) <= 0.
+    dissipative = log_norm(a_r.entries, NormKind.ONE) <= 1e-9 / gr.h
     ratios = envelope_ratios(a_r, CONTRACTION_TIMES, 0.0)
     norms = tuple((float(t), float(v)) for t, v in zip(CONTRACTION_TIMES, ratios))
-    contraction = bool(metzler and colsums and all(v <= 1.0 + CONTRACTION_SLACK for _, v in norms))
+    contraction = bool(dissipative and all(v <= 1.0 + CONTRACTION_SLACK for _, v in norms))
     gb = GrowthBound(m=1.0, omega0=0.0)
     family_r = ScaledProfileFamily((0.0, 2.0 * math.pi), Sinusoid(), build_spiky_b(gr, n_max, mirror=mirror).operator())
     assumptions = check_assumptions(family_r, a_r, gb)

@@ -151,6 +151,18 @@ def op_norm(op: Operator) -> float:
     return norm_of(op.entries, op.norm_kind)
 
 
+def log_norm(entries: np.ndarray, norm_kind: NormKind) -> float:
+    """Logarithmic norm mu(A) of one raw matrix: ||e^{tA}|| <= e^{mu t} for t >= 0 (Soderlind, BIT 46, 2006).
+
+    1-norm: max_j a_jj + sum_{i != j} |a_ij|; inf-norm: the same over rows; 2-norm: top eigenvalue of (A + A^T) / 2.
+    """
+    m = np.asarray(entries, dtype=float)
+    if norm_kind is NormKind.TWO:
+        return float(np.linalg.eigvalsh((m + m.T) / 2.0).max())
+    m = m.T if norm_kind is NormKind.INF else m
+    return float((np.diagonal(m) + np.abs(m - np.diag(np.diagonal(m))).sum(axis=0)).max())
+
+
 def _inverse_items(m: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a stack, one at a time: all NaN where one is exactly singular."""
     out = np.full(m.shape, np.nan)

@@ -1,9 +1,10 @@
 """Matrix semigroups T_A(t) = e^{tA}: exponentials and growth certificates.
 
 A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} on a
-verified horizon. Certificates are fitted from the spectral abscissa plus
-FIT_MARGIN, with M read off a sampled grid. Every exponential goes through the
-blocked truncated-Taylor kernel expm_stack; expm is its one-item form.
+verified horizon: the Lumer-Phillips certificate (1, mu(A)), mu the logarithmic
+norm, or a fit from the spectral abscissa plus FIT_MARGIN with M read off a
+sampled grid. Every exponential goes through the blocked truncated-Taylor
+kernel expm_stack; expm is its one-item form.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Overflow, PreconditionViolated
-from .linop import BLOCK_BYTES, NormKind, Operator, norm_of, norm_stack, spectrum
+from .linop import BLOCK_BYTES, NormKind, Operator, log_norm, norm_of, norm_stack, spectrum
 
 # Safety inflation applied to a fitted M and to checked bounds.
 FIT_INFLATION = 1e-6
@@ -66,20 +67,16 @@ def worst_ratio(ratios: np.ndarray, ts: np.ndarray) -> BoundCheck:
     return BoundCheck(passed=bool(ratios[i] <= 1.0), max_ratio=float(ratios[i]), worst_t=float(ts[i]))
 
 
-def expm(a: Operator, t: float = 1.0) -> Operator:
-    """e^{tA}: the one-item form of expm_stack."""
-    if t < 0.0:
-        raise PreconditionViolated(f"expm wants t >= 0, got {t}")
-    arg = t * a.entries
+def expm(a: Operator) -> Operator:
+    """e^A: the one-item form of expm_stack."""
     try:
-        return Operator(expm_stack(arg[None])[0], a.norm_kind)
+        return Operator(expm_stack(a.entries[None])[0], a.norm_kind)
     except Overflow:
-        if not np.isfinite(arg).all():
-            raise Overflow(f"e^(tA) at t={t!r}: the input tA has a non-finite entry") from None
-        anorm = norm_of(arg, NormKind.ONE)
+        if not np.isfinite(a.entries).all():
+            raise Overflow("e^A: the input A has a non-finite entry") from None
+        anorm = norm_of(a.entries, NormKind.ONE)
         squarings = max(0, math.ceil(math.log2(max(anorm, 1.0) / EXP_ARG_LIMIT)))
-        message = f"e^(tA) overflows doubles at t={t!r} (1-norm {anorm:.3e})"
-        raise Overflow(message, required_squarings=squarings) from None
+        raise Overflow(f"e^A overflows doubles (1-norm {anorm:.3e})", required_squarings=squarings) from None
 
 
 # Truncated Taylor degrees as (m, s, theta_m). T_m(x) = sum_{k <= m} x^k / k!
@@ -142,7 +139,7 @@ def _expm_block(mats: np.ndarray) -> np.ndarray:
     else:
         # Degree 16 of each matrix scaled by 2^-k into theta_16, squared k times:
         # the whole block while every matrix needs it, then only those that do.
-        k = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
+        k = _squarings(norms)
         out = _taylor(mats / np.exp2(k)[:, None, None], m, s)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(int(k.min())):
@@ -153,6 +150,12 @@ def _expm_block(mats: np.ndarray) -> np.ndarray:
     if not np.isfinite(out).all():
         raise Overflow("a cell exponential overflows doubles")
     return out
+
+
+def _squarings(norms: np.ndarray) -> np.ndarray:
+    """Squarings expm_stack takes for matrices of these 1-norms: the least s >= 0 with norm 2^-s <= theta_16."""
+    theta = _TAYLOR[-1][2]
+    return np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
 
 
 def _add_identity(m: np.ndarray, c: float) -> np.ndarray:
@@ -190,7 +193,23 @@ def envelope_ratios(a: Operator, ts, omega0: float) -> np.ndarray:
 
 
 def fit_growth_bound(a: Operator) -> GrowthBound:
-    """Fit a growth certificate (M, omega0) for A on [0, FIT_HORIZON].
+    """Of two growth certificates (M, omega0) for A, the one with the smaller sup of M e^{omega0 t} on [0, FIT_HORIZON].
+
+    The Lumer-Phillips certificate (1, mu(A)), mu the logarithmic norm in A's norm kind, holds for all t. Where
+    mu <= 0 its sup is 1, below the spectral fit's 1 + FIT_INFLATION, so the fit is not made.
+    """
+    mu = log_norm(a.entries, a.norm_kind)
+    if -math.inf < mu <= 0.0:
+        return GrowthBound(m=1.0, omega0=mu)
+    fit = _spectral_fit(a)  # a non-finite A raises EigenFailure here
+    # M e^{omega0 t} peaks at t = 0 or FIT_HORIZON; the sups are compared in logs, which cannot overflow.
+    if math.log(fit.m) + max(fit.omega0, 0.0) * FIT_HORIZON < mu * FIT_HORIZON:
+        return fit
+    return GrowthBound(m=1.0, omega0=mu)
+
+
+def _spectral_fit(a: Operator) -> GrowthBound:
+    """Growth certificate on [0, FIT_HORIZON] from the spectral abscissa.
 
     omega0 is the spectral abscissa plus FIT_MARGIN, so ||e^{tA}|| e^{-omega0 t}
     decays eventually and its supremum is read off FIT_POINTS equispaced

@@ -5,7 +5,7 @@ from the library under test, and is frozen so a regression in the library
 cannot silently move the expectation. lu_resolvent, two_grid_fit,
 rk4_step_loop and flat_chain_desc are the reference implementations: the
 per-mu LU rule that linop.resolvent_stack replaced, the coarse-plus-fine
-growth fit that semigroup.fit_growth_bound reduced to its fine grid, the
+growth fit that semigroup._spectral_fit reduced to its fine grid, the
 per-step RK4 loop that evofam.oracle_solve streams in blocks, the
 one-pass pairwise product that evofam._chain_desc bounds in chunks, and the
 form-every-R loop whose guards linop.BandResolvent certifies from its factors.

@@ -28,6 +28,7 @@ from nonauto import (
     write_matrix,
 )
 import nonauto.cli
+import nonauto.dichotomy
 from nonauto import errors, linop
 from nonauto.acceptance import CriterionResult
 from nonauto.cli import _build_parser, main
@@ -206,7 +207,7 @@ class TestEvolveCommand:
         for row in rows:
             t = float(row[0])
             got = np.array([float(v) for v in row[1:]]).reshape(2, 2)
-            want = expm(Operator(a + b, NormKind.TWO), t).entries
+            want = expm(t * Operator(a + b, NormKind.TWO)).entries
             assert np.allclose(got, want, atol=1e-10)
 
     def test_t_grid_start_stop_count(self, tmp_path, monkeypatch):
@@ -381,6 +382,21 @@ class TestDichotomyCommand:
         config = dict(TestUsageErrors.CONFIGS["dichotomy"], eps_list=[-0.01])
         assert main(["dichotomy", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
         assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
+    def test_short_interval_exits_config_before_refining(self, tmp_path, monkeypatch, capsys):
+        # The default time samples are roughness_sweep's own: an interval shorter
+        # than 1 is refused before the first level, not after the refinement.
+        monkeypatch.chdir(tmp_path)
+
+        def refine(*args, **kwargs):
+            raise AssertionError("refined an interval with no time-1 map")
+
+        monkeypatch.setattr(nonauto.dichotomy, "refine_to_tolerance", refine)
+        family = dict(TestUsageErrors.CONFIGS["dichotomy"]["family"], interval=[0.0, 0.5])
+        config = dict(TestUsageErrors.CONFIGS["dichotomy"], family=family)
+        assert main(["dichotomy", "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        assert "interval shorter than 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
     def test_empty_t_grid_exits_config(self, tmp_path, monkeypatch, capsys):

@@ -41,7 +41,7 @@ class TestCheckHyperbolic:
         assert report.reliable
 
     def test_rotation_not_hyperbolic(self):
-        report = check_hyperbolic(expm(op2([[0.0, -1.0], [1.0, 0.0]]), 1.0))
+        report = check_hyperbolic(expm(op2([[0.0, -1.0], [1.0, 0.0]])))
         assert not report.hyperbolic
 
     def test_unit_eigenvalue_not_hyperbolic(self):
@@ -65,7 +65,7 @@ class TestCheckHyperbolic:
         checked = 0
         while checked < 10:
             m = rng.standard_normal((4, 4))
-            t1 = op2(expm(op2(m - 0.1 * np.eye(4)), 1.0).entries)
+            t1 = op2(expm(op2(m - 0.1 * np.eye(4))).entries)
             report = check_hyperbolic(t1)
             if not (report.hyperbolic and report.reliable):
                 continue
@@ -89,7 +89,7 @@ class TestCheckHyperbolic:
         # The stacked powers normed by one norm_stack call against one norm_of per power: equal to the bit.
         rng = np.random.default_rng(12)
         for d in (2, 3, 5, 8):
-            t1 = Operator(expm(Operator(rng.standard_normal((d, d)), kind), 1.0).entries, kind)
+            t1 = Operator(expm(Operator(rng.standard_normal((d, d)), kind)).entries, kind)
             report = check_hyperbolic(t1)
             p, t1_inv = report.projector.entries, dichotomy._inverse(t1.entries)
             want, p_pow, u_pow = 0.0, p.copy(), np.eye(d) - p

@@ -26,6 +26,7 @@ from nonauto import (
     verify_example_bounds,
 )
 from nonauto.examples import Domain, GridSpec, build_generator
+from nonauto.linop import log_norm
 
 from oracles import SPIKE_MASS_3
 from test_acceptance import _child_env
@@ -99,7 +100,7 @@ class TestGenerators:
         else:
             op = build_heat_generator(GridSpec(8.0, 64, Domain.LINE))
         for t in (0.1, 1.0, 5.0):
-            assert op_norm(expm(op, t)) <= 1.0 + 1e-10
+            assert op_norm(expm(t * op)) <= 1.0 + 1e-10
 
 
 class TestHeatGreenKernel:
@@ -207,9 +208,14 @@ class TestScaledResolventSweep:
         else:
             g = GridSpec(8.0, 64, Domain.LINE)
             gen = build_heat_generator(g)
+        # The sweep's premise: G is Metzler with mu_1(G) <= 0, so mu I - G is a
+        # nonsingular M-matrix and R >= 0 for every mu > 0. The reference |B R|
+        # below does not assume it.
+        off = gen.entries - np.diag(np.diag(gen.entries))
+        assert (off >= 0.0).all() and log_norm(gen.entries, NormKind.ONE) <= 0.0
         rng = np.random.default_rng(4)
         b = rng.uniform(0.0, 2.0, g.points)
-        mus = [0.5, 3.0, 40.0]
+        mus = [0.5, 1.0, 3.0, 40.0, 1e4, 1e7]
         rows = scaled_resolvent_sweep(which, g, b, mus)
         for (mu, got) in rows:
             dense = np.diag(b) @ resolvent(gen, mu).entries

@@ -22,7 +22,16 @@ from nonauto import (
     write_matrix,
 )
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
-from nonauto.linop import COND_LIMIT, BandResolvent, bandwidths, norm_of, norm_stack, resolvent_stack, shifted_band
+from nonauto.linop import (
+    COND_LIMIT,
+    BandResolvent,
+    bandwidths,
+    log_norm,
+    norm_of,
+    norm_stack,
+    resolvent_stack,
+    shifted_band,
+)
 from nonauto.metrics import MuGrid
 
 from oracles import FormedBandResolvent, lu_resolvent
@@ -124,6 +133,53 @@ class TestNorms:
         tol = 1e-9 * (1.0 + op_norm(a) * op_norm(b))
         assert op_norm(Operator(m @ p, kind)) <= op_norm(a) * op_norm(b) + tol
         assert op_norm(a + b) <= op_norm(a) + op_norm(b) + tol
+
+
+KINDS = [NormKind.ONE, NormKind.TWO, NormKind.INF]
+
+
+class TestLogNorm:
+    @pytest.mark.parametrize("kind", KINDS, ids=["1", "2", "inf"])
+    def test_is_the_one_sided_derivative_of_the_norm(self, kind):
+        # mu(A) = lim_{h -> 0+} (||I + hA|| - 1) / h: exact for the 1- and inf-norms
+        # once 1 + h a_jj > 0, O(h ||A||^2) off for the 2-norm; the quotient's
+        # own rounding is about d u / h.
+        rng = np.random.default_rng(41)
+        h = 1e-7
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-1, 1)
+            quotient = (norm_of(np.eye(d) + h * a, kind) - 1.0) / h
+            assert log_norm(a, kind) == pytest.approx(quotient, abs=h * norm_of(a, kind) ** 2 + 1e-14 / h)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["1", "2", "inf"])
+    def test_bounds_the_semigroup(self, kind):
+        import scipy.linalg
+
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            a = rng.standard_normal((d, d))
+            mu = log_norm(a, kind)
+            for t in (0.1, 1.0, 5.0):
+                assert norm_of(scipy.linalg.expm(t * a), kind) <= np.exp(mu * t) * (1.0 + 1e-12)
+
+    def test_metzler_takes_its_largest_column_sum(self):
+        # Integer entries: every sum is exact, so the two agree to the bit.
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            a = rng.integers(0, 5, (d, d)).astype(float)
+            np.fill_diagonal(a, rng.integers(-20, 1, d))
+            assert log_norm(a, NormKind.ONE) == a.sum(axis=0).max()
+            assert log_norm(a, NormKind.INF) == a.sum(axis=1).max()
+        for gen in (build_translation_generator(GridSpec(8.0, 64, Domain.HALF_LINE)),
+                    build_heat_generator(GridSpec(8.0, 64, Domain.LINE))):
+            assert log_norm(gen.entries, NormKind.ONE) == gen.entries.sum(axis=0).max() == 0.0
+
+    def test_two_norm_is_the_symmetric_part_top_eigenvalue(self):
+        a = np.array([[-1.0, 10.0], [0.0, -1.0]])
+        assert log_norm(a, NormKind.TWO) == pytest.approx(4.0, rel=1e-15)
 
 
 class TestResolvent:

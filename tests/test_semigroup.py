@@ -18,7 +18,9 @@ from nonauto import (
     semigroup_diff_bound_check,
 )
 from nonauto import semigroup
+from nonauto.examples import Domain, GridSpec, build_translation_generator
 from nonauto.linop import BLOCK_BYTES, norm_stack
+from nonauto.metrics import ANormEvaluator
 from nonauto.semigroup import expm_stack
 
 from oracles import two_grid_fit
@@ -31,36 +33,32 @@ def op2(entries):
 class TestExpm:
     def test_t_zero_is_identity(self):
         a = op2([[3.0, 1.0], [0.5, -2.0]])
-        assert np.array_equal(expm(a, 0.0).entries, np.eye(2))
+        assert np.array_equal(expm(0.0 * a).entries, np.eye(2))
 
     def test_diagonal(self):
-        e = expm(op2(np.diag([1.0, -1.0])), 1.0)
+        e = expm(op2(np.diag([1.0, -1.0])))
         assert np.allclose(e.entries, np.diag([math.e, 1.0 / math.e]), rtol=1e-14)
 
     def test_nilpotent_series_terminates(self):
-        e = expm(op2([[0.0, 1.0], [0.0, 0.0]]), 2.0)
+        e = expm(2.0 * op2([[0.0, 1.0], [0.0, 0.0]]))
         assert np.allclose(e.entries, [[1.0, 2.0], [0.0, 1.0]], atol=1e-14)
 
     def test_semigroup_law(self):
         a = op2([[0.0, 1.0], [-1.0, -0.5]])
-        lhs = expm(a, 0.7 + 0.4).entries
-        rhs = expm(a, 0.7).entries @ expm(a, 0.4).entries
+        lhs = expm((0.7 + 0.4) * a).entries
+        rhs = expm(0.7 * a).entries @ expm(0.4 * a).entries
         assert np.allclose(lhs, rhs, atol=1e-13)
-
-    def test_negative_t_refused(self):
-        with pytest.raises(PreconditionViolated):
-            expm(op2(np.eye(2)), -1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_required_squarings(self):
         with pytest.raises(Overflow) as exc:
-            expm(op2(np.diag([800.0, 800.0])), 1.0)
+            expm(op2(np.diag([800.0, 800.0])))
         assert exc.value.required_squarings >= 1
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_input_raises_typed_overflow(self, bad):
         with pytest.raises(Overflow, match="non-finite entry"):
-            expm(op2([[bad, 0.0], [0.0, 1.0]]), 1.0)
+            expm(op2([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(Overflow, match="input has a non-finite entry"):
             expm_stack(np.array([[[bad, 0.0], [0.0, 1.0]]]))
 
@@ -70,7 +68,7 @@ class TestExpm:
             for scale in (1e-3, 0.3, 2.0, 40.0):
                 a = op2(rng.standard_normal((d, d)) * scale)
                 for t in (0.0, 0.25, 1.0, 3.0):
-                    assert np.array_equal(expm(a, t).entries, expm_stack(t * a.entries[None])[0])
+                    assert np.array_equal(expm(t * a).entries, expm_stack(t * a.entries[None])[0])
 
     def test_stack_matches_scipy(self):
         rng = np.random.default_rng(11)
@@ -155,7 +153,7 @@ class TestExpm:
         assert np.isfinite(expm_stack(every_degree_stack(16))).all()
         a = op2(np.random.default_rng(4).standard_normal((6, 6)))
         assert 20.0 * np.abs(a.entries).sum(axis=0).max() > 10.0  # scaled and squared at least four times
-        assert np.isfinite(expm(a, 20.0).entries).all()
+        assert np.isfinite(expm(20.0 * a).entries).all()
 
 
 # One block's 1-norm per Taylor degree: 4, 6, 9, 12, then 16 with 0, 1 and 4
@@ -230,11 +228,12 @@ class TestFitGrowthBound:
         a = op2([[-1.0, 4.0], [0.0, -2.0]])
         gb = fit_growth_bound(a)
         for t in np.linspace(0.0, gb.verified_horizon, 83):
-            assert op_norm(expm(a, float(t))) <= gb.envelope(float(t)) * (1.0 + 1e-9)
+            assert op_norm(expm(float(t) * a)) <= gb.envelope(float(t)) * (1.0 + 1e-9)
 
     def test_single_grid_equals_two_grid_fit(self, monkeypatch):
         # Every node of the old 257-point grid is a node of the 513-point grid,
-        # so dropping the coarse pass must leave M unchanged to the bit.
+        # so dropping the coarse pass must leave M unchanged to the bit. The
+        # oracle is the spectral fit, one of fit_growth_bound's two candidates.
         cases = [(op2(np.diag([-1.0, 1.0])), 1e-2), (op2(np.diag([-1.0, -2.0])), 0.0), (op2(np.zeros((2, 2))), 0.0),
                  (op2([[-1.0, 10.0], [0.0, -1.0]]), 0.1), (op2([[-1.0, 4.0], [0.0, -2.0]]), 1e-2)]
         rng = np.random.default_rng(31)
@@ -245,7 +244,26 @@ class TestFitGrowthBound:
                 cases.append((Operator(m, kind), 1e-2))
         for a, margin in cases:
             monkeypatch.setattr(semigroup, "FIT_MARGIN", margin)
-            assert fit_growth_bound(a).m == two_grid_fit(a, margin=margin)
+            assert semigroup._spectral_fit(a).m == two_grid_fit(a, margin=margin)
+
+    @pytest.mark.parametrize("kind", [NormKind.ONE, NormKind.INF])
+    def test_translation_generator_takes_lumer_phillips(self, kind):
+        # The spectral fit of this Jordan-like generator gave M = 2.2e17, and the
+        # A-norm grid at that certificate refused 75 of its 221 mu points. Its
+        # 1- and inf-norm logarithmic norms are 0, so (1, 0) holds for all t.
+        a = build_translation_generator(GridSpec(8.0, 64, Domain.HALF_LINE))
+        gb = fit_growth_bound(Operator(a.entries, kind))
+        assert (gb.m, gb.omega0, gb.verified_horizon) == (1.0, 0.0, math.inf)
+        assert ANormEvaluator(Operator(a.entries, kind), gb).skipped == 0
+
+    def test_smaller_sup_wins(self):
+        # diag(-1, 1): mu_2 = 1 beats the fit's omega0 = 1.01 over [0, 5].
+        gb = fit_growth_bound(op2(np.diag([-1.0, 1.0])))
+        assert (gb.m, gb.omega0) == (1.0, 1.0)
+        # Non-normal: mu_2 = 4 and 0.56, far above the spectral abscissae -1 and -1.
+        for entries in ([[-1.0, 10.0], [0.0, -1.0]], [[-1.0, 4.0], [0.0, -2.0]]):
+            a = op2(entries)
+            assert fit_growth_bound(a) == semigroup._spectral_fit(a)
 
     def test_m_below_one_refused(self):
         with pytest.raises(PreconditionViolated):
