@@ -295,9 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--omega0", type=float, required=True)
     p.add_argument("--norm", default="2", choices=["1", "2", "inf"])
-    p.add_argument("--min-offset", type=float, default=1e-3)
-    p.add_argument("--max-offset", type=float, default=1e8)
-    p.add_argument("--points-per-decade", type=int, default=20)
+    p.add_argument("--min-offset", type=float, default=MuGrid.min_offset)
+    p.add_argument("--max-offset", type=float, default=MuGrid.max_offset)
+    p.add_argument("--points-per-decade", type=int, default=MuGrid.points_per_decade)
     p.add_argument("--out", default="run")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_anorm)

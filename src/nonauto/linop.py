@@ -438,8 +438,7 @@ def read_matrix(path, norm_kind: NormKind = NormKind.TWO) -> Operator:
 def write_matrix(path, op: Operator) -> None:
     """Write the plain-text matrix format read by read_matrix: format(x, ".17g") once per distinct bit pattern."""
     bits, inverse = np.unique(op.entries.view(np.uint64), return_inverse=True)
-    text = [format(x, ".17g") for x in bits.view(np.float64)]
+    text = np.array([format(x, ".17g") for x in bits.view(np.float64)], dtype=object)
+    rows = text[inverse.reshape(op.entries.shape)].tolist()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"dim {op.dim}\n")
-        for row in inverse.reshape(op.entries.shape):
-            fh.write(" ".join([text[i] for i in row]) + "\n")
+        fh.write(f"dim {op.dim}\n" + "".join([" ".join(row) + "\n" for row in rows]))

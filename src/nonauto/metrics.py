@@ -173,8 +173,9 @@ def check_generation_bound(a: Operator, c: Operator, gb: GrowthBound) -> BoundCh
     a._check(c)
     c_norm = a_norm(c, a, gb).value
     rate = gb.omega0 + gb.m * gb.m * c_norm
-    ts = np.linspace(0.0, 2.0, 41)
-    return worst_ratio(envelope_ratios(a + c, ts, rate) / (gb.m * (1.0 + BOUND_SLACK)), ts)
+    counts = np.arange(41)
+    ratios = envelope_ratios(a + c, 0.05, counts, rate)
+    return worst_ratio(ratios / (gb.m * (1.0 + BOUND_SLACK)), 0.05 * counts)
 
 
 def _check_family(a: Operator, family) -> None:

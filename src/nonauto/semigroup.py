@@ -4,7 +4,8 @@ A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} on a
 verified horizon: the Lumer-Phillips certificate (1, mu(A)), mu the logarithmic
 norm, or a fit from the spectral abscissa plus FIT_MARGIN with M read off a
 sampled grid. Every exponential goes through the blocked truncated-Taylor
-kernel expm_stack; expm is its one-item form.
+kernel expm_stack; expm is its one-item form, and expm_multiples samples a
+fixed-step time grid by powers of one expm_stack exponential.
 """
 from __future__ import annotations
 
@@ -185,11 +186,49 @@ def _taylor(x: np.ndarray, m: int, s: int) -> np.ndarray:
     return p
 
 
-def envelope_ratios(a: Operator, ts, omega0: float) -> np.ndarray:
-    """||e^{tA}|| e^{-omega0 t} at each t of ts, from one expm_stack call."""
-    ts = np.asarray(ts, dtype=float)
-    exps = expm_stack(ts[:, None, None] * a.entries[None, :, :])
-    return norm_stack(exps, a.norm_kind) * np.array([math.exp(-omega0 * t) for t in ts])
+def expm_multiples(a: np.ndarray, step: float, counts) -> np.ndarray:
+    """The (k, d, d) stack of e^{n_j step A} for nonnegative integer counts n_j: powers of one exponential.
+
+    E = e^{step A} takes one expm_stack call; e^{n step A} = E^n by the
+    semigroup law. For each bit b of max n, E^{2^b} is squared once, and the
+    counts with bit b set take E^{2^b} @ out as one batched product (their
+    lowest set bit takes a copy). Count 0 is the identity. A count's matrix
+    does not depend on the other counts. Non-finite input or output raises
+    Overflow.
+    """
+    n = np.asarray(counts)
+    if n.ndim != 1 or n.dtype.kind not in "iu" or (n < 0).any():
+        raise PreconditionViolated(f"expm_multiples wants a 1-d array of nonnegative integer counts, got {counts!r}")
+    a = np.asarray(a, dtype=float)
+    out = np.empty((len(n),) + a.shape)
+    out[n == 0] = np.eye(a.shape[-1])
+    if len(n) == 0:
+        return out
+    power = expm_stack((step * a)[None])[0]  # E^{2^b}, b = 0 first
+    started = np.zeros(len(n), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(int(n.max()).bit_length()):
+            if b:
+                power = power @ power
+            hit = ((n >> b) & 1) == 1
+            out[hit & ~started] = power
+            more = hit & started
+            if more.any():
+                out[more] = power @ out[more]
+            started |= hit
+    if not np.isfinite(out).all():
+        raise Overflow(f"e^{{n step A}} overflows doubles for some count up to {int(n.max())}")
+    return out
+
+
+def envelope_ratios(a: Operator, step: float, counts, omega0: float) -> np.ndarray:
+    """||e^{tA}|| e^{-omega0 t} at t = n step for each count n, from one expm_multiples call."""
+    return _decayed_norms(expm_multiples(a.entries, step, counts), a.norm_kind, step * np.asarray(counts), omega0)
+
+
+def _decayed_norms(exps: np.ndarray, kind: NormKind, ts: np.ndarray, omega0: float) -> np.ndarray:
+    """||e^{tA}|| e^{-omega0 t} from the stack of e^{tA} at times ts."""
+    return norm_stack(exps, kind) * np.array([math.exp(-omega0 * t) for t in ts])
 
 
 def fit_growth_bound(a: Operator) -> GrowthBound:
@@ -217,7 +256,8 @@ def _spectral_fit(a: Operator) -> GrowthBound:
     1 + FIT_INFLATION against between-node curvature.
     """
     omega0 = spectrum(a).abscissa + FIT_MARGIN
-    ratios = envelope_ratios(a, np.linspace(0.0, FIT_HORIZON, FIT_POINTS), omega0)
+    ts = np.linspace(0.0, FIT_HORIZON, FIT_POINTS)
+    ratios = _decayed_norms(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind, ts, omega0)
     m = max(1.0, float(ratios.max())) * (1.0 + FIT_INFLATION)
     return GrowthBound(m=m, omega0=omega0, verified_horizon=FIT_HORIZON)
 
@@ -236,9 +276,10 @@ def semigroup_diff_bound_check(g: Operator, h: Operator, m: float, omega: float,
         raise PreconditionViolated("semigroup_diff_bound_check wants omega >= 0; relax the certificate to omega = 0")
     if m < 1.0:
         raise PreconditionViolated(f"certificate constant m must be >= 1, got {m}")
-    ts = np.linspace(0.0, 2.0, 21)
-    eg = expm_stack(ts[:, None, None] * g.entries[None, :, :])
-    eh = expm_stack(ts[:, None, None] * h.entries[None, :, :])
+    counts = np.arange(21)
+    ts = 0.1 * counts
+    eg = expm_multiples(g.entries, 0.1, counts)
+    eh = expm_multiples(h.entries, 0.1, counts)
     envelope = m * np.array([math.exp(omega * t) for t in ts]) * (1.0 + 1e-9)
     broken = (norm_stack(eg, g.norm_kind) > envelope) | (norm_stack(eh, g.norm_kind) > envelope)
     if broken.any():

@@ -18,10 +18,10 @@ from nonauto import (
     semigroup_diff_bound_check,
 )
 from nonauto import semigroup
-from nonauto.examples import Domain, GridSpec, build_translation_generator
+from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
 from nonauto.linop import BLOCK_BYTES, norm_stack
 from nonauto.metrics import ANormEvaluator
-from nonauto.semigroup import expm_stack
+from nonauto.semigroup import expm_multiples, expm_stack
 
 from oracles import two_grid_fit
 
@@ -204,6 +204,68 @@ class TestBlocks:
             expm_stack(stack)
         with pytest.raises(Overflow):
             expm_stack(stack, out=stack)
+
+
+def model_generator(which: str, cells: int) -> np.ndarray:
+    if which == "heat":
+        return build_heat_generator(GridSpec(8.0, cells, Domain.LINE)).entries
+    return build_translation_generator(GridSpec(8.0, cells, Domain.HALF_LINE)).entries
+
+
+def one_norm(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max())
+
+
+class TestExpmMultiples:
+    @pytest.mark.parametrize("which", ["heat", "translation"])
+    @pytest.mark.parametrize("cells", [64, 128, 192, 256])
+    def test_model_generators_match_scipy(self, which, cells):
+        # The examples' contraction check: t = 0.1, 1 and 5 as powers of e^{0.1A}.
+        a = model_generator(which, cells)
+        got = expm_multiples(a, 0.1, (1, 10, 50))
+        for t, g in zip((0.1, 1.0, 5.0), got):
+            assert one_norm(g - scipy.linalg.expm(t * a)) <= 1e-11
+
+    def test_random_matrices_match_scipy(self):
+        # 1-norms of step A from 1e-9 to 1e2, spectral abscissa shifted to 0.
+        rng = np.random.default_rng(41)
+        for norm in (1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e2):
+            for d in (2, 3, 5, 8, 16):
+                a = rng.standard_normal((d, d))
+                a -= np.linalg.eigvals(a).real.max() * np.eye(d)
+                step = norm / one_norm(a)
+                counts = (0, 1, 2, 5, 10)
+                for n, g in zip(counts, expm_multiples(a, step, counts)):
+                    ref = scipy.linalg.expm(n * step * a)
+                    assert one_norm(g - ref) <= 1e-11 * max(1.0, one_norm(ref)), (norm, d, n)
+
+    def test_count_zero_is_identity(self):
+        got = expm_multiples(np.array([[3.0, 1.0], [0.5, -2.0]]), 0.3, [0, 2, 0])
+        assert np.array_equal(got[0], np.eye(2)) and np.array_equal(got[2], np.eye(2))
+        assert expm_multiples(np.eye(3), 1.0, np.arange(0)).shape == (0, 3, 3)
+
+    def test_alone_equals_batch(self):
+        a = model_generator("heat", 64)
+        counts = np.array([50, 1, 10, 0, 3, 7, 50, 21])
+        batch = expm_multiples(a, 0.1, counts)
+        for n, got in zip(counts, batch):
+            assert np.array_equal(expm_multiples(a, 0.1, [n])[0], got)
+
+    @pytest.mark.parametrize("which", ["heat", "translation"])
+    def test_contractions_stay_contractions(self, which):
+        got = expm_multiples(model_generator(which, 256), 0.1, (1, 2, 3, 10, 31, 50))
+        assert norm_stack(got, NormKind.ONE).max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("a, step", [(np.array([[np.nan]]), 1.0), (np.eye(2), np.nan), (np.diag([10.0, -1.0]), 1.0)])
+    def test_non_finite_raises_overflow(self, a, step):
+        # The last case has a finite e^{10}, but e^{1000} overflows.
+        with pytest.raises(Overflow):
+            expm_multiples(a, step, [1, 100])
+
+    @pytest.mark.parametrize("counts", [[-1], [1.5], [1.0, 2.0], [[1, 2]], [True]])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(PreconditionViolated):
+            expm_multiples(np.eye(2), 0.1, counts)
 
 
 class TestFitGrowthBound:
