@@ -1,11 +1,9 @@
 """Matrix semigroups T_A(t) = e^{tA}: exponentials and growth certificates.
 
-A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} on a
-verified horizon: the Lumer-Phillips certificate (1, mu(A)), mu the logarithmic
-norm, or a fit from the spectral abscissa plus FIT_MARGIN with M read off a
-sampled grid. Every exponential goes through the blocked truncated-Taylor
-kernel expm_stack; expm is its one-item form, and expm_multiples samples a
-fixed-step time grid by powers of one expm_stack exponential.
+A growth certificate (M, omega0) asserts ||e^{tA}|| <= M e^{omega0 t} for all t >= 0: the Lumer-Phillips
+certificate (1, mu(A)), mu the logarithmic norm, or a fit from the spectral abscissa. Every exponential goes
+through the blocked truncated-Taylor kernel expm_stack; expm is its one-item form, and expm_multiples samples a
+fixed-step time grid by powers of one exponential, on which every envelope ||e^{tA}|| e^{-w t} is ||e^{t(A - w I)}||.
 """
 from __future__ import annotations
 
@@ -17,13 +15,11 @@ import numpy as np
 from .errors import Overflow, PreconditionViolated
 from .linop import BLOCK_BYTES, NormKind, Operator, log_norm, norm_of, norm_stack, spectrum
 
-# Safety inflation applied to a fitted M and to checked bounds.
-FIT_INFLATION = 1e-6
+# Safety inflation applied to checked bounds.
 BOUND_SLACK = 1e-6
 # 1-norm of tA above which e^{tA} can overflow doubles (e^709 is the largest).
 EXP_ARG_LIMIT = 700.0
-# Fit grid of fit_growth_bound: FIT_POINTS equispaced nodes on [0, FIT_HORIZON],
-# at omega0 = spectral abscissa + FIT_MARGIN.
+# Fit grid of fit_growth_bound: FIT_POINTS equispaced nodes on [0, FIT_HORIZON], omega0 >= abscissa + FIT_MARGIN.
 FIT_HORIZON = 5.0
 FIT_MARGIN = 1e-2
 FIT_POINTS = 513
@@ -31,15 +27,10 @@ FIT_POINTS = 513
 
 @dataclass(frozen=True)
 class GrowthBound:
-    """Certificate ||e^{tA}|| <= m e^{omega0 t}, sampled up to verified_horizon.
-
-    verified_horizon is fitting bookkeeping; a certificate known a priori (a
-    contraction, say) is verified for all t.
-    """
+    """Certificate ||e^{tA}|| <= m e^{omega0 t} for all t >= 0."""
 
     m: float
     omega0: float
-    verified_horizon: float = float("inf")
 
     def __post_init__(self):
         if not (1.0 <= self.m < math.inf and math.isfinite(self.omega0)):
@@ -222,25 +213,23 @@ def expm_multiples(a: np.ndarray, step: float, counts) -> np.ndarray:
 
 
 def envelope_ratios(a: Operator, step: float, counts, omega0: float) -> np.ndarray:
-    """||e^{tA}|| e^{-omega0 t} at t = n step for each count n, from one expm_multiples call."""
-    return _decayed_norms(expm_multiples(a.entries, step, counts), a.norm_kind, step * np.asarray(counts), omega0)
-
-
-def _decayed_norms(exps: np.ndarray, kind: NormKind, ts: np.ndarray, omega0: float) -> np.ndarray:
-    """||e^{tA}|| e^{-omega0 t} from the stack of e^{tA} at times ts."""
-    return norm_stack(exps, kind) * np.array([math.exp(-omega0 * t) for t in ts])
+    """||e^{tA}|| e^{-omega0 t} at t = n step for each count n: the norms of e^{t(A - omega0 I)} from expm_multiples."""
+    return norm_stack(expm_multiples(a.entries - omega0 * np.eye(a.dim), step, counts), a.norm_kind)
 
 
 def fit_growth_bound(a: Operator) -> GrowthBound:
     """Of two growth certificates (M, omega0) for A, the one with the smaller sup of M e^{omega0 t} on [0, FIT_HORIZON].
 
-    The Lumer-Phillips certificate (1, mu(A)), mu the logarithmic norm in A's norm kind, holds for all t. Where
-    mu <= 0 its sup is 1, below the spectral fit's 1 + FIT_INFLATION, so the fit is not made.
+    Both hold for all t: Lumer-Phillips (1, mu(A)), mu the logarithmic norm in A's norm kind, and the spectral fit.
+    Where mu <= 0 the former's sup is 1, no more than the fit's M, and where the fit overflows, it is the one left.
     """
     mu = log_norm(a.entries, a.norm_kind)
     if -math.inf < mu <= 0.0:
         return GrowthBound(m=1.0, omega0=mu)
-    fit = _spectral_fit(a)  # a non-finite A raises EigenFailure here
+    try:
+        fit = _spectral_fit(a)  # a non-finite A raises EigenFailure here
+    except Overflow:
+        return GrowthBound(m=1.0, omega0=mu)
     # M e^{omega0 t} peaks at t = 0 or FIT_HORIZON; the sups are compared in logs, which cannot overflow.
     if math.log(fit.m) + max(fit.omega0, 0.0) * FIT_HORIZON < mu * FIT_HORIZON:
         return fit
@@ -248,26 +237,37 @@ def fit_growth_bound(a: Operator) -> GrowthBound:
 
 
 def _spectral_fit(a: Operator) -> GrowthBound:
-    """Growth certificate on [0, FIT_HORIZON] from the spectral abscissa.
+    """Growth certificate for all t >= 0 from the spectral abscissa alpha; an M that overflows doubles raises Overflow.
 
-    omega0 is the spectral abscissa plus FIT_MARGIN, so ||e^{tA}|| e^{-omega0 t}
-    decays eventually and its supremum is read off FIT_POINTS equispaced
-    nodes: M is the grid maximum, clamped to >= 1 and inflated by
-    1 + FIT_INFLATION against between-node curvature.
+    With T = FIT_HORIZON and h = T / (FIT_POINTS - 1), the nodes t_k = k h sample r_k = ||e^{t_k (A - alpha I)}||.
+    omega0 = alpha + lam, lam = max(FIT_MARGIN, log r(T) / T), makes ||e^{T(A - omega0 I)}|| <= 1. For t in
+    [t_k, t_k + h], e^{t(A - omega0 I)} = e^{(t - t_k)(A - omega0 I)} e^{t_k (A - omega0 I)}, and the first factor's
+    norm is at most e^{(mu(A) - omega0)^+ h}, mu the logarithmic norm; so ||e^{tA}|| e^{-omega0 t} <= M on [0, T]
+    for M = max(1, max_k r_k e^{-lam t_k}) e^{(mu(A) - omega0)^+ h}. Every t is k T + s with s in [0, T], and
+    e^{tA} = (e^{TA})^k e^{sA}, so the bound M holds for all t.
     """
-    omega0 = spectrum(a).abscissa + FIT_MARGIN
-    ts = np.linspace(0.0, FIT_HORIZON, FIT_POINTS)
-    ratios = _decayed_norms(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind, ts, omega0)
-    m = max(1.0, float(ratios.max())) * (1.0 + FIT_INFLATION)
-    return GrowthBound(m=m, omega0=omega0, verified_horizon=FIT_HORIZON)
+    alpha = spectrum(a).abscissa
+    h = FIT_HORIZON / (FIT_POINTS - 1)
+    counts = np.arange(FIT_POINTS)
+    ratios = envelope_ratios(a, h, counts, alpha)
+    lam = max(FIT_MARGIN, math.log(ratios[-1]) / FIT_HORIZON)
+    omega0 = alpha + lam
+    with np.errstate(over="ignore"):
+        m = max(1.0, (ratios * np.exp(-lam * h * counts)).max())
+        m *= np.exp(max(log_norm(a.entries, a.norm_kind) - omega0, 0.0) * h)
+    if not m < math.inf:
+        raise Overflow(f"the spectral fit's M overflows doubles at omega0 = {omega0:.6g}")
+    return GrowthBound(m=float(m), omega0=omega0)
 
 
 def semigroup_diff_bound_check(g: Operator, h: Operator, m: float, omega: float, delta: float) -> BoundCheck:
     """Check ||e^{tG} - e^{tH}|| <= t M^2 e^{4 omega t} delta (1 + slack) at 21 points of [0, 2].
 
     delta is the Yosida distance of G and H, which for matrices equals
-    ||G - H||. Both semigroups must obey the common certificate (M, omega) on
-    the sampled grid, and omega must be >= 0: for omega < 0 the stated
+    ||G - H||. Both semigroups must obey the common certificate (M, omega),
+    read as ||e^{t(G - omega I)}|| <= M, on the sampled grid; the ratio is
+    ||e^{t(G - omega I)} - e^{t(H - omega I)}|| e^{-3 omega t} / (t M^2 delta),
+    so no factor overflows. omega must be >= 0: for omega < 0 the stated
     e^{4 omega t} factor shrinks faster than the true difference decays, so a
     negative-omega certificate has to be relaxed to omega = 0 by the caller.
     """
@@ -278,15 +278,13 @@ def semigroup_diff_bound_check(g: Operator, h: Operator, m: float, omega: float,
         raise PreconditionViolated(f"certificate constant m must be >= 1, got {m}")
     counts = np.arange(21)
     ts = 0.1 * counts
-    eg = expm_multiples(g.entries, 0.1, counts)
-    eh = expm_multiples(h.entries, 0.1, counts)
-    envelope = m * np.array([math.exp(omega * t) for t in ts]) * (1.0 + 1e-9)
-    broken = (norm_stack(eg, g.norm_kind) > envelope) | (norm_stack(eh, g.norm_kind) > envelope)
+    eg, eh = (expm_multiples(x.entries - omega * np.eye(g.dim), 0.1, counts) for x in (g, h))
+    broken = np.maximum(norm_stack(eg, g.norm_kind), norm_stack(eh, g.norm_kind)) > m * (1.0 + 1e-9)
     if broken.any():
         raise PreconditionViolated(f"certificate (M={m}, omega={omega}) fails at t={ts[np.argmax(broken)]}")
     ts = ts[1:]
-    lhs = norm_stack(eg[1:] - eh[1:], g.norm_kind)
-    rhs = ts * m * m * np.array([math.exp(4.0 * omega * t) for t in ts]) * delta * (1.0 + BOUND_SLACK)
+    lhs = norm_stack(eg[1:] - eh[1:], g.norm_kind) * np.exp(-3.0 * omega * ts)
+    rhs = ts * m * m * delta * (1.0 + BOUND_SLACK)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, float("inf")))
     return worst_ratio(ratios, ts)

@@ -2,13 +2,13 @@
 
 Every constant here was computed from a closed form stated next to it, not
 from the library under test, and is frozen so a regression in the library
-cannot silently move the expectation. lu_resolvent, two_grid_fit,
-rk4_step_loop and flat_chain_desc are the reference implementations: the
-per-mu LU rule that linop.resolvent_stack replaced, the coarse-plus-fine
-growth fit that semigroup._spectral_fit reduced to its fine grid, the
+cannot silently move the expectation. lu_resolvent, rk4_step_loop,
+flat_chain_desc, FormedBandResolvent and StackPolygon are the reference
+implementations: the per-mu LU rule that linop.resolvent_stack replaced, the
 per-step RK4 loop that evofam.oracle_solve streams in blocks, the
-one-pass pairwise product that evofam._chain_desc bounds in chunks, and the
-form-every-R loop whose guards linop.BandResolvent certifies from its factors.
+one-pass pairwise product that evofam._chain_desc bounds in chunks, the
+form-every-R loop whose guards linop.BandResolvent certifies from its factors,
+and the stored-stack polygon that the folding EvolutionFamilyApprox replaced.
 """
 import math
 
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from nonauto.linop import BandResolvent, NormKind, _band_matmul, _judge, bandwidths, norm_of, norm_stack, shifted_band, spectrum
+from nonauto.linop import BandResolvent, NormKind, _band_matmul, _judge, bandwidths, norm_of, shifted_band
 from nonauto.semigroup import expm_stack
 
 # Diagonal nonautonomous system A = diag(-1, -2), B(t) = sin(t) diag(0.5, 0.3)
@@ -92,22 +92,6 @@ class FormedBandResolvent(BandResolvent):
                 self._factors.append((lu, piv))
                 nonneg.append((r >= 0.0).all())
         self.nonneg = np.array(nonneg, dtype=bool)
-
-
-def two_grid_fit(a, margin=1e-2, horizon=5.0, grid_points=257):
-    """Reference growth constant M: the max of ||e^{tA}|| e^{-omega0 t} over two grids.
-
-    The grids are linspace(0, horizon, grid_points) and the 2x finer
-    linspace(0, horizon, 2 grid_points - 1); omega0 is the spectral abscissa
-    plus margin, and M is clamped to >= 1 and inflated by 1 + 1e-6.
-    """
-    omega0 = spectrum(a).abscissa + margin
-    best = 1.0
-    for n in (grid_points, 2 * grid_points - 1):
-        ts = np.linspace(0.0, horizon, n)
-        norms = norm_stack(expm_stack(ts[:, None, None] * a.entries[None, :, :]), a.norm_kind)
-        best = max(best, float((norms * np.array([math.exp(-omega0 * t) for t in ts])).max()))
-    return best * (1.0 + 1e-6)
 
 
 def rk4_step_loop(a, family, t, s, steps):

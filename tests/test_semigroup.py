@@ -19,11 +19,9 @@ from nonauto import (
 )
 from nonauto import semigroup
 from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
-from nonauto.linop import BLOCK_BYTES, norm_stack
+from nonauto.linop import BLOCK_BYTES, log_norm, norm_stack
 from nonauto.metrics import ANormEvaluator
-from nonauto.semigroup import expm_multiples, expm_stack
-
-from oracles import two_grid_fit
+from nonauto.semigroup import BoundCheck, expm_multiples, expm_stack
 
 
 def op2(entries):
@@ -268,6 +266,24 @@ class TestExpmMultiples:
             expm_multiples(np.eye(2), 0.1, counts)
 
 
+def fit_rounding(a: np.ndarray, gb: GrowthBound, ts: np.ndarray) -> np.ndarray:
+    """First-order relative rounding allowance of the certificate gb against scipy's e^{t(A - omega0 I)} at times ts.
+
+    One sampled norm of the fit takes at most 6 products for expm_stack's
+    Taylor polynomial, its squarings at the step's 1-norm, and a squaring and a
+    combine per bit of FIT_POINTS - 1 in expm_multiples; the reference takes at
+    most 6 products for its Pade approximant and no more squarings than
+    expm_stack would at t. Each product of d x d matrices moves a norm by at
+    most d u relative, u the unit roundoff. The certificate at t leans on the
+    sample at FIT_HORIZON once per whole period in t and on one sample below it.
+    """
+    u, d = np.finfo(float).eps / 2.0, len(a)
+    h = semigroup.FIT_HORIZON / (semigroup.FIT_POINTS - 1)
+    squarings = semigroup._squarings(one_norm(a - gb.omega0 * np.eye(d)) * np.append(ts, h))
+    products = 12 + squarings[:-1] + squarings[-1] + 2 * (semigroup.FIT_POINTS - 1).bit_length()
+    return (ts // semigroup.FIT_HORIZON + 2.0) * products * d * u
+
+
 class TestFitGrowthBound:
     def test_normal_diagonal_margin_zero(self, monkeypatch):
         monkeypatch.setattr(semigroup, "FIT_MARGIN", 0.0)
@@ -287,26 +303,37 @@ class TestFitGrowthBound:
         assert gb.m > 2.0
 
     def test_envelope_holds_on_fresh_grid(self):
+        # The fit grid ends at FIT_HORIZON = 5; the certificate holds past it.
         a = op2([[-1.0, 4.0], [0.0, -2.0]])
         gb = fit_growth_bound(a)
-        for t in np.linspace(0.0, gb.verified_horizon, 83):
+        for t in np.linspace(0.0, 20.0, 83):
             assert op_norm(expm(float(t) * a)) <= gb.envelope(float(t)) * (1.0 + 1e-9)
 
-    def test_single_grid_equals_two_grid_fit(self, monkeypatch):
-        # Every node of the old 257-point grid is a node of the 513-point grid,
-        # so dropping the coarse pass must leave M unchanged to the bit. The
-        # oracle is the spectral fit, one of fit_growth_bound's two candidates.
-        cases = [(op2(np.diag([-1.0, 1.0])), 1e-2), (op2(np.diag([-1.0, -2.0])), 0.0), (op2(np.zeros((2, 2))), 0.0),
-                 (op2([[-1.0, 10.0], [0.0, -1.0]]), 0.1), (op2([[-1.0, 4.0], [0.0, -2.0]]), 1e-2)]
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            d = int(rng.integers(2, 9))
-            m = rng.standard_normal((d, d))
-            for kind in (NormKind.TWO, NormKind.ONE):
-                cases.append((Operator(m, kind), 1e-2))
-        for a, margin in cases:
-            monkeypatch.setattr(semigroup, "FIT_MARGIN", margin)
-            assert semigroup._spectral_fit(a).m == two_grid_fit(a, margin=margin)
+    @pytest.mark.parametrize("kind", [NormKind.ONE, NormKind.TWO])
+    def test_certificate_holds_for_all_t(self, kind):
+        # Against scipy's e^{t(A - omega0 I)} out to t = 1000, 200 fit horizons.
+        # An M read off [0, 5] alone fails here by x7.4 ([[0, 1], [0, 0]]), x197
+        # (the Jordan block), x7.7 ([[-1, 10], [0, -1]]) and more for the 6 x 6
+        # upper triangles (strictly upper 5 N(0, 1), diagonal in [-1, -0.1]).
+        rng = np.random.default_rng(19)
+        cases = [[[0.0, 1.0], [0.0, 0.0]], np.diag([-0.1] * 3) + np.eye(3, k=1), [[-1.0, 10.0], [0.0, -1.0]],
+                 [[-1.0, 4.0], [0.0, -2.0]]]
+        cases += [np.triu(5.0 * rng.standard_normal((6, 6)), 1) + np.diag(rng.uniform(-1.0, -0.1, 6)) for _ in range(3)]
+        # Here e^{-omega0 t} on its own overflows doubles (omega0 near -200).
+        cases.append([[-200.0, 1e4], [0.0, -200.0]])
+        ts = np.concatenate([np.linspace(0.0, 10.0, 401), np.geomspace(10.0, 1000.0, 100)])
+        for entries in cases:
+            a = np.asarray(entries, dtype=float)
+            gb = fit_growth_bound(Operator(a, kind))
+            got = norm_stack(scipy.linalg.expm(ts[:, None, None] * (a - gb.omega0 * np.eye(len(a)))), kind)
+            assert (got <= gb.m * (1.0 + fit_rounding(a, gb, ts))).all(), (entries, gb, ts[np.argmax(got)])
+
+    @pytest.mark.parametrize("kind", [NormKind.ONE, NormKind.TWO])
+    @pytest.mark.parametrize("entries", [[[-200.0, 1e6], [0.0, -200.0]], [[-1.0, 1e200], [0.0, -1.0]]])
+    def test_overflowing_fit_takes_lumer_phillips(self, entries, kind):
+        # The fit's between-node factor e^{(mu - omega0) h} overflows doubles here.
+        a = Operator(np.array(entries), kind)
+        assert fit_growth_bound(a) == GrowthBound(1.0, log_norm(a.entries, kind))
 
     @pytest.mark.parametrize("kind", [NormKind.ONE, NormKind.INF])
     def test_translation_generator_takes_lumer_phillips(self, kind):
@@ -315,7 +342,7 @@ class TestFitGrowthBound:
         # 1- and inf-norm logarithmic norms are 0, so (1, 0) holds for all t.
         a = build_translation_generator(GridSpec(8.0, 64, Domain.HALF_LINE))
         gb = fit_growth_bound(Operator(a.entries, kind))
-        assert (gb.m, gb.omega0, gb.verified_horizon) == (1.0, 0.0, math.inf)
+        assert (gb.m, gb.omega0) == (1.0, 0.0)
         assert ANormEvaluator(Operator(a.entries, kind), gb).skipped == 0
 
     def test_smaller_sup_wins(self):
@@ -374,3 +401,12 @@ class TestDiffBoundCheck:
             delta = op_norm(op2(h - g))
             check = semigroup_diff_bound_check(op2(g), op2(h), m=1.0, omega=omega, delta=delta)
             assert check.passed, f"ratio {check.max_ratio} at t={check.worst_t}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega", [100.0, 400.0])
+    def test_large_omega_is_in_range(self, omega):
+        # e^{4 omega t} overflows doubles at t = 2 from omega = 88.7 on; the check
+        # reads the certificate as ||e^{t(G - omega I)}|| <= M, so nothing does.
+        g, h = op2(np.diag([-1.0, -2.0])), op2(np.diag([-1.01, -2.0]))
+        check = semigroup_diff_bound_check(g, h, 1.0, omega, 0.01)
+        assert isinstance(check, BoundCheck) and check.passed
