@@ -22,8 +22,9 @@ RESOLVENT_RESIDUAL = 1e-10
 # wider than the rounding gap between its two cancellation-free 1-norms of R.
 _COND_MARGIN = 1e-6
 # Bytes of one (block, d, d) temporary in the stacked kernels (resolvent_stack,
-# semigroup.expm_stack, the RK4 steps of evofam.oracle_solve): each block's
-# temporaries stay in cache instead of streaming whole-stack arrays.
+# semigroup.expm_stack, the RK4 steps of evofam.oracle_solve), and of one chunk of
+# mus in the stacked band calls (_mus_per_call): each block's temporaries stay in
+# cache instead of streaming whole-stack arrays.
 BLOCK_BYTES = 256 * 1024
 # Bytes of the products one reduction block forms (the C R(mu, A) blocks of
 # _product_norms, evofam._chain_desc's chunks): a bound on the temporaries
@@ -195,6 +196,8 @@ def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
     ||(mu I - M) R - I||_1 exceeds RESOLVENT_RESIDUAL * kappa. Returns
     (r, kept): the kept resolvents in item order and a boolean mask over the
     items. The first refused item raises SingularResolvent unless skip is set.
+    A non-finite mu is refused before any arithmetic: its item is inverted as the
+    identity and given a NaN kappa.
     """
     ms, mus = np.asarray(ms, dtype=float), np.atleast_1d(np.asarray(mus, dtype=float))
     k, d = (ms.shape[0] if ms.ndim == 3 else mus.shape[0]), ms.shape[-1]
@@ -202,12 +205,14 @@ def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
     out, kept = np.empty((k, d, d)), np.ones(k, dtype=bool)
     step = max(1, BLOCK_BYTES // (8 * d * d))
     for lo in range(0, k, step):
-        m = mus[lo : lo + step, None, None] * np.eye(d) - ms[lo : lo + step]
+        finite = np.isfinite(mus[lo : lo + step])
+        m = np.where(finite, mus[lo : lo + step], 0.0)[:, None, None] * np.eye(d) - ms[lo : lo + step]
+        m[~finite] = np.eye(d)
         try:
             r = np.linalg.inv(m)
         except np.linalg.LinAlgError:
             r = _inverse_items(m)
-        kappa = norm_stack(m, NormKind.ONE) * norm_stack(r, NormKind.ONE)
+        kappa = np.where(finite, norm_stack(m, NormKind.ONE) * norm_stack(r, NormKind.ONE), np.nan)
         residual = norm_stack(m @ r - np.eye(d), NormKind.ONE)
         kept[lo : lo + len(m)] = _judge(kappa, residual, mus[lo : lo + step], skip)
         out[lo : lo + len(m)] = r
@@ -226,21 +231,107 @@ def bandwidths(m: np.ndarray) -> tuple:
     return max(int((i - first).max()), 0), max(int((last - i).max()), 0)
 
 
-def _band_lu() -> tuple:
-    """(dgbtrf, dgbtrs): LAPACK band LU, imported on first use so that a run with no band solve never loads scipy."""
+def _band_lapack() -> tuple:
+    """(dgbtrf, dgbtrs, solve_banded): scipy's band LU and band solver, imported on first use so that a run with no band solve never loads scipy."""
+    from scipy.linalg import solve_banded
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    return dgbtrf, dgbtrs
+    return dgbtrf, dgbtrs, solve_banded
 
 
-def shifted_band(diagonals: dict, mu: float, d: int) -> tuple:
-    """((kl, ku), ab): solve_banded's storage of mu I - G, bit for bit, for G's diagonals {offset: values}."""
+def shifted_band(diagonals: dict, mus, d: int) -> tuple:
+    """((kl, ku), ab): solve_banded's storage of mu I - G, bit for bit, for G's diagonals {offset: values}.
+
+    Given k mus, ab holds the block-diagonal matrix of the k blocks mu_j I - G,
+    d columns each: the entries that couple two blocks are zero.
+    """
     kl, ku = max(0, -min(diagonals)), max(0, max(diagonals))
-    ab = np.zeros((kl + ku + 1, d))
+    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    block = np.zeros((kl + ku + 1, d))
     for k, v in diagonals.items():
-        ab[ku - k, max(0, k) : d + min(0, k)] = -v
-    ab[ku] += mu
+        block[ku - k, max(0, k) : d + min(0, k)] = -v
+    ab = np.tile(block, len(mus))
+    ab[ku] += np.repeat(mus, d)
     return (kl, ku), ab
+
+
+def _mus_per_call(kl: int, ku: int, floats: int) -> int:
+    """How many mus one stacked band call takes: BLOCK_BYTES of `floats` doubles per mu where A is at most tridiagonal, else one.
+
+    With kl, ku <= 1 each row of the factorization and of either solve takes at
+    most two products, and a block boundary only adds zero ones, which leave
+    every rounding as it is in any BLAS: each block's factors and solutions are
+    its one-block call's. A wider band can round otherwise (OpenBLAS's
+    transposed solve differs in the last bit from kl = 2), so it takes one mu
+    per call.
+    """
+    return max(1, BLOCK_BYTES // (8 * floats)) if max(kl, ku) <= 1 else 1
+
+
+def _blocks(lu: np.ndarray, piv: np.ndarray, sel: np.ndarray, d: int) -> tuple:
+    """(lu, piv) of the blocks sel (increasing) of stacked band factors: a view where they are consecutive."""
+    if sel[-1] - sel[0] == len(sel) - 1:
+        cols = slice(sel[0] * d, (sel[-1] + 1) * d)
+    else:
+        cols = (sel[:, None] * d + np.arange(d)).ravel()
+    return lu[:, cols], piv[cols]
+
+
+def _factor_blocks(ab: np.ndarray, kl: int, ku: int, d: int) -> tuple:
+    """gbtrf of block-diagonal band storage (shifted_band) in one call: (lu, piv), each block's pivots counted from its first row.
+
+    The entries that couple two blocks are zero, so partial pivoting never picks
+    a row of the next block and every update across a block boundary adds an
+    exact zero: each block's factors are the one-block call's (see
+    _mus_per_call; a zero may change sign). A 0 * inf there, from a block whose
+    pivot's reciprocal overflows or which holds a non-finite entry, writes NaN
+    into the next block instead, so a block with a non-finite entry is factored
+    again alone.
+    """
+    dgbtrf = _band_lapack()[0]
+    n = ab.shape[1] // d
+    lu, piv, _ = dgbtrf(np.concatenate([np.zeros((kl, ab.shape[1])), ab]), kl, ku)
+    piv -= np.repeat(np.arange(n, dtype=piv.dtype) * d, d)
+    for i in np.flatnonzero(~np.isfinite(lu.reshape(lu.shape[0], n, d)).all(axis=(0, 2))):
+        block = slice(i * d, (i + 1) * d)
+        lu[:, block], piv[block], _ = dgbtrf(np.concatenate([np.zeros((kl, d)), ab[:, block]]), kl, ku)
+    return lu, piv
+
+
+def _stacked_solve(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """(n, d, w) solutions of the n blocks of stacked band factors (_factor_blocks) against one (d, w) rhs: one gbtrs call.
+
+    Each block's solution is the one-block call's, as its factors are, unless a
+    neighbour's solution is not finite (0 * inf): a block whose solution is
+    not finite is solved again alone.
+    """
+    dgbtrs = _band_lapack()[1]
+    d = rhs.shape[0]
+    n = lu.shape[1] // d
+    offsets = np.repeat(np.arange(n, dtype=piv.dtype) * d, d)
+    x = dgbtrs(lu, kl, ku, np.tile(rhs, (n, 1)), piv + offsets, trans=trans)[0].reshape(n, d, -1)
+    for i in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
+        block = slice(i * d, (i + 1) * d)
+        x[i] = dgbtrs(lu[:, block], kl, ku, rhs, piv[block], trans=trans)[0]
+    return x
+
+
+def _shifted_solves(diagonals: dict, mus, d: int, rhs: np.ndarray):
+    """Solutions x_j of (mu_j I - G) x_j = rhs for G's diagonals {offset: values}, yielded as one (chunk, d) array per chunk.
+
+    One solve_banded call (gtsv where G is tridiagonal, else gbsv) per chunk of
+    _mus_per_call mus in shifted_band's block-diagonal storage; as in
+    _stacked_solve, a block whose solution is not finite is solved again alone.
+    """
+    solve_banded = _band_lapack()[2]
+    kl, ku = max(0, -min(diagonals)), max(0, max(diagonals))
+    step = _mus_per_call(kl, ku, (kl + ku + 1) * d)
+    for lo in range(0, len(mus), step):
+        chunk = mus[lo : lo + step]
+        x = solve_banded(*shifted_band(diagonals, chunk, d), np.tile(rhs, len(chunk))).reshape(len(chunk), d)
+        for i in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+            x[i] = solve_banded(*shifted_band(diagonals, chunk[i], d), rhs)
+        yield x
 
 
 def _band_matmul(ab: np.ndarray, kl: int, ku: int, r: np.ndarray) -> np.ndarray:
@@ -259,21 +350,29 @@ def _gamma(n: int) -> float:
     return nu / (1.0 - nu) if nu < 1.0 else float("inf")
 
 
-def _certified(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, m_norm: float) -> bool:
-    """Whether gbtrf's factors of M = mu I - A alone show that M's R would be kept (BandResolvent)."""
-    kv, d = kl + ku, lu.shape[1]
-    if not (np.array_equal(piv, np.arange(d)) and (lu[kv] > 0.0).all()
-            and (lu[:kv] <= 0.0).all() and (lu[kv + 1 :] <= 0.0).all()):
-        return False
-    dgbtrs = _band_lu()[1]
-    col_sums = dgbtrs(lu, kl, ku, np.ones((d, 1)), piv, trans=1)[0][:, 0]
-    if not m_norm * col_sums.max() <= COND_LIMIT * (1.0 - _COND_MARGIN):
-        return False
-    # Column sums of |L| |U|: |L|'s own column sums (unit diagonal included) weight |U|'s columns.
-    l_sums, lu_sums = 1.0 + np.abs(lu[kv + 1 :]).sum(axis=0), np.zeros(d)
-    for k in range(kv + 1):
-        lu_sums[k:] += l_sums[: d - k] * np.abs(lu[kv - k, k:])
-    return 2.0 * _gamma(3 * (kv + 1)) * (lu_sums.max() + m_norm) <= RESOLVENT_RESIDUAL * m_norm
+def _certified(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, m_norm: np.ndarray) -> np.ndarray:
+    """Which blocks of _factor_blocks' factors of M_j = mu_j I - A alone show that M_j's R would be kept (BandResolvent).
+
+    Each test runs on the blocks that passed the ones before it.
+    """
+    kv, n = kl + ku, len(m_norm)
+    d = lu.shape[1] // n
+    blocks = lu.reshape(lu.shape[0], n, d)
+    ok = ((piv.reshape(n, d) == np.arange(d)).all(axis=1) & (blocks[kv] > 0.0).all(axis=1)
+          & (blocks[:kv] <= 0.0).all(axis=(0, 2)) & (blocks[kv + 1 :] <= 0.0).all(axis=(0, 2)))
+    if ok.any():
+        sel = np.flatnonzero(ok)
+        col_sums = _stacked_solve(*_blocks(lu, piv, sel, d), kl, ku, np.ones((d, 1)), trans=1)[:, :, 0]
+        ok[sel] = m_norm[sel] * col_sums.max(axis=1) <= COND_LIMIT * (1.0 - _COND_MARGIN)
+    if ok.any():
+        # Column sums of |L| |U|: |L|'s own column sums (unit diagonal included) weight |U|'s columns.
+        sel = np.flatnonzero(ok)
+        factors = blocks[:, sel]
+        l_sums, lu_sums = 1.0 + np.abs(factors[kv + 1 :]).sum(axis=0), np.zeros((len(sel), d))
+        for k in range(kv + 1):
+            lu_sums[:, k:] += l_sums[:, : d - k] * np.abs(factors[kv - k, :, k:])
+        ok[sel] = 2.0 * _gamma(3 * (kv + 1)) * (lu_sums.max(axis=1) + m_norm[sel]) <= RESOLVENT_RESIDUAL * m_norm[sel]
+    return ok
 
 
 class BandResolvent:
@@ -303,64 +402,84 @@ class BandResolvent:
       The factor 2 covers the rounding of the column sums, of kappa and of this
       test; || |L||U| ||_1 is read from the band factors in O(d w).
 
-    Every other mu (an interchange, another sign pattern, a kappa bound in or above
-    the margin, a failed residual bound, an exactly singular factor) forms R from an
-    identity right-hand side and is judged as before: _judge on the exact kappa_1 and
-    the residual of a banded product, with resolvent_stack's messages.
+    Every other finite mu (an interchange, another sign pattern, a kappa bound in or
+    above the margin, a failed residual bound, an exactly singular factor) forms R
+    from an identity right-hand side and is judged as before: _judge on the exact
+    kappa_1 and the residual of a banded product, with resolvent_stack's messages. A
+    non-finite mu is refused before any arithmetic.
+
+    The mus are factored a chunk at a time (_mus_per_call: BLOCK_BYTES of band
+    storage where A is at most tridiagonal, else one mu): one gbtrf call per chunk
+    on the block-diagonal matrix of its mu_j I - A, and one stacked gbtrs call per
+    chunk for the condition numbers and for norms' diagonal fast path. Each block's
+    factors and solutions are its one-block call's (_factor_blocks, _stacked_solve).
+    The kept factors stay stacked, block i in columns i d to (i + 1) d.
     """
 
     def __init__(self, a: np.ndarray, mus, skip: bool = False):
-        d = a.shape[0]
+        d = self._d = a.shape[0]
         self.kl, self.ku = kl, ku = bandwidths(a)
         diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        dgbtrf, dgbtrs = _band_lu()
-        self.kept, self._factors, nonneg = np.ones(len(mus), dtype=bool), [], []
+        dgbtrs = _band_lapack()[1]
+        finite = np.isfinite(mus)
+        solved = np.flatnonzero(finite)
+        # A certified mu passes _judge with kappa = residual = 0; a non-finite one is refused with kappa = NaN.
+        kappa, residual, nonneg = np.where(finite, 0.0, np.nan), np.zeros(len(mus)), np.ones(len(mus), dtype=bool)
+        rows = 2 * kl + ku + 1
+        self._lu, self._piv = np.empty((rows, len(solved) * d), order="F"), np.empty(len(solved) * d, dtype=np.int32)
         certifiable = _gamma(8 * d * (kl + ku + 2)) < _COND_MARGIN
-        for i, mu in enumerate(mus):
-            ab = shifted_band(diagonals, mu, d)[1]
-            lu, piv, info = dgbtrf(np.concatenate([np.zeros((kl, d)), ab]), kl, ku)
-            m_norm = np.abs(ab).sum(axis=0).max()
-            if info == 0 and certifiable and _certified(lu, piv, kl, ku, m_norm):
-                positive = True
-            else:
-                eye = np.eye(d, order="F")
-                r = np.full((d, d), np.nan) if info > 0 else dgbtrs(lu, kl, ku, eye, piv)[0]
-                kappa = m_norm * norm_of(r, NormKind.ONE)
-                residual = norm_of(_band_matmul(ab, kl, ku, r) - eye, NormKind.ONE)
-                self.kept[i] = _judge(np.array([kappa]), np.array([residual]), mus[i : i + 1], skip)[0]
-                positive = (r >= 0.0).all()
-            if self.kept[i]:
-                self._factors.append((lu, piv))
-                nonneg.append(positive)
-        self.nonneg = np.array(nonneg, dtype=bool)
-
-    def _solve(self, i: int, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        (lu, piv), dgbtrs = self._factors[i], _band_lu()[1]
-        return dgbtrs(lu, self.kl, self.ku, rhs, piv, trans=trans)[0]
+        step = _mus_per_call(kl, ku, rows * d)
+        for lo in range(0, len(solved), step):
+            chunk = solved[lo : lo + step]
+            ab = shifted_band(diagonals, mus[chunk], d)[1]
+            cols = slice(lo * d, (lo + len(chunk)) * d)
+            lu, piv = _factor_blocks(ab, kl, ku, d)
+            self._lu[:, cols], self._piv[cols] = lu, piv
+            m_norm = np.abs(ab).sum(axis=0).reshape(-1, d).max(axis=1)
+            certified = _certified(lu, piv, kl, ku, m_norm) if certifiable else np.zeros(len(chunk), dtype=bool)
+            for j in np.flatnonzero(~certified):
+                i, block, eye = chunk[j], slice(j * d, (j + 1) * d), np.eye(d, order="F")
+                singular = (lu[kl + ku, block] == 0.0).any()
+                r = np.full((d, d), np.nan) if singular else dgbtrs(lu[:, block], kl, ku, eye, piv[block])[0]
+                kappa[i] = m_norm[j] * norm_of(r, NormKind.ONE)
+                residual[i] = norm_of(_band_matmul(ab[:, block], kl, ku, r) - eye, NormKind.ONE)
+                nonneg[i] = (r >= 0.0).all()
+        self.kept = _judge(kappa, residual, mus, skip)
+        self.nonneg = nonneg[self.kept]
+        if not self.kept.all():
+            cols = np.repeat(self.kept[solved], d)
+            self._lu, self._piv = np.asfortranarray(self._lu[:, cols]), self._piv[cols]
 
     def resolvent(self, i: int) -> np.ndarray:
         """R(mu, A) at the i-th kept mu: one solve of its factors on the identity."""
-        return self._solve(i, np.eye(self._factors[i][0].shape[1], order="F"))
+        block = slice(i * self._d, (i + 1) * self._d)
+        lu, piv = self._lu[:, block], self._piv[block]
+        return _band_lapack()[1](lu, self.kl, self.ku, np.eye(self._d, order="F"), piv)[0]
 
     def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
         """(k, kept) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack over the kept mus.
 
-        A diagonal C where R >= 0 takes one band solve: ||C R||_1 = max (mu I - A)^{-T} |c| and
-        ||C R||_inf = max |c| o (mu I - A)^{-1} 1. Else R is solved again and _product_norms
-        multiplies, as dense mode does.
+        A diagonal C where R >= 0 takes band solves: ||C R||_1 = max (mu I - A)^{-T} |c| and
+        ||C R||_inf = max |c| o (mu I - A)^{-1} 1, one stacked gbtrs call per chunk of mus
+        (_mus_per_call of its band storage or its solutions, the larger). Else R is solved
+        again and _product_norms multiplies, as dense mode does.
         """
         k, d = mats.shape[0], mats.shape[-1]
         diag = np.diagonal(mats, axis1=1, axis2=2)
         fast = np.count_nonzero(mats, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
         fast &= norm_kind is not NormKind.TWO
         c, general = np.abs(diag[fast]).T, mats[~fast] if fast.any() else mats
-        out = np.empty((k, len(self._factors)))
+        out = np.empty((k, len(self.nonneg)))
+        trans = norm_kind is NormKind.ONE
+        positive = np.flatnonzero(self.nonneg) if fast.any() else np.zeros(0, dtype=int)
+        step = _mus_per_call(self.kl, self.ku, d * max(self._lu.shape[0], c.shape[1]))
+        for lo in range(0, len(positive), step):
+            sel = positive[lo : lo + step]
+            lu, piv = _blocks(self._lu, self._piv, sel, d)
+            x = _stacked_solve(lu, piv, self.kl, self.ku, c if trans else np.ones((d, 1)), int(trans))
+            out[np.ix_(fast, sel)] = (x if trans else c * x).max(axis=1).T
         for i, nonneg in enumerate(self.nonneg):
-            if nonneg and fast.any():
-                trans = norm_kind is NormKind.ONE
-                x = self._solve(i, c if trans else np.ones((d, 1)), trans=int(trans))
-                out[fast, i] = (x if trans else c * x).max(axis=0)
             rest = ~(fast & nonneg)
             if rest.any():
                 out[rest, i] = _product_norms(general if nonneg else mats, self.resolvent(i)[None], norm_kind)[:, 0]

@@ -7,8 +7,8 @@ flat_chain_desc, FormedBandResolvent and StackPolygon are the reference
 implementations: the per-mu LU rule that linop.resolvent_stack replaced, the
 per-step RK4 loop that evofam.oracle_solve streams in blocks, the
 one-pass pairwise product that evofam._chain_desc bounds in chunks, the
-form-every-R loop whose guards linop.BandResolvent certifies from its factors,
-and the stored-stack polygon that the folding EvolutionFamilyApprox replaced.
+per-mu form-every-R loop whose guards linop.BandResolvent certifies from its
+stacked factors, and the stored-stack polygon that the folding EvolutionFamilyApprox replaced.
 """
 import math
 
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from nonauto.linop import BandResolvent, NormKind, _band_matmul, _judge, bandwidths, norm_of, shifted_band
+from nonauto.linop import NormKind, _band_matmul, _judge, _product_norms, bandwidths, norm_of, shifted_band
 from nonauto.semigroup import expm_stack
 
 # Diagonal nonautonomous system A = diag(-1, -2), B(t) = sin(t) diag(0.5, 0.3)
@@ -66,12 +66,14 @@ def lu_resolvent(a, mu):
     return r, kappa
 
 
-class FormedBandResolvent(BandResolvent):
-    """Reference BandResolvent: every mu forms R from an identity right-hand side (gbtrs).
+class FormedBandResolvent:
+    """Reference BandResolvent: one gbtrf call per mu, and every mu forms R from an identity right-hand side (gbtrs).
 
     Each R is judged by resolvent_stack's rules (exact kappa_1, the residual of
     a banded product) and its sign read off its entries; the kept mus' factors
-    and signs are stored as BandResolvent stores them, so norms() is shared.
+    are kept one (lu, piv) pair per mu. norms() is the per-mu loop that
+    BandResolvent.norms stacks: for a diagonal C where R >= 0 one gbtrs call per
+    mu, else R solved on the identity and multiplied.
     """
 
     def __init__(self, a, mus, skip=False):
@@ -82,6 +84,9 @@ class FormedBandResolvent(BandResolvent):
         self.kept, self._factors, nonneg = np.ones(len(mus), dtype=bool), [], []
         eye = np.eye(d, order="F")
         for i, mu in enumerate(mus):
+            if not np.isfinite(mu):
+                self.kept[i] = _judge(np.array([np.nan]), np.array([0.0]), mus[i : i + 1], skip)[0]
+                continue
             ab = shifted_band(diagonals, mu, d)[1]
             lu, piv, info = dgbtrf(np.concatenate([np.zeros((kl, d)), ab]), kl, ku)
             r = np.full((d, d), np.nan) if info > 0 else dgbtrs(lu, kl, ku, eye, piv)[0]
@@ -92,6 +97,30 @@ class FormedBandResolvent(BandResolvent):
                 self._factors.append((lu, piv))
                 nonneg.append((r >= 0.0).all())
         self.nonneg = np.array(nonneg, dtype=bool)
+
+    def _solve(self, i, rhs, trans=0):
+        lu, piv = self._factors[i]
+        return dgbtrs(lu, self.kl, self.ku, rhs, piv, trans=trans)[0]
+
+    def resolvent(self, i):
+        return self._solve(i, np.eye(self._factors[i][0].shape[1], order="F"))
+
+    def norms(self, mats, norm_kind):
+        k, d = mats.shape[0], mats.shape[-1]
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        fast = np.count_nonzero(mats, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
+        fast &= norm_kind is not NormKind.TWO
+        c, general = np.abs(diag[fast]).T, mats[~fast] if fast.any() else mats
+        out = np.empty((k, len(self._factors)))
+        for i, nonneg in enumerate(self.nonneg):
+            if nonneg and fast.any():
+                trans = norm_kind is NormKind.ONE
+                x = self._solve(i, c if trans else np.ones((d, 1)), trans=int(trans))
+                out[fast, i] = (x if trans else c * x).max(axis=0)
+            rest = ~(fast & nonneg)
+            if rest.any():
+                out[rest, i] = _product_norms(general if nonneg else mats, self.resolvent(i)[None], norm_kind)[:, 0]
+        return out
 
 
 def rk4_step_loop(a, family, t, s, steps):

@@ -25,11 +25,13 @@ from nonauto import (
     scaled_resolvent_sweep,
     verify_example_bounds,
 )
-from nonauto.examples import Domain, GridSpec, build_generator
-from nonauto.linop import log_norm
+from nonauto import linop
+from nonauto.examples import Domain, GridSpec, _stencil, build_generator
+from nonauto.linop import log_norm, shifted_band
 
 from oracles import SPIKE_MASS_3
 from test_acceptance import _child_env
+from test_linop import record_band_calls
 
 
 class TestGridSpec:
@@ -222,6 +224,36 @@ class TestScaledResolventSweep:
             ref = mu * np.abs(dense).sum(axis=0).max()
             assert got == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("points", [128, 256, 2048, 4096])
+    @pytest.mark.parametrize("which", ["translation", "heat"])
+    def test_stacked_solves_equal_one_mu_calls(self, which, points):
+        # One solve_banded call per chunk of BLOCK_BYTES of band storage gives every mu's
+        # solution to the bit, on 141 mus (the heat sweep's grid at n_max = 3), which no
+        # chunk length divides.
+        g = GridSpec(8.0, points, Domain.HALF_LINE if which == "translation" else Domain.LINE)
+        b = build_spiky_b(g, 3, mirror=which == "heat").values
+        transpose = {-k: v for k, v in _stencil(which, g).items()}
+        mus = np.geomspace(1.0, 1e7, 141)
+        step = linop.BLOCK_BYTES // (8 * len(transpose) * points)
+        assert step < 141 and 141 % step
+        solve_banded = linop._band_lapack()[2]
+        want = np.array([solve_banded(*shifted_band(transpose, mu, points), b) for mu in mus])
+        assert np.array_equal(np.concatenate(list(linop._shifted_solves(transpose, mus, points, b))), want)
+        assert scaled_resolvent_sweep(which, g, b, mus) == [(float(mu), float(mu * x.max())) for mu, x in zip(mus, want)]
+
+    @pytest.mark.parametrize("which", ["translation", "heat"])
+    def test_overflowing_block_is_solved_alone(self, which):
+        # With b = 3e306 on every cell the solutions at mu = 1e-4 and 1e-5 overflow; the stacked
+        # solve's 0 * inf would write NaN into the neighbouring blocks, which are solved again alone.
+        g = GridSpec(8.0, 64, Domain.HALF_LINE if which == "translation" else Domain.LINE)
+        transpose = {-k: v for k, v in _stencil(which, g).items()}
+        b, mus = np.full(64, 3e306), np.array([2.0, 1e-4, 3.0, 1e-5, 4.0, 5.0])
+        got = np.concatenate(list(linop._shifted_solves(transpose, mus, 64, b)))
+        solve_banded = linop._band_lapack()[2]
+        want = np.array([solve_banded(*shifted_band(transpose, mu, 64), b) for mu in mus])
+        assert np.array_equal(np.isfinite(got).all(axis=1), [True, False, True, False, True, True])
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_guards(self):
         g = GridSpec(8.0, 16, Domain.HALF_LINE)
         with pytest.raises(PreconditionViolated):
@@ -310,6 +342,17 @@ base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 verify_example_bounds("heat", GridSpec(8.0, 256, Domain.LINE), pipeline=False)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
 """
+
+
+# The three jobs that the examples-dense benchmark workload draws at seed 3.
+@pytest.mark.parametrize("which, points, n_max", [("translation", 128, 2), ("translation", 192, 3), ("heat", 256, 2)])
+def test_report_makes_few_band_lapack_calls(monkeypatch, which, points, n_max):
+    # One gbtrf, gbtrs or solve_banded call per chunk of mus: 13 to 27 calls per report,
+    # where one call per mu made 777 to 797.
+    calls = record_band_calls(monkeypatch)
+    g = GridSpec(8.0, points, Domain.HALF_LINE if which == "translation" else Domain.LINE)
+    verify_example_bounds(which, g, n_max=n_max, pipeline=False)
+    assert 0 < len(calls) <= 40
 
 
 def test_dense_diagnostics_hold_no_resolvent_stack():

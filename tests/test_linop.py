@@ -257,6 +257,57 @@ class TestResolventStack:
         assert r.shape == (0, 3, 3) and kept.shape == (0,)
 
 
+class TestNonFiniteMu:
+    # Refused with SingularResolvent before any arithmetic: the suite turns a
+    # RuntimeWarning from inf * 0 into an error.
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan])
+    def test_band_mode_refuses(self, mu):
+        op = build_heat_generator(GridSpec(8.0, 64, Domain.LINE))
+        assert isinstance(linop.resolvents(op.entries, [1.0]), BandResolvent)
+        with pytest.raises(SingularResolvent, match=re.escape(f"exactly singular or not finite at mu={mu!r}")):
+            resolvent(op, mu)
+        band = BandResolvent(op.entries, [1.0, mu, 2.0], skip=True)
+        assert band.kept.tolist() == [True, False, True]
+        assert np.array_equal(band.resolvent(1), resolvent(op, 2.0).entries)
+
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan])
+    def test_dense_mode_refuses(self, mu):
+        a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        r, kept = resolvent_stack(a, [1.0, mu], skip=True)
+        assert kept.tolist() == [True, False] and np.array_equal(r, resolvent_stack(a, 1.0)[0])
+        with pytest.raises(SingularResolvent, match=re.escape(f"exactly singular or not finite at mu={mu!r}")):
+            resolvent_stack(a, [1.0, mu])
+        assert resolvent_stack(np.stack([a, 2.0 * a]), mu, skip=True)[1].tolist() == [False, False]
+
+
+def record_band_calls(patch) -> list:
+    """Patch linop._band_lapack to log ("gbtrf", columns), ("gbtrs", rhs shape) or ("solve_banded", rhs shape) per call."""
+    calls, (dgbtrf, dgbtrs, solve_banded) = [], linop._band_lapack()
+
+    def factored(ab, kl, ku):
+        calls.append(("gbtrf", ab.shape[1]))
+        return dgbtrf(ab, kl, ku)
+
+    def solved(lu, kl, ku, rhs, piv, trans=0):
+        calls.append(("gbtrs", rhs.shape))
+        return dgbtrs(lu, kl, ku, rhs, piv, trans=trans)
+
+    def swept(widths, ab, rhs):
+        calls.append(("solve_banded", rhs.shape))
+        return solve_banded(widths, ab, rhs)
+
+    patch.setattr(linop, "_band_lapack", lambda: (factored, solved, swept))
+    return calls
+
+
+def assert_same_factors(band: BandResolvent, ref: FormedBandResolvent) -> None:
+    """Each kept mu's block of band's stacked factors equals the reference's one-mu gbtrf call (pivots from its first row)."""
+    assert band._lu.shape[1] == band._piv.size == len(ref._factors) * band._d
+    for i, (ref_lu, ref_piv) in enumerate(ref._factors):
+        block = slice(i * band._d, (i + 1) * band._d)
+        assert np.array_equal(band._lu[:, block], ref_lu) and np.array_equal(band._piv[block], ref_piv)
+
+
 def assert_band_resolvent_matches_dense(a: np.ndarray, mus) -> None:
     """linop.resolvent in band mode against resolvent_stack at each mu.
 
@@ -300,6 +351,40 @@ class TestBandResolvent:
                 dense[i, j] = ab[ku + i - j, j]
         assert np.array_equal(dense, 1.7 * np.eye(9) - g)
 
+    def test_shifted_band_stacks_one_block_per_mu(self):
+        # k mus give the block-diagonal matrix of the k shifts: the entries coupling two blocks are zero.
+        rng = np.random.default_rng(9)
+        diagonals = {-1: rng.standard_normal(6), 0: rng.standard_normal(7), 2: rng.standard_normal(5)}
+        g = sum(np.diag(v, k) for k, v in diagonals.items())
+        mus = [1.7, -0.5, 3.0]
+        (kl, ku), ab = shifted_band(diagonals, mus, 7)
+        assert (kl, ku) == (1, 2) and ab.shape == (4, 21)
+        dense = np.zeros((21, 21))
+        for i, j in np.ndindex(21, 21):
+            if -kl <= j - i <= ku:
+                dense[i, j] = ab[ku + i - j, j]
+        want = np.zeros((21, 21))
+        for b, mu in enumerate(mus):
+            want[7 * b : 7 * b + 7, 7 * b : 7 * b + 7] = mu * np.eye(7) - g
+        assert np.array_equal(dense, want)
+        for b, mu in enumerate(mus):
+            assert np.array_equal(ab[:, 7 * b : 7 * b + 7], shifted_band(diagonals, mu, 7)[1])
+
+    def test_stacked_factors_repeat_a_block_whose_pivot_overflows(self):
+        # mu = 5e-324 leaves the last pivot of its block subnormal: its reciprocal overflows,
+        # and 0 * inf would write NaN into the coupling entry below. That block is factored
+        # again alone, so every block's factors are its one-block gbtrf call's.
+        d = 8
+        diagonals = {-1: np.full(d - 1, 0.5), 0: np.append(-np.linspace(1.0, 2.0, d - 1), 0.0)}
+        mus = np.array([1.0, 5e-324, 2.0, 3.0])
+        ab = shifted_band(diagonals, mus, d)[1]
+        lu, piv = linop._factor_blocks(ab, 1, 0, d)
+        assert np.isfinite(lu).all()
+        dgbtrf = linop._band_lapack()[0]
+        for b, mu in enumerate(mus):
+            ref_lu, ref_piv, _ = dgbtrf(np.concatenate([np.zeros((1, d)), shifted_band(diagonals, mu, d)[1]]), 1, 0)
+            assert np.array_equal(lu[:, b * d : (b + 1) * d], ref_lu) and np.array_equal(piv[b * d : (b + 1) * d], ref_piv)
+
     def test_bandwidths_match_the_nonzero_definition(self):
         # The row scan against the definition: the largest i - j and j - i over nonzero entries (NaN counts).
         def defined(m):
@@ -333,8 +418,14 @@ class TestBandResolvent:
     def certified_build(a, mus):
         """BandResolvent(a, mus, skip=True) and what linop._certified decided at each mu it was asked about."""
         certified, decide = [], linop._certified
+
+        def record(*args):
+            ok = decide(*args)
+            certified.extend(ok.tolist())
+            return ok
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linop, "_certified", lambda *args: certified.append(decide(*args)) or certified[-1])
+            mp.setattr(linop, "_certified", record)
             return BandResolvent(a, mus, skip=True), certified
 
     @pytest.mark.parametrize(
@@ -359,7 +450,7 @@ class TestBandResolvent:
         for k in (-1, 1):
             a += np.diag(rng.uniform(0.0, 1.0, d - 1) * rng.choice([-1.0, 1.0], d - 1), k)
         assert isinstance(linop.resolvents(a, [5.0]), BandResolvent)
-        dgbtrf, dgbtrs = linop._band_lu()
+        dgbtrf, dgbtrs, solve_banded = linop._band_lapack()
         solved = []
 
         def counted(lu, kl, ku, rhs, piv, trans=0):
@@ -367,7 +458,7 @@ class TestBandResolvent:
             return solved[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(linop, "_band_lu", lambda: (dgbtrf, counted))
+            patch.setattr(linop, "_band_lapack", lambda: (dgbtrf, counted, solve_banded))
             r = resolvent(op2(a), 5.0).entries
         assert [x.shape[1] for x, _ in solved] == [d, d]
         assert np.array_equal(solved[0][0], r)
@@ -401,9 +492,7 @@ class TestBandResolvent:
         assert not band.kept[picked].any()
         assert np.array_equal(band.kept, ref.kept)
         assert np.array_equal(band.nonneg, ref.nonneg)
-        assert len(band._factors) == len(ref._factors)
-        for (lu, piv), (ref_lu, ref_piv) in zip(band._factors, ref._factors):
-            assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        assert_same_factors(band, ref)
         # An M-matrix shift far right of the spectrum is decided without forming R.
         if metzler:
             assert any(certified)
@@ -416,6 +505,61 @@ class TestBandResolvent:
         with pytest.raises(SingularResolvent, match=re.escape(str(want.value))):
             BandResolvent(a, mus)
         assert_band_resolvent_matches_dense(a, mus)
+
+
+    def test_stacked_build_matches_one_mu_calls_around_refused_blocks(self, monkeypatch):
+        # One chunk holds an exactly singular mu, inf and NaN among 40 certified mus. Neither
+        # refused kind shares a stacked solve: the build's one gbtrf call factors the 41 finite
+        # mus, and its one gbtrs call, on ones, the 40 certified ones, none solved again alone.
+        rng = np.random.default_rng(21)
+        d = 64
+        a = np.diag(-rng.uniform(1.0, 3.0, d)) + np.diag(rng.uniform(0.0, 0.4, d - 1), -1) + np.diag(rng.uniform(0.0, 0.4, d - 1), 1)
+        a[40] = 0.0
+        a[40, 40] = 0.1
+        refused = [10, 18, 27]
+        mus = np.geomspace(1.0, 1e4, 43)
+        mus[refused] = [np.inf, 0.1, np.nan]
+        assert 43 <= linop.BLOCK_BYTES // (8 * 4 * d)
+        with monkeypatch.context() as patch:
+            calls = record_band_calls(patch)
+            band = BandResolvent(a, mus, skip=True)
+        assert calls == [("gbtrf", 41 * d), ("gbtrs", (40 * d, 1))]
+        ref = FormedBandResolvent(a, mus, skip=True)
+        assert band.kept.tolist() == ref.kept.tolist() == [i not in refused for i in range(43)]
+        assert np.array_equal(band.nonneg, ref.nonneg) and band.nonneg.all()
+        assert_same_factors(band, ref)
+        c = rng.uniform(0.5, 1.0, d)
+        mats = np.stack([np.diag(c), np.diag(c * rng.choice([-1.0, 1.0], d)), rng.standard_normal((d, d))])
+        for kind in NormKind:
+            assert np.array_equal(band.norms(mats, kind), ref.norms(mats, kind))
+        # ||diag(1.7e308) R(mu)||_1 overflows near the eigenvalue 0.1, and the stacked solve's
+        # 0 * inf would write NaN into the neighbouring blocks: those are solved again alone.
+        huge = np.stack([np.diag(np.full(d, 1.7e308)), np.diag(c)])
+        got = band.norms(huge, NormKind.ONE)
+        assert not np.isfinite(got[0, 0]) and np.isfinite(got[0, -1])
+        assert np.array_equal(got, ref.norms(huge, NormKind.ONE), equal_nan=True)
+        with pytest.raises(SingularResolvent, match=re.escape("exactly singular or not finite at mu=inf")):
+            BandResolvent(a, mus)
+
+
+    def test_wider_band_takes_one_mu_per_call(self, monkeypatch):
+        # From kl = 2 a stacked transposed solve may round otherwise than the one-block
+        # call, so a pentadiagonal M-matrix shift takes one gbtrf and one gbtrs call per mu.
+        rng = np.random.default_rng(6)
+        d = 80
+        a = np.diag(-rng.uniform(1.0, 3.0, d))
+        for k in (-2, -1, 1, 2):
+            a += np.diag(rng.uniform(0.0, 0.5, d - abs(k)), k)
+        mus = np.geomspace(1.0, 1e3, 7)
+        with monkeypatch.context() as patch:
+            calls = record_band_calls(patch)
+            band = BandResolvent(a, mus)
+        assert calls == [("gbtrf", d), ("gbtrs", (d, 1))] * 7
+        ref = FormedBandResolvent(a, mus)
+        assert_same_factors(band, ref)
+        c = rng.uniform(0.5, 1.0, d)
+        for kind in (NormKind.ONE, NormKind.INF):
+            assert np.array_equal(band.norms(np.diag(c)[None], kind), ref.norms(np.diag(c)[None], kind))
 
 
 class TestSpectrum:

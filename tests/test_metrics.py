@@ -31,6 +31,7 @@ from nonauto.linop import BandResolvent, DenseResolvents, bandwidths, norm_stack
 from nonauto.metrics import ANormEvaluator
 
 from oracles import YDIST_DIAG_LIMIT
+from test_linop import record_band_calls
 
 
 def op2(entries):
@@ -281,18 +282,21 @@ class TestBandMode:
         assert isinstance(ANormEvaluator(small, gb).resolvents, DenseResolvents)
 
     def test_model_problems_form_no_resolvent(self, monkeypatch):
-        # The factors certify every grid point: no gbtrs call solves a d-column identity.
+        # The factors certify every grid point: no gbtrs call solves a d-column identity. The
+        # condition numbers take one stacked transposed solve on ones per chunk of BLOCK_BYTES
+        # of band storage, and the chunks cover the 221 mus, 128 rows each.
         from nonauto.examples import Domain, GridSpec, build_heat_generator, build_translation_generator
 
-        widths, (dgbtrf, dgbtrs) = [], linop._band_lu()
-        counted = lambda lu, kl, ku, b, piv, **kw: widths.append(b.shape[1]) or dgbtrs(lu, kl, ku, b, piv, **kw)
-        monkeypatch.setattr(linop, "_band_lu", lambda: (dgbtrf, counted))
+        calls = record_band_calls(monkeypatch)
         for a in (build_heat_generator(GridSpec(8.0, 128, Domain.LINE)),
                   build_translation_generator(GridSpec(8.0, 128, Domain.HALF_LINE))):
-            widths.clear()
+            calls.clear()
             ev = ANormEvaluator(a, GrowthBound(1.0, 0.0))
             assert isinstance(ev.resolvents, BandResolvent) and ev.skipped == 0 and ev.resolvents.nonneg.all()
-            assert widths.count(1) == 221 and 128 not in widths
+            kl, ku = bandwidths(a.entries)
+            step = linop.BLOCK_BYTES // (8 * (2 * kl + ku + 1) * 128)
+            solves = [shape for name, shape in calls if name == "gbtrs"]
+            assert solves == [(min(step, 221 - lo) * 128, 1) for lo in range(0, 221, step)]
 
 
 class TestFactoredA2:
