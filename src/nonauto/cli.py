@@ -196,7 +196,8 @@ def cmd_dichotomy(args) -> int:
     eps_list = config.get("eps_list", [0.0, 0.01, 0.05])
     gb = _growth_bound(config, a)
     ts = _t_grid(config.get("t_grid"), None)  # None: roughness_sweep's own samples
-    results = roughness_sweep(a, shape, eps_list, gb, t_samples=ts, n_max=int(config.get("n_max", 14)))
+    budget = {"n_max": int(config["n_max"])} if "n_max" in config else {}  # else roughness_sweep's own
+    results = roughness_sweep(a, shape, eps_list, gb, t_samples=ts, **budget)
     rows = []
     summary = []
     for res in results:

@@ -44,10 +44,6 @@ class EigenFailure(NumericalFailure):
 class Overflow(NumericalFailure):
     """A matrix exponential, or an exponential bound, overflows double precision."""
 
-    def __init__(self, message: str, required_squarings: int = 0):
-        super().__init__(message)
-        self.required_squarings = required_squarings
-
 
 class TailNotSettled(NumericalFailure):
     """The large-lambda tail of a limit has not stabilised on the given grid."""
@@ -61,10 +57,10 @@ class TailNotSettled(NumericalFailure):
 class ToleranceNotReached(NumericalFailure):
     """Refinement exhausted its level budget above the requested tolerance."""
 
-    def __init__(self, message: str, best_delta: float, levels=None):
+    def __init__(self, message: str, best_delta: float, levels):
         super().__init__(message)
         self.best_delta = best_delta
-        self.levels = tuple(levels) if levels is not None else ()
+        self.levels = tuple(levels)
 
 
 class NotInvertible(NumericalFailure):

@@ -643,7 +643,7 @@ def euler_polygon(a: Operator, family: PerturbationFamily, n: int) -> EvolutionF
     return EvolutionFamilyApprox(a, family, DyadicPartition(t0, t1, n))
 
 
-def oracle_solve(a: Operator, family: PerturbationFamily, t: float, s: float, rk_steps: int = 256) -> Operator:
+def oracle_solve(a: Operator, family: PerturbationFamily, t: float, s: float, rk_steps: int = 4096) -> Operator:
     """Classical fourth-order Runge-Kutta for M'(tau) = (A + B(tau)) M(tau), M(s) = I.
 
     Independent of the polygon scheme; used as a reference solution. The
@@ -652,15 +652,18 @@ def oracle_solve(a: Operator, family: PerturbationFamily, t: float, s: float, rk
     k3 = Gm (I + h/2 k2), k4 = G1 (I + h k3) at the step's left, middle and
     right stage times. The S_i are built a block of steps at a time, each
     block's (steps, d, d) arrays within BLOCK_BYTES, and folded into M with
-    _chain_desc. A step outside RK4's stability region grows M until it is
-    not finite; that raises Overflow naming rk_steps.
+    _chain_desc. It takes exactly rk_steps steps, an integer >= 1. A step
+    outside RK4's stability region grows M until it is not finite; that
+    raises Overflow naming rk_steps.
     """
     t0, t1 = family.interval
     if not (t0 <= s <= t1 and t0 <= t <= t1):
         raise OutOfInterval(f"(t, s)=({t}, {s}) outside [{t0}, {t1}]")
     if t < s:
         raise PreconditionViolated(f"oracle wants t >= s, got t={t} < s={s}")
-    steps = max(64, int(rk_steps))
+    if not (isinstance(rk_steps, (int, np.integer)) and rk_steps >= 1):
+        raise PreconditionViolated(f"oracle wants an integer rk_steps >= 1, got {rk_steps!r}")
+    steps = int(rk_steps)
     m = eye = np.eye(a.dim)
     if t == s:
         return Operator(m, a.norm_kind)
@@ -731,7 +734,7 @@ class RefineResult:
 
 
 def refine_to_tolerance(
-    a: Operator, family: PerturbationFamily, gb: GrowthBound, tol: float, n_max: int = 14,
+    a: Operator, family: PerturbationFamily, gb: GrowthBound, tol: float, n_max: int,
     anorm: ANormEvaluator | None = None,
 ) -> RefineResult:
     """Refine the dyadic level until successive approximations differ by <= tol.

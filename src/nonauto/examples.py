@@ -30,9 +30,12 @@ NO_GROWTH_FACTOR = 1.5
 CONTRACTION_STEP = 0.1
 CONTRACTION_COUNTS = (1, 10, 50)
 REDUCED_POINTS = 256
-# Level budget of the heat pipeline's refinement: at its default 128 cells
-# and tolerance 1e-3 the increments first fall below the tolerance at levels
-# 12 and 13 (6.9e-4 and 3.5e-4; 1.4e-3 at level 11).
+# The heat pipeline refines on a grid of at most PIPELINE_POINTS cells to
+# PIPELINE_TOL within PIPELINE_MAX_LEVEL levels: at 128 cells and tolerance
+# 1e-3 the increments first fall below the tolerance at levels 12 and 13
+# (6.9e-4 and 3.5e-4; 1.4e-3 at level 11).
+PIPELINE_POINTS = 128
+PIPELINE_TOL = 1e-3
 PIPELINE_MAX_LEVEL = 13
 
 
@@ -264,14 +267,7 @@ def build_generator(which: str, g: GridSpec) -> Operator:
     return builders[which](g)
 
 
-def verify_example_bounds(
-    which: str,
-    g: GridSpec,
-    n_max: int = 3,
-    pipeline: bool = True,
-    pipeline_points: int = 128,
-    pipeline_tol: float = 1e-3,
-) -> ExampleReport:
+def verify_example_bounds(which: str, g: GridSpec, n_max: int, pipeline: bool) -> ExampleReport:
     """Check the model-problem bounds: contraction, bounded scaled sweep, assumptions.
 
     The sweep mu ||B R(mu, G)||_1 runs over [1, 10^K] at 20 points per
@@ -280,7 +276,7 @@ def verify_example_bounds(
     maxima. Dense diagnostics (contraction norms, continuity and derivative
     assumptions for sin(t) B, and for the heat problem the
     polygon-vs-integrator pipeline) run on a grid capped at REDUCED_POINTS
-    or pipeline_points cells.
+    or PIPELINE_POINTS cells.
     """
     gr = g.coarsened(REDUCED_POINTS)
     a_r = build_generator(which, gr)  # refuses an unknown name before any work
@@ -313,11 +309,11 @@ def verify_example_bounds(
     pipeline_levels = None
     pipeline_agreement = None
     if pipeline and which == "heat":
-        gp = g.coarsened(pipeline_points)
+        gp = g.coarsened(PIPELINE_POINTS)
         a_p = build_generator(which, gp)
         family = ScaledProfileFamily((0.0, 2.0 * math.pi), Sinusoid(), build_spiky_b(gp, n_max, mirror=True).operator())
-        refined = refine_to_tolerance(a_p, family, gb, tol=pipeline_tol, n_max=PIPELINE_MAX_LEVEL)
-        reference = oracle_solve(a_p, family, 2.0 * math.pi, 0.0, rk_steps=4096)
+        refined = refine_to_tolerance(a_p, family, gb, tol=PIPELINE_TOL, n_max=PIPELINE_MAX_LEVEL)
+        reference = oracle_solve(a_p, family, 2.0 * math.pi, 0.0)
         diff = refined.full_span.entries - reference.entries
         pipeline_levels = refined.levels
         pipeline_agreement = float(norm_of(diff, a_p.norm_kind))

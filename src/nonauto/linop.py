@@ -156,8 +156,11 @@ def log_norm(entries: np.ndarray, norm_kind: NormKind) -> float:
     """Logarithmic norm mu(A) of one raw matrix: ||e^{tA}|| <= e^{mu t} for t >= 0 (Soderlind, BIT 46, 2006).
 
     1-norm: max_j a_jj + sum_{i != j} |a_ij|; inf-norm: the same over rows; 2-norm: top eigenvalue of (A + A^T) / 2.
+    NaN where A has a non-finite entry, which no certificate covers.
     """
     m = np.asarray(entries, dtype=float)
+    if not np.isfinite(m).all():
+        return float("nan")
     if norm_kind is NormKind.TWO:
         return float(np.linalg.eigvalsh((m + m.T) / 2.0).max())
     m = m.T if norm_kind is NormKind.INF else m
@@ -196,16 +199,17 @@ def resolvent_stack(ms: np.ndarray, mus, skip: bool = False) -> tuple:
     ||(mu I - M) R - I||_1 exceeds RESOLVENT_RESIDUAL * kappa. Returns
     (r, kept): the kept resolvents in item order and a boolean mask over the
     items. The first refused item raises SingularResolvent unless skip is set.
-    A non-finite mu is refused before any arithmetic: its item is inverted as the
-    identity and given a NaN kappa.
+    An item with a non-finite mu or M is refused before any arithmetic: it is
+    inverted as the identity and given a NaN kappa.
     """
     ms, mus = np.asarray(ms, dtype=float), np.atleast_1d(np.asarray(mus, dtype=float))
     k, d = (ms.shape[0] if ms.ndim == 3 else mus.shape[0]), ms.shape[-1]
+    items = np.broadcast_to(np.isfinite(mus) & np.isfinite(ms).all(axis=(-2, -1)), (k,))
     ms, mus = np.broadcast_to(ms, (k, d, d)), np.broadcast_to(mus, (k,))
     out, kept = np.empty((k, d, d)), np.ones(k, dtype=bool)
     step = max(1, BLOCK_BYTES // (8 * d * d))
     for lo in range(0, k, step):
-        finite = np.isfinite(mus[lo : lo + step])
+        finite = items[lo : lo + step]
         m = np.where(finite, mus[lo : lo + step], 0.0)[:, None, None] * np.eye(d) - ms[lo : lo + step]
         m[~finite] = np.eye(d)
         try:
@@ -298,7 +302,7 @@ def _factor_blocks(ab: np.ndarray, kl: int, ku: int, d: int) -> tuple:
     return lu, piv
 
 
-def _stacked_solve(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+def _stacked_solve(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, rhs: np.ndarray, trans: int) -> np.ndarray:
     """(n, d, w) solutions of the n blocks of stacked band factors (_factor_blocks) against one (d, w) rhs: one gbtrs call.
 
     Each block's solution is the one-block call's, as its factors are, unless a
@@ -406,7 +410,8 @@ class BandResolvent:
     above the margin, a failed residual bound, an exactly singular factor) forms R
     from an identity right-hand side and is judged as before: _judge on the exact
     kappa_1 and the residual of a banded product, with resolvent_stack's messages. A
-    non-finite mu is refused before any arithmetic.
+    non-finite mu, and every mu where A has a non-finite entry, is refused before any
+    arithmetic.
 
     The mus are factored a chunk at a time (_mus_per_call: BLOCK_BYTES of band
     storage where A is at most tridiagonal, else one mu): one gbtrf call per chunk
@@ -416,15 +421,15 @@ class BandResolvent:
     The kept factors stay stacked, block i in columns i d to (i + 1) d.
     """
 
-    def __init__(self, a: np.ndarray, mus, skip: bool = False):
+    def __init__(self, a: np.ndarray, mus, skip: bool):
         d = self._d = a.shape[0]
         self.kl, self.ku = kl, ku = bandwidths(a)
         diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         dgbtrs = _band_lapack()[1]
-        finite = np.isfinite(mus)
+        finite = np.isfinite(mus) & np.isfinite(a).all()
         solved = np.flatnonzero(finite)
-        # A certified mu passes _judge with kappa = residual = 0; a non-finite one is refused with kappa = NaN.
+        # A certified mu passes _judge with kappa = residual = 0; a non-finite mu or A is refused with kappa = NaN.
         kappa, residual, nonneg = np.where(finite, 0.0, np.nan), np.zeros(len(mus)), np.ones(len(mus), dtype=bool)
         rows = 2 * kl + ku + 1
         self._lu, self._piv = np.empty((rows, len(solved) * d), order="F"), np.empty(len(solved) * d, dtype=np.int32)
@@ -489,7 +494,7 @@ class BandResolvent:
 class DenseResolvents:
     """R(mu_j, A) for one A against k mus as resolvent_stack's dense inverses, with BandResolvent's three members."""
 
-    def __init__(self, a: np.ndarray, mus, skip: bool = False):
+    def __init__(self, a: np.ndarray, mus, skip: bool):
         self._stack, self.kept = resolvent_stack(a, mus, skip)
 
     def resolvent(self, i: int) -> np.ndarray:

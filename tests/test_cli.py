@@ -384,6 +384,23 @@ class TestDichotomyCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
+    @pytest.mark.parametrize("config_n_max, argv, want", [(None, [], None), (9, [], 9), (9, ["--n-max", "5"], 5)])
+    def test_refinement_budget_is_the_configs_or_the_sweeps(self, tmp_path, monkeypatch, config_n_max, argv, want):
+        # The CLI restates no default of roughness_sweep: it passes n_max only when the config or a flag names one.
+        monkeypatch.chdir(tmp_path)
+        budgets = []
+
+        def sweep(*args, **kwargs):
+            budgets.append(kwargs.get("n_max"))
+            return []
+
+        monkeypatch.setattr(nonauto.cli, "roughness_sweep", sweep)
+        config = dict(TestUsageErrors.CONFIGS["dichotomy"])
+        if config_n_max is not None:
+            config["n_max"] = config_n_max
+        assert main(["dichotomy", "--config", _write_config(tmp_path / "cfg.json", config), *argv]) == 0
+        assert budgets == [want]
+
     def test_short_interval_exits_config_before_refining(self, tmp_path, monkeypatch, capsys):
         # The default time samples are roughness_sweep's own: an interval shorter
         # than 1 is refused before the first level, not after the refinement.
@@ -532,6 +549,23 @@ class TestErrorPaths:
         assert "numerical failure" in err and "non-finite entry" in err and "overflows" not in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("certified", [True, False], ids=["given", "fitted"])
+    def test_non_finite_matrix_converge_exits_numerical(self, tmp_path, monkeypatch, capsys, bad, certified):
+        # With no m/omega0, the NaN generator was fitted (1, -0.0) and the A-norm grid then
+        # found every mu unsolvable; with them, an infinite entry raised a RuntimeWarning.
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[bad, 0.0], [0.0, 1.0]],
+            "family": {"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.1, 0.0], [0.0, 0.1]]},
+        }
+        if certified:
+            config.update(m=1.0, omega0=1.0)
+        assert main(["converge", "--config", _write_config(tmp_path / "cfg.json", config)]) == 3
+        err = capsys.readouterr().err
+        want = "221 of 221 mu-grid points unsolvable" if certified else "eigenvalue iteration failed"
+        assert err.startswith("numerical failure: ") and want in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_matrix_exits_numerical(self, tmp_path, monkeypatch, capsys, bad):
         monkeypatch.chdir(tmp_path)
         config = {
@@ -558,7 +592,7 @@ class TestExitStatuses:
     @pytest.mark.parametrize("name", ERRORS)
     def test_error_type_sets_exit_status(self, name, tmp_path, monkeypatch, capsys):
         cls = getattr(errors, name)
-        exc = cls("raised", 1.0) if cls is errors.ToleranceNotReached else cls("raised")
+        exc = cls("raised", 1.0, ()) if cls is errors.ToleranceNotReached else cls("raised")
 
         def raising(seed):
             raise exc

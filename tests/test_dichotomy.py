@@ -50,7 +50,6 @@ class TestCheckHyperbolic:
     def test_jordan_block_exponential_not_hyperbolic(self):
         assert not check_hyperbolic(op2([[1.0, 1.0], [0.0, 1.0]])).hyperbolic
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_map_refused(self):
         with pytest.raises(NotInvertible):
             check_hyperbolic(op2(np.diag([1.0, 0.0])))

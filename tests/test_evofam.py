@@ -549,7 +549,7 @@ class TestOneLevelStack:
         gb = GrowthBound(1.0, 0.0)
         ev = ANormEvaluator(a, gb)
         fam.sup_anorm(ev)
-        res, peak = traced_peak(lambda: refine_to_tolerance(a, fam, gb, 2.5e-4, anorm=ev))
+        res, peak = traced_peak(lambda: refine_to_tolerance(a, fam, gb, 2.5e-4, n_max=14, anorm=ev))
         assert res.approx.level == 12
         assert peak < 0.1 * level_stack_bytes(32, 12)
 
@@ -606,7 +606,7 @@ class TestFold:
         a, fam, _ = self.problem(d)
         ts = np.linspace(0.0, 1.0, 17)[1:]
         for family in (unfactored(fam), fam):
-            res = refine_to_tolerance(a, family, GrowthBound(1.0, 0.0), 2e-3)
+            res = refine_to_tolerance(a, family, GrowthBound(1.0, 0.0), 2e-3, n_max=14)
             cells = source_cells(a, fam, res.approx.level) if family is fam else None
             ref = StackPolygon(a, family, res.approx.partition, cells=cells).evaluate_path(ts, 0.0)
             assert res.probe_values.shape == (16, d, d)
@@ -868,6 +868,13 @@ class TestOracle:
         with pytest.raises(PreconditionViolated):
             oracle_solve(a, fam, 0.2, 0.8)
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, np.nan])
+    def test_step_count_below_one_or_fractional_refused(self, steps):
+        a = op2(np.diag([-1.0]))
+        fam = ConstantFamily((0.0, 1.0), op2(np.zeros((1, 1))))
+        with pytest.raises(PreconditionViolated, match="integer rk_steps >= 1"):
+            oracle_solve(a, fam, 1.0, 0.0, rk_steps=steps)
+
     def test_unstable_steps_raise_overflow(self):
         # h = 1/64 puts h * -1e4 far outside RK4's stability region: M grows past doubles.
         a = op2(np.diag([-1e4, -1.0]))
@@ -877,8 +884,8 @@ class TestOracle:
         assert oracle_solve(a, fam, 1.0, 0.0, rk_steps=8192).entries[1, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     @staticmethod
-    def assert_close_to_step_loop(a, fam, t, s, steps, rk_steps=None):
-        got = oracle_solve(a, fam, t, s, rk_steps=steps if rk_steps is None else rk_steps).entries
+    def assert_close_to_step_loop(a, fam, t, s, steps):
+        got = oracle_solve(a, fam, t, s, rk_steps=steps).entries
         ref = rk4_step_loop(a, fam, t, s, steps)
         assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
@@ -891,8 +898,8 @@ class TestOracle:
             for fam in (profile, piecewise):
                 self.assert_close_to_step_loop(a, fam, 1.0, 0.0, 4096)
                 self.assert_close_to_step_loop(a, fam, 0.9, 0.25, 257)
-                # Fewer than 64 steps run 64.
-                self.assert_close_to_step_loop(a, fam, 0.7, 0.1, 64, rk_steps=5)
+                # A small count runs exactly that many steps.
+                self.assert_close_to_step_loop(a, fam, 0.7, 0.1, 5)
             assert np.array_equal(oracle_solve(a, profile, 0.5, 0.5).entries, np.eye(d))
         # At d = 3 a block holds 3640 steps: three blocks, the last one partial.
         a3 = op2(rng.standard_normal((3, 3)) - 2.0 * np.eye(3))
@@ -959,7 +966,7 @@ class TestRefine:
     def test_constant_family_stops_at_level_zero(self):
         a = op2(np.diag([-1.0, -2.0]))
         fam = ConstantFamily((0.0, 1.0), op2(0.5 * np.eye(2)))
-        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-6)
+        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-6, n_max=14)
         assert res.approx.partition.cells == 1
         assert res.achieved_delta == 0.0
         assert len(res.levels) == 1
@@ -967,7 +974,7 @@ class TestRefine:
     def test_sinusoid_meets_tolerance(self):
         a = op2(np.diag([-1.0, -2.0]))
         fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2(np.diag([0.5, 0.5])))
-        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-4)
+        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-4, n_max=14)
         n_final = res.levels[-1][0]
         assert n_final <= 16
         assert res.achieved_delta <= 1e-4
@@ -985,7 +992,7 @@ class TestRefine:
         a = op2(np.diag([-1.0, -2.0]))
         fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2(np.diag([0.5, 0.5])))
         monkeypatch.setattr(Operator, "__post_init__", lambda op: built.append(op) or post_init(op))
-        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-4)
+        res = refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-4, n_max=14)
         assert res.levels[-1][0] >= 8
         assert len(built) <= 2
 

@@ -25,7 +25,7 @@ from nonauto import (
     scaled_resolvent_sweep,
     verify_example_bounds,
 )
-from nonauto import linop
+from nonauto import examples, linop
 from nonauto.examples import Domain, GridSpec, _stencil, build_generator
 from nonauto.linop import log_norm, shifted_band
 
@@ -299,9 +299,11 @@ class TestVerifyExampleBounds:
         assert report.fitted_k > 0.0
         assert len(report.decades) >= 3
 
-    def test_heat_report_with_pipeline(self):
+    def test_heat_report_with_pipeline(self, monkeypatch):
+        monkeypatch.setattr(examples, "PIPELINE_POINTS", 24)
+        monkeypatch.setattr(examples, "PIPELINE_TOL", 2e-3)
         g = GridSpec(8.0, 256, Domain.LINE)
-        report = verify_example_bounds("heat", g, n_max=2, pipeline=True, pipeline_points=24, pipeline_tol=2e-3)
+        report = verify_example_bounds("heat", g, n_max=2, pipeline=True)
         assert report.contraction_pass
         assert report.no_growth_pass
         assert report.pipeline_agreement is not None
@@ -318,7 +320,7 @@ class TestVerifyExampleBounds:
         # Default grid and n_max = 3: the window ends at 10^K with K the
         # smallest K >= 4 whose middle decade starts at or past n_max^(4 order),
         # 81 for translation (K = 4) and 6561 for heat (K = 7).
-        report = verify_example_bounds(which, GridSpec(8.0, 2048, domain), pipeline=False)
+        report = verify_example_bounds(which, GridSpec(8.0, 2048, domain), n_max=3, pipeline=False)
         mus = [mu for mu, _ in report.sweep]
         assert len(mus) == 20 * decades + 1
         assert mus[0] == 1.0 and mus[-1] == pytest.approx(10.0**decades, rel=1e-12)
@@ -330,7 +332,7 @@ class TestVerifyExampleBounds:
 
     def test_unknown_example_refused(self):
         with pytest.raises(PreconditionViolated):
-            verify_example_bounds("advection", GridSpec(8.0, 64, Domain.HALF_LINE))
+            verify_example_bounds("advection", GridSpec(8.0, 64, Domain.HALF_LINE), n_max=3, pipeline=True)
 
 
 # Prints the peak RSS growth in kB of a 256-cell heat report over the RSS
@@ -339,7 +341,7 @@ MEMORY_CHILD = """
 import resource
 from nonauto.examples import Domain, GridSpec, verify_example_bounds
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-verify_example_bounds("heat", GridSpec(8.0, 256, Domain.LINE), pipeline=False)
+verify_example_bounds("heat", GridSpec(8.0, 256, Domain.LINE), n_max=3, pipeline=False)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
 """
 

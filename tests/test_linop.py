@@ -32,7 +32,8 @@ from nonauto.linop import (
     resolvent_stack,
     shifted_band,
 )
-from nonauto.metrics import MuGrid
+from nonauto.metrics import ANormEvaluator, MuGrid
+from nonauto.semigroup import GrowthBound
 
 from oracles import FormedBandResolvent, lu_resolvent
 
@@ -181,6 +182,16 @@ class TestLogNorm:
         a = np.array([[-1.0, 10.0], [0.0, -1.0]])
         assert log_norm(a, NormKind.TWO) == pytest.approx(4.0, rel=1e-15)
 
+    @pytest.mark.parametrize("kind", KINDS, ids=["1", "2", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reads_nan(self, kind, bad):
+        # No certificate covers such an A: eigvalsh read [[nan, 0], [0, 1]] as -0.0,
+        # and the 1- and inf-norm forms took inf - inf.
+        for i, j in ((0, 0), (0, 1)):
+            a = np.array([[-1.0, 0.5], [0.0, 1.0]])
+            a[i, j] = bad
+            assert np.isnan(log_norm(a, kind))
+
 
 class TestResolvent:
     def test_zero_generator(self):
@@ -195,7 +206,6 @@ class TestResolvent:
         r = resolvent(op2([[0.0, 1.0], [0.0, 0.0]]), 1.0)
         assert np.allclose(r.entries, [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_exactly_singular(self):
         with pytest.raises(SingularResolvent):
             resolvent(op2(np.diag([2.0, 0.0])), 2.0)
@@ -278,6 +288,35 @@ class TestNonFiniteMu:
         with pytest.raises(SingularResolvent, match=re.escape(f"exactly singular or not finite at mu={mu!r}")):
             resolvent_stack(a, [1.0, mu])
         assert resolvent_stack(np.stack([a, 2.0 * a]), mu, skip=True)[1].tolist() == [False, False]
+
+
+class TestNonFiniteGenerator:
+    # A non-finite entry of A is refused before any arithmetic, as a non-finite mu is: an
+    # infinite one raised a RuntimeWarning from inf * 0, and the suite makes that an error.
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_band_mode_refuses_every_mu(self, bad):
+        a = build_heat_generator(GridSpec(8.0, 64, Domain.LINE)).entries.copy()
+        a[5, 6] = bad
+        band = linop.resolvents(a, [1.0, 2.0], skip=True)
+        assert isinstance(band, BandResolvent)
+        assert band.kept.tolist() == [False, False] and len(band.nonneg) == 0
+        with pytest.raises(SingularResolvent, match=re.escape("exactly singular or not finite at mu=1.0")):
+            resolvent(Operator(a, NormKind.ONE), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_dense_mode_refuses_the_item(self, bad):
+        a = np.array([[-1.0, 0.5], [0.0, bad]])
+        r, kept = resolvent_stack(a, [1.0, 2.0], skip=True)
+        assert kept.tolist() == [False, False] and r.shape == (0, 2, 2)
+        with pytest.raises(SingularResolvent, match=re.escape("exactly singular or not finite at mu=1.0")):
+            resolvent_stack(a, [1.0, 2.0])
+        # In a stack against one mu only that item is refused.
+        good = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        r, kept = resolvent_stack(np.stack([good, a, 2.0 * good]), 1.0, skip=True)
+        assert kept.tolist() == [True, False, True]
+        assert np.array_equal(r, np.stack([resolvent_stack(m, 1.0)[0][0] for m in (good, 2.0 * good)]))
+        with pytest.raises(SingularResolvent, match="221 of 221 mu-grid points unsolvable"):
+            ANormEvaluator(Operator(a), GrowthBound(1.0, 0.0))
 
 
 def record_band_calls(patch) -> list:
@@ -409,9 +448,9 @@ class TestBandResolvent:
         band = BandResolvent(a, mus, skip=True)
         assert band.kept.tolist() == resolvent_stack(a, mus, skip=True)[1].tolist() == [True, True, False, False, True]
         with pytest.raises(SingularResolvent, match="exactly singular or not finite at mu=2.0"):
-            BandResolvent(a, mus)
+            BandResolvent(a, mus, skip=False)
         with pytest.raises(SingularResolvent, match="condition number .* at mu=3.0"):
-            BandResolvent(a, mus[3:])
+            BandResolvent(a, mus[3:], skip=False)
         assert_band_resolvent_matches_dense(a, mus)
 
     @staticmethod
@@ -462,7 +501,7 @@ class TestBandResolvent:
             r = resolvent(op2(a), 5.0).entries
         assert [x.shape[1] for x, _ in solved] == [d, d]
         assert np.array_equal(solved[0][0], r)
-        assert np.array_equal(r, BandResolvent(a, [5.0, 6.0]).resolvent(0))
+        assert np.array_equal(r, BandResolvent(a, [5.0, 6.0], skip=False).resolvent(0))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -503,7 +542,7 @@ class TestBandResolvent:
         with pytest.raises(SingularResolvent) as want:
             FormedBandResolvent(a, mus)
         with pytest.raises(SingularResolvent, match=re.escape(str(want.value))):
-            BandResolvent(a, mus)
+            BandResolvent(a, mus, skip=False)
         assert_band_resolvent_matches_dense(a, mus)
 
 
@@ -539,7 +578,7 @@ class TestBandResolvent:
         assert not np.isfinite(got[0, 0]) and np.isfinite(got[0, -1])
         assert np.array_equal(got, ref.norms(huge, NormKind.ONE), equal_nan=True)
         with pytest.raises(SingularResolvent, match=re.escape("exactly singular or not finite at mu=inf")):
-            BandResolvent(a, mus)
+            BandResolvent(a, mus, skip=False)
 
 
     def test_wider_band_takes_one_mu_per_call(self, monkeypatch):
@@ -553,7 +592,7 @@ class TestBandResolvent:
         mus = np.geomspace(1.0, 1e3, 7)
         with monkeypatch.context() as patch:
             calls = record_band_calls(patch)
-            band = BandResolvent(a, mus)
+            band = BandResolvent(a, mus, skip=False)
         assert calls == [("gbtrf", d), ("gbtrs", (d, 1))] * 7
         ref = FormedBandResolvent(a, mus)
         assert_same_factors(band, ref)

@@ -91,7 +91,6 @@ class TestANorm:
         base = a_norm(c, a, gb).value
         assert a_norm(op2(2.5 * c.entries), a, gb).value == pytest.approx(2.5 * base, rel=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_skip_budget_exceeded(self):
         # place eigenvalues of A exactly on the first thirty grid points so
         # the resolvent sweep loses more than a tenth of its samples
@@ -511,7 +510,6 @@ class TestLemma32Decay:
         assert -2.3 <= res.slope <= -1.7
         assert res.identity_residual <= 1e-8
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_inadmissible_mu_propagates(self):
         from nonauto import SingularResolvent
 

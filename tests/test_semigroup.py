@@ -1,5 +1,6 @@
 """Exponentials, growth certificates, pair difference bound."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from nonauto import (
+    EigenFailure,
     GrowthBound,
     NormKind,
     Operator,
@@ -47,11 +49,10 @@ class TestExpm:
         rhs = expm(0.7 * a).entries @ expm(0.4 * a).entries
         assert np.allclose(lhs, rhs, atol=1e-13)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_reports_required_squarings(self):
-        with pytest.raises(Overflow) as exc:
+    def test_overflow_reports_largest_one_norm(self):
+        # e^800 overflows doubles at any squaring count; the message names the block's largest 1-norm.
+        with pytest.raises(Overflow, match=re.escape("an exponential overflows doubles (largest 1-norm 8.000e+02)")):
             expm(op2(np.diag([800.0, 800.0])))
-        assert exc.value.required_squarings >= 1
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_input_raises_typed_overflow(self, bad):
@@ -334,6 +335,14 @@ class TestFitGrowthBound:
         # The fit's between-node factor e^{(mu - omega0) h} overflows doubles here.
         a = Operator(np.array(entries), kind)
         assert fit_growth_bound(a) == GrowthBound(1.0, log_norm(a.entries, kind))
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_generator_gets_no_certificate(self, kind, bad):
+        # log_norm read [[nan, 0], [0, 1]] as -0.0 in the 2-norm, which certified (1, -0.0),
+        # and an infinite entry took inf - inf in the 1- and inf-norms.
+        with pytest.raises(EigenFailure):
+            fit_growth_bound(Operator(np.array([[bad, 0.0], [0.0, 1.0]]), kind))
 
     @pytest.mark.parametrize("kind", [NormKind.ONE, NormKind.INF])
     def test_translation_generator_takes_lumer_phillips(self, kind):
