@@ -745,13 +745,15 @@ def refine_to_tolerance(
     below tol, guarding against accidental zeros on coarse dyadic grids.
     Each level also records the a-priori bound (b - a) e^{4 omega1} Omega_n,
     inf where e^{4 omega1} exceeds doubles. tol <= 0 or NaN, which no level
-    meets, and n_max > MAX_LEVEL, which no partition reaches, are refused
-    before level 0.
+    meets, and an n_max outside [0, MAX_LEVEL], which no partition reaches,
+    are refused before level 0. An n_max of 0 or 1 is a budget: it returns
+    level 0 for a family constant in ||.||_A, and else raises
+    ToleranceNotReached with the increments it measured.
     """
     if not tol > 0.0:
         raise PreconditionViolated(f"refine_to_tolerance wants tol > 0, got {tol!r}")
-    if n_max > MAX_LEVEL:
-        raise PreconditionViolated(f"refine_to_tolerance wants n_max <= MAX_LEVEL = {MAX_LEVEL}, got {n_max}")
+    if not 0 <= n_max <= MAX_LEVEL:
+        raise PreconditionViolated(f"refine_to_tolerance wants 0 <= n_max <= MAX_LEVEL = {MAX_LEVEL}, got {n_max}")
     t0, t1 = family.interval
     evaluator = anorm or ANormEvaluator(a, gb)
     omega1 = float(family.sup_anorm(evaluator))

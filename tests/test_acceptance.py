@@ -18,6 +18,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nonauto
@@ -25,6 +26,8 @@ import nonauto.acceptance
 from nonauto.acceptance import run_criteria
 from nonauto.dichotomy import EpsSweepResult
 from nonauto.evofam import ScaledProfileFamily
+from nonauto.examples import Domain, GridSpec, build_heat_generator, heat_resolvent_green
+from nonauto.linop import resolvent
 from nonauto.profiles import Profile, Sinusoid
 
 SEED = 7
@@ -153,14 +156,55 @@ def test_spiky_sweep_criterion_forms_no_dense_diagonal():
     assert peak < 16 * 2**20
 
 
-def test_green_kernel_criterion_takes_its_mass_from_kernel_rows(monkeypatch):
-    # The mass check reads 2048-point column sums from one kernel row; only the
-    # halving ratio forms dense kernels, at 512 and 1024 points (a 2048-point one is 32 MB).
-    sizes, green = [], nonauto.acceptance.heat_resolvent_green
-    record = lambda g, mu: sizes.append(g.points) or green(g, mu)  # noqa: E731
-    monkeypatch.setattr(nonauto.acceptance, "heat_resolvent_green", record)
+def test_green_kernel_criterion_forms_no_dense_matrix(monkeypatch):
+    # The mass check reads 2048-point column sums from one kernel row, and the
+    # halving ratio streams R(4, G) and the kernel in column blocks: no dense
+    # generator, kernel or resolvent is formed at any size.
+    def refuse(*args, **kwargs):
+        raise AssertionError("criterion 11 formed a dense matrix")
+
+    for module, name in (
+        (nonauto.examples, "heat_resolvent_green"),
+        (nonauto.examples, "build_heat_generator"),
+        (nonauto.examples, "_stencil_matrix"),
+        (nonauto.linop, "resolvent"),
+        (nonauto.linop, "resolvents"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(nonauto.acceptance, name, refuse, raising=False)
     assert nonauto.acceptance.criterion_11(SEED).passed
-    assert sizes and max(sizes) <= 1024
+
+
+def test_green_kernel_criterion_streams_the_dense_columns(monkeypatch):
+    # At 512 points the streamed R blocks are resolvent(G, 4)'s interior
+    # columns bit for bit, and their largest column error is the dense one's.
+    dgbtrf, dgbtrs, solve_banded = nonauto.linop._band_lapack()
+    green = nonauto.acceptance._green
+    solves, kernels = [], []
+
+    def record_solve(*args, **kwargs):
+        out = dgbtrs(*args, **kwargs)
+        solves.append(out[0])
+        return out
+
+    def record_green(g, mu, x, y):
+        kernels.append(green(g, mu, x, y))
+        return kernels[-1]
+
+    monkeypatch.setattr(nonauto.acceptance, "_band_lapack", lambda: (dgbtrf, record_solve, solve_banded))
+    monkeypatch.setattr(nonauto.acceptance, "_green", record_green)
+    assert nonauto.acceptance.criterion_11(SEED).passed
+    pairs = [(k, r) for k, r in zip(kernels, solves) if r.shape[0] == 512]
+    assert len(pairs) > 1
+
+    g = GridSpec(20.0, 512, Domain.LINE)
+    interior = np.abs(g.centers()) <= g.length / 4.0
+    kernel = heat_resolvent_green(g, 4.0).entries[:, interior]
+    discrete = resolvent(build_heat_generator(g), 4.0).entries[:, interior]
+    assert np.array_equal(np.hstack([r for _, r in pairs]), discrete)
+    dense = np.abs(kernel - discrete).sum(axis=0).max()
+    streamed = max(np.abs(k - r).sum(axis=0).max() for k, r in pairs)
+    assert streamed == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_green_kernel_criterion_memory_peak():
@@ -170,7 +214,7 @@ def test_green_kernel_criterion_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 8 * 2**20
 
 
 def _child_env():

@@ -517,7 +517,9 @@ class TestErrorPaths:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
-    @pytest.mark.parametrize("key, value", [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("n_max", 25)])
+    @pytest.mark.parametrize(
+        "key, value", [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("n_max", 25), ("n_max", -3)]
+    )
     def test_impossible_refinement_exits_config(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)
         config = dict(TestUsageErrors.CONFIGS["converge"], family={

@@ -1004,10 +1004,12 @@ class TestRefine:
         assert exc.value.best_delta > 1e-14
         assert len(exc.value.levels) >= 2
 
-    @pytest.mark.parametrize("tol, n_max", [(0.0, 14), (-1.0, 14), (math.nan, 14), (1e-4, evofam.MAX_LEVEL + 1)])
+    @pytest.mark.parametrize(
+        "tol, n_max", [(0.0, 14), (-1.0, 14), (math.nan, 14), (1e-4, evofam.MAX_LEVEL + 1), (1e-4, -1), (1e-4, -3)]
+    )
     def test_impossible_request_refused_before_level_zero(self, tol, n_max, monkeypatch):
         # No level can meet tol <= 0 (or NaN), and no partition goes past
-        # MAX_LEVEL: both are refused before any polygon is built.
+        # MAX_LEVEL or below level 0: all are refused before any polygon is built.
         def refuse(*args):
             raise AssertionError("built a polygon")
 
@@ -1016,6 +1018,16 @@ class TestRefine:
         fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2(np.diag([0.5, 0.5])))
         with pytest.raises(PreconditionViolated):
             refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol, n_max=n_max)
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_budget_below_two_increments_is_a_numerical_failure(self, n_max):
+        # A budget of 0 or 1 is valid (level 0 is exact for a family constant in
+        # ||.||_A), but on any other family it shows at most one increment.
+        a = op2(np.diag([-1.0, -2.0]))
+        fam = ScaledProfileFamily((0.0, 1.0), np.sin, op2(np.diag([0.5, 0.5])))
+        with pytest.raises(ToleranceNotReached) as exc:
+            refine_to_tolerance(a, fam, GrowthBound(1.0, -1.0), tol=1e-4, n_max=n_max)
+        assert [lv[0] for lv in exc.value.levels] == list(range(1, n_max + 1))
 
     def test_budget_exhaustion_message_reports_last_increment(self):
         # Both left nodes of level 1 sit at zeros of sin, so the level-1
