@@ -24,7 +24,7 @@ import numpy as np
 
 from .acceptance import verify_all_rows
 from .dichotomy import roughness_sweep
-from .errors import NonautoError, NumericalFailure, ToleranceNotReached
+from .errors import NonautoError, NumericalFailure, PreconditionViolated, ToleranceNotReached
 from .evofam import euler_polygon, family_from_spec, refine_to_tolerance
 from .examples import Domain, GridSpec, build_generator, verify_example_bounds
 from .linop import NormKind, Operator, read_matrix, write_matrix
@@ -61,6 +61,13 @@ def _load_config(args) -> dict:
     return config
 
 
+def _integer(value, key: str) -> int:
+    """A config integer: a JSON integer, not a bool. int() would read 3.9 as 3 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionViolated(f"config {key} must be an integer, got {value!r}")
+    return value
+
+
 class _Artifacts:
     """Writes one run's files <out>_<name>.csv and .json, each tagged with the config hash and seed."""
 
@@ -92,7 +99,7 @@ def _load_run(args):
     else:
         a = Operator(np.asarray(config["matrix"], dtype=float), kind)
     family = family_from_spec(config["family"], kind)
-    return config, _Artifacts(config, int(config.get("seed", 0)), config.get("out") or "run"), a, family
+    return config, _Artifacts(config, _integer(config.get("seed", 0), "seed"), config.get("out") or "run"), a, family
 
 
 def _growth_bound(config: dict, a: Operator) -> GrowthBound:
@@ -106,7 +113,7 @@ def _t_grid(spec, default) -> np.ndarray:
     if spec is None:
         return default
     if isinstance(spec, dict):
-        return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
+        return np.linspace(float(spec["start"]), float(spec["stop"]), _integer(spec["count"], "t_grid count"))
     return np.asarray([float(t) for t in spec])
 
 
@@ -149,11 +156,11 @@ def cmd_ydist(args) -> int:
 
 def cmd_evolve(args) -> int:
     config, artifacts, a, family = _load_run(args)
-    level = int(config.get("level", 8))
-    u = euler_polygon(a, family, level)
+    level = _integer(config.get("level", 8), "level")
     t0, t1 = family.interval
     s = float(config.get("s", t0))
     ts = _t_grid(config.get("t_grid"), np.linspace(s, t1, 17))
+    u = euler_polygon(a, family, level)
     path = u.evaluate_path(ts, s)
     columns = ["t"] + [f"u_{i}_{j}" for i in range(a.dim) for j in range(a.dim)]
     rows = ([_fmt(t)] + [_fmt(v) for v in u_t.reshape(-1)] for t, u_t in zip(ts, path))
@@ -164,9 +171,9 @@ def cmd_evolve(args) -> int:
 
 def cmd_converge(args) -> int:
     config, artifacts, a, family = _load_run(args)
-    gb = _growth_bound(config, a)
     tol = float(config.get("tol", 1e-4))
-    n_max = int(config.get("n_max", 14))
+    n_max = _integer(config.get("n_max", 14), "n_max")
+    gb = _growth_bound(config, a)
     try:
         result = refine_to_tolerance(a, family, gb, tol, n_max=n_max)
     except ToleranceNotReached as exc:
@@ -194,9 +201,9 @@ def cmd_converge(args) -> int:
 def cmd_dichotomy(args) -> int:
     config, artifacts, a, shape = _load_run(args)
     eps_list = config.get("eps_list", [0.0, 0.01, 0.05])
-    gb = _growth_bound(config, a)
     ts = _t_grid(config.get("t_grid"), None)  # None: roughness_sweep's own samples
-    budget = {"n_max": int(config["n_max"])} if "n_max" in config else {}  # else roughness_sweep's own
+    budget = {"n_max": _integer(config["n_max"], "n_max")} if "n_max" in config else {}  # else roughness_sweep's own
+    gb = _growth_bound(config, a)
     results = roughness_sweep(a, shape, eps_list, gb, t_samples=ts, **budget)
     rows = []
     summary = []

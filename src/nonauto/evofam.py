@@ -326,7 +326,7 @@ class PiecewiseLinearFamily(PerturbationFamily):
 class CallableFamily(PerturbationFamily):
     """B(t) from an arbitrary callable; modulus falls back to sampling."""
 
-    def __init__(self, interval, fn, dim: int, norm_kind: NormKind = NormKind.TWO):
+    def __init__(self, interval, fn, dim: int, norm_kind: NormKind):
         super().__init__(interval, dim, norm_kind)
         self.fn = fn
 
@@ -341,7 +341,7 @@ class CallableFamily(PerturbationFamily):
 class TabulatedFamily(PiecewiseLinearFamily):
     """Piecewise-linear family read from a CSV of t plus row-major entries."""
 
-    def __init__(self, path, norm_kind: NormKind = NormKind.TWO):
+    def __init__(self, path, norm_kind: NormKind):
         nodes, rows = [], []
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
@@ -813,7 +813,7 @@ def verify_generator_derivative(u: EvolutionFamilyApprox, s: float) -> list:
     return out
 
 
-def family_from_spec(config: dict, norm_kind: NormKind = NormKind.TWO) -> PerturbationFamily:
+def family_from_spec(config: dict, norm_kind: NormKind) -> PerturbationFamily:
     """Build a family from a plain-dict description (CLI config files).
 
     kinds: constant {interval, entries}, sinusoid {interval, entries,

@@ -63,7 +63,7 @@ class Operator:
     """Immutable square matrix tagged with its induced norm."""
 
     entries: np.ndarray
-    norm_kind: NormKind = NormKind.TWO
+    norm_kind: NormKind
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -114,7 +114,7 @@ class Spectrum:
     radius: float
 
 
-def identity(dim: int, norm_kind: NormKind = NormKind.TWO) -> Operator:
+def identity(dim: int, norm_kind: NormKind) -> Operator:
     return Operator(np.eye(dim), norm_kind)
 
 
@@ -305,13 +305,15 @@ def _factor_blocks(ab: np.ndarray, kl: int, ku: int, d: int) -> tuple:
 def _stacked_solve(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, rhs: np.ndarray, trans: int) -> np.ndarray:
     """(n, d, w) solutions of the n blocks of stacked band factors (_factor_blocks) against one (d, w) rhs: one gbtrs call.
 
-    Each block's solution is the one-block call's, as its factors are, unless a
-    neighbour's solution is not finite (0 * inf): a block whose solution is
-    not finite is solved again alone.
+    The one gbtrs site. One block takes rhs as it is. Each block's solution is
+    the one-block call's, as its factors are, unless a neighbour's solution is
+    not finite (0 * inf): a block whose solution is not finite is solved again alone.
     """
     dgbtrs = _band_lapack()[1]
     d = rhs.shape[0]
     n = lu.shape[1] // d
+    if n == 1:
+        return dgbtrs(lu, kl, ku, rhs, piv, trans=trans)[0].reshape(1, d, -1)
     offsets = np.repeat(np.arange(n, dtype=piv.dtype) * d, d)
     x = dgbtrs(lu, kl, ku, np.tile(rhs, (n, 1)), piv + offsets, trans=trans)[0].reshape(n, d, -1)
     for i in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
@@ -426,7 +428,6 @@ class BandResolvent:
         self.kl, self.ku = kl, ku = bandwidths(a)
         diagonals = {k: np.diagonal(a, k) for k in range(-kl, ku + 1)}
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        dgbtrs = _band_lapack()[1]
         finite = np.isfinite(mus) & np.isfinite(a).all()
         solved = np.flatnonzero(finite)
         # A certified mu passes _judge with kappa = residual = 0; a non-finite mu or A is refused with kappa = NaN.
@@ -446,7 +447,7 @@ class BandResolvent:
             for j in np.flatnonzero(~certified):
                 i, block, eye = chunk[j], slice(j * d, (j + 1) * d), np.eye(d, order="F")
                 singular = (lu[kl + ku, block] == 0.0).any()
-                r = np.full((d, d), np.nan) if singular else dgbtrs(lu[:, block], kl, ku, eye, piv[block])[0]
+                r = np.full((d, d), np.nan) if singular else _stacked_solve(lu[:, block], piv[block], kl, ku, eye, 0)[0]
                 kappa[i] = m_norm[j] * norm_of(r, NormKind.ONE)
                 residual[i] = norm_of(_band_matmul(ab[:, block], kl, ku, r) - eye, NormKind.ONE)
                 nonneg[i] = (r >= 0.0).all()
@@ -459,8 +460,7 @@ class BandResolvent:
     def resolvent(self, i: int) -> np.ndarray:
         """R(mu, A) at the i-th kept mu: one solve of its factors on the identity."""
         block = slice(i * self._d, (i + 1) * self._d)
-        lu, piv = self._lu[:, block], self._piv[block]
-        return _band_lapack()[1](lu, self.kl, self.ku, np.eye(self._d, order="F"), piv)[0]
+        return _stacked_solve(self._lu[:, block], self._piv[block], self.kl, self.ku, np.eye(self._d, order="F"), 0)[0]
 
     def norms(self, mats: np.ndarray, norm_kind: NormKind) -> np.ndarray:
         """(k, kept) norms ||C_j R(mu_i, A)|| of a (k, d, d) stack over the kept mus.
@@ -543,7 +543,7 @@ def spectrum(a: Operator) -> Spectrum:
     )
 
 
-def read_matrix(path, norm_kind: NormKind = NormKind.TWO) -> Operator:
+def read_matrix(path, norm_kind: NormKind) -> Operator:
     """Read the plain-text matrix format: a `dim k` line, then k rows of k entries."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()

@@ -43,7 +43,7 @@ class Sinusoid(Profile):
 class Constant(Profile):
     """The profile phi(t) = value."""
 
-    value: float = 1.0
+    value: float
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.full(len(ts), float(self.value))

@@ -191,7 +191,7 @@ def test_green_kernel_criterion_streams_the_dense_columns(monkeypatch):
         kernels.append(green(g, mu, x, y))
         return kernels[-1]
 
-    monkeypatch.setattr(nonauto.acceptance, "_band_lapack", lambda: (dgbtrf, record_solve, solve_banded))
+    monkeypatch.setattr(nonauto.linop, "_band_lapack", lambda: (dgbtrf, record_solve, solve_banded))
     monkeypatch.setattr(nonauto.acceptance, "_green", record_green)
     assert nonauto.acceptance.criterion_11(SEED).passed
     pairs = [(k, r) for k, r in zip(kernels, solves) if r.shape[0] == 512]

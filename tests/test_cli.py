@@ -528,6 +528,34 @@ class TestErrorPaths:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("evolve", "level", 3.9),
+            ("evolve", "level", True),
+            ("evolve", "seed", 2.5),
+            ("evolve", "t_grid", {"start": 0.0, "stop": 1.0, "count": 4.5}),
+            ("converge", "n_max", 13.9),
+            ("dichotomy", "n_max", 2.5),
+        ],
+        ids=["level-float", "level-bool", "seed-float", "t-grid-count-float", "converge-n-max", "dichotomy-n-max"],
+    )
+    def test_non_integer_config_integer_exits_config(self, tmp_path, monkeypatch, capsys, command, key, value):
+        # int() truncated 3.9 to 3 and read true as 1, so the run took a value the config does not hold.
+        monkeypatch.chdir(tmp_path)
+        config = {
+            "matrix": [[-1.0, 0.5], [0.0, -2.0]],
+            "m": 1.0,
+            "omega0": 0.0,
+            "family": {"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.0, 0.3], [0.2, 0.0]]},
+            "eps_list": [0.0],
+            key: value,
+        }
+        assert main([command, "--config", _write_config(tmp_path / "cfg.json", config)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and ("count" if key == "t_grid" else key) in err
+        assert not list(tmp_path.glob("run_*"))
+
     @pytest.mark.parametrize("command", ["converge", "dichotomy"])
     def test_infinite_interval_exits_config(self, tmp_path, monkeypatch, capsys, command):
         # An interval end at inf reached "math domain error" in the level count.

@@ -89,7 +89,7 @@ class TestDyadicPartition:
 def _tabulated_unit(tmp_path):
     path = tmp_path / "unit.csv"
     path.write_text("0.0, 1.0, 0.0, 0.0, 1.0\n1.0, 0.0, 1.0, 1.0, 0.0\n")
-    return TabulatedFamily(str(path))
+    return TabulatedFamily(str(path), NormKind.TWO)
 
 
 # One family of every kind on [0, 1], built from a scratch directory.
@@ -99,7 +99,7 @@ _UNIT_FAMILIES = {
     "scaled": lambda tmp: ScaledProfileFamily((0.0, 1.0), math.sin, op2(np.eye(2))).scale(0.5),
     "piecewise": lambda tmp: PiecewiseLinearFamily([0.0, 1.0], [np.zeros((2, 2)), np.eye(2)]),
     "tabulated": _tabulated_unit,
-    "callable": lambda tmp: CallableFamily((0.0, 1.0), lambda t: t * np.eye(2), dim=2),
+    "callable": lambda tmp: CallableFamily((0.0, 1.0), lambda t: t * np.eye(2), dim=2, norm_kind=NormKind.TWO),
 }
 
 
@@ -181,7 +181,7 @@ class TestFamilies:
     @pytest.mark.parametrize("key, value", [("amplitude", math.inf), ("frequency", math.inf), ("phase", math.nan)])
     def test_non_finite_sinusoid_gives_non_finite_values_without_warning(self, key, value):
         # Warnings are errors in this suite; the cell exponentials refuse the values.
-        fam = family_from_spec({"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.5, 0.0], [0.0, 0.5]], key: value})
+        fam = family_from_spec({"kind": "sinusoid", "interval": [0.0, 1.0], "entries": [[0.5, 0.0], [0.0, 0.5]], key: value}, NormKind.TWO)
         assert not np.isfinite(fam.values_stack([0.0])).any()
         with pytest.raises(Overflow, match="non-finite entry"):
             euler_polygon(op2(-np.eye(2)), fam, 0).evaluate(1.0, 0.0)
@@ -190,7 +190,7 @@ class TestFamilies:
         # inf x 0 is NaN: the product of an infinite profile value and B0's zero entries warns
         # nothing, and the cell exponentials refuse the values.
         spec = {"kind": "sinusoid", "interval": [0.0, 3.0], "entries": [[0.5, 0.0], [0.0, 0.5]], "amplitude": math.inf}
-        fam = family_from_spec(spec)
+        fam = family_from_spec(spec, NormKind.TWO)
         vals = fam.values_stack([0.5])
         assert np.isposinf(np.diagonal(vals[0])).all() and np.isnan(vals[0, [0, 1], [1, 0]]).all()
         with pytest.raises(Overflow, match="non-finite entry"):
@@ -262,7 +262,7 @@ class TestFamilies:
             "0.0, 0.0, 1.0, 0.0, 0.0\n"
             "1.0, 2.0, 1.0, 0.0, 2.0\n"
         )
-        fam = TabulatedFamily(str(path))
+        fam = TabulatedFamily(str(path), NormKind.TWO)
         assert fam.interval == (0.0, 1.0)
         assert np.allclose(fam(0.5).entries, [[1.0, 1.0], [0.0, 1.0]])
 
@@ -270,26 +270,26 @@ class TestFamilies:
         empty = tmp_path / "empty.csv"
         empty.write_text("# nothing\n")
         with pytest.raises(PreconditionViolated):
-            TabulatedFamily(str(empty))
+            TabulatedFamily(str(empty), NormKind.TWO)
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("0.0, 1.0, 2.0\n1.0, 1.0, 2.0\n")
         with pytest.raises(DimensionMismatch):
-            TabulatedFamily(str(ragged))
+            TabulatedFamily(str(ragged), NormKind.TWO)
 
     def test_family_from_spec_kinds(self):
-        const = family_from_spec({"kind": "constant", "interval": [0.0, 1.0], "entries": [[1.0, 0.0], [0.0, 1.0]]})
+        const = family_from_spec({"kind": "constant", "interval": [0.0, 1.0], "entries": [[1.0, 0.0], [0.0, 1.0]]}, NormKind.TWO)
         assert isinstance(const, ConstantFamily)
         sin = family_from_spec(
-            {"kind": "sinusoid", "interval": [0.0, 2.0], "entries": [[1.0]], "amplitude": 0.5, "frequency": 2.0}
+            {"kind": "sinusoid", "interval": [0.0, 2.0], "entries": [[1.0]], "amplitude": 0.5, "frequency": 2.0}, NormKind.TWO
         )
         assert sin(1.0).entries[0, 0] == pytest.approx(0.5 * math.sin(2.0))
-        pw = family_from_spec({"kind": "piecewise", "nodes": [0.0, 1.0], "mats": [[[0.0]], [[1.0]]]})
+        pw = family_from_spec({"kind": "piecewise", "nodes": [0.0, 1.0], "mats": [[[0.0]], [[1.0]]]}, NormKind.TWO)
         assert pw(0.25).entries[0, 0] == pytest.approx(0.25)
 
     def test_family_from_spec_tabulated(self, tmp_path):
         path = tmp_path / "fam.csv"
         path.write_text("0.0, 1.0\n2.0, 3.0\n")
-        fam = family_from_spec({"kind": "tabulated", "path": str(path)})
+        fam = family_from_spec({"kind": "tabulated", "path": str(path)}, NormKind.TWO)
         assert fam.interval == (0.0, 2.0)
 
     @pytest.mark.parametrize("t", [5.0, -0.5, float("nan")])
@@ -306,7 +306,7 @@ class TestFamilies:
             oracle_solve(op2(np.diag([-1.0, -2.0])), fam, t_end, s)
 
     def test_callable_of_wrong_dimension_raises(self):
-        fam = CallableFamily((0.0, 1.0), lambda t: np.eye(3), dim=2)
+        fam = CallableFamily((0.0, 1.0), lambda t: np.eye(3), dim=2, norm_kind=NormKind.TWO)
         with pytest.raises(DimensionMismatch):
             fam(0.5)
         with pytest.raises(DimensionMismatch):
@@ -324,7 +324,7 @@ class TestFamilies:
 
     def test_family_from_spec_unknown_kind(self):
         with pytest.raises(PreconditionViolated):
-            family_from_spec({"kind": "perlin", "interval": [0.0, 1.0]})
+            family_from_spec({"kind": "perlin", "interval": [0.0, 1.0]}, NormKind.TWO)
 
 
 class TestModulusContract:

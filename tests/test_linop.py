@@ -1,5 +1,6 @@
 """Operators, induced norms, resolvents, spectra, and the matrix file format."""
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,13 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nonauto.acceptance
 from nonauto import linop
 from nonauto import (
+    CallableFamily,
+    Constant,
     DimensionMismatch,
     NormKind,
     NormKindMismatch,
     Operator,
     SingularResolvent,
+    TabulatedFamily,
+    family_from_spec,
     identity,
     op_norm,
     read_matrix,
@@ -45,7 +51,7 @@ def op2(entries):
 class TestOperator:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            Operator(np.zeros((2, 3)))
+            Operator(np.zeros((2, 3)), NormKind.TWO)
 
     def test_entries_are_immutable(self):
         a = op2([[1.0, 0.0], [0.0, 1.0]])
@@ -73,9 +79,28 @@ class TestOperator:
             NormKind.parse("fro")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Operator(np.eye(2)),
+        lambda: identity(2),
+        lambda: read_matrix("a.txt"),
+        lambda: family_from_spec({"kind": "constant", "interval": [0.0, 1.0], "entries": [[1.0]]}),
+        lambda: TabulatedFamily("family.csv"),
+        lambda: CallableFamily((0.0, 1.0), lambda t: np.eye(2), dim=2),
+        lambda: Constant(),
+    ],
+    ids=["Operator", "identity", "read_matrix", "family_from_spec", "TabulatedFamily", "CallableFamily", "Constant"],
+)
+def test_norm_kind_and_value_have_no_default(build):
+    # A bound certified in one norm says nothing in another, so no constructor picks one.
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        build()
+
+
 class TestNorms:
     def test_zero_matrix(self):
-        assert op_norm(Operator(np.zeros((3, 3)))) == 0.0
+        assert op_norm(Operator(np.zeros((3, 3)), NormKind.TWO)) == 0.0
 
     def test_diagonal_two_norm(self):
         assert op_norm(op2(np.diag([3.0, -1.0]))) == pytest.approx(3.0, rel=1e-12)
@@ -316,7 +341,7 @@ class TestNonFiniteGenerator:
         assert kept.tolist() == [True, False, True]
         assert np.array_equal(r, np.stack([resolvent_stack(m, 1.0)[0][0] for m in (good, 2.0 * good)]))
         with pytest.raises(SingularResolvent, match="221 of 221 mu-grid points unsolvable"):
-            ANormEvaluator(Operator(a), GrowthBound(1.0, 0.0))
+            ANormEvaluator(Operator(a, NormKind.TWO), GrowthBound(1.0, 0.0))
 
 
 def record_band_calls(patch) -> list:
@@ -337,6 +362,27 @@ def record_band_calls(patch) -> list:
 
     patch.setattr(linop, "_band_lapack", lambda: (factored, solved, swept))
     return calls
+
+
+def record_gbtrs_callers(patch) -> list:
+    """Patch linop._band_lapack to log the code object of the function that makes each gbtrs call."""
+    callers, (dgbtrf, dgbtrs, solve_banded) = [], linop._band_lapack()
+
+    def solved(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return dgbtrs(*args, **kwargs)
+
+    patch.setattr(linop, "_band_lapack", lambda: (dgbtrf, solved, solve_banded))
+    return callers
+
+
+def random_sign_tridiagonal(d: int) -> np.ndarray:
+    """A tridiagonal A with random-sign off-diagonals: mu I - A leaves the M-matrix sign pattern, so no mu certifies."""
+    rng = np.random.default_rng(3)
+    a = np.diag(-rng.uniform(1.0, 3.0, d))
+    for k in (-1, 1):
+        a += np.diag(rng.uniform(0.0, 1.0, d - 1) * rng.choice([-1.0, 1.0], d - 1), k)
+    return a
 
 
 def assert_same_factors(band: BandResolvent, ref: FormedBandResolvent) -> None:
@@ -483,11 +529,8 @@ class TestBandResolvent:
         # Random-sign off-diagonals leave the M-matrix sign pattern, so mu = 5 is
         # judged from a formed R; resolvent keeps only the factors and solves again,
         # to the same bits.
-        rng = np.random.default_rng(3)
         d = 128
-        a = np.diag(-rng.uniform(1.0, 3.0, d))
-        for k in (-1, 1):
-            a += np.diag(rng.uniform(0.0, 1.0, d - 1) * rng.choice([-1.0, 1.0], d - 1), k)
+        a = random_sign_tridiagonal(d)
         assert isinstance(linop.resolvents(a, [5.0]), BandResolvent)
         dgbtrf, dgbtrs, solve_banded = linop._band_lapack()
         solved = []
@@ -502,6 +545,22 @@ class TestBandResolvent:
         assert [x.shape[1] for x, _ in solved] == [d, d]
         assert np.array_equal(solved[0][0], r)
         assert np.array_equal(r, BandResolvent(a, [5.0, 6.0], skip=False).resolvent(0))
+
+    @pytest.mark.parametrize("path", ["uncertified-build", "resolvent", "criterion-11"])
+    def test_every_gbtrs_call_is_a_stacked_solve(self, path, monkeypatch):
+        # One band-solve kernel: a formed R, a kept mu's R and criterion 11's
+        # unit-vector columns all go through _stacked_solve.
+        a = random_sign_tridiagonal(128)
+        band = BandResolvent(a, [5.0], skip=False)
+        with monkeypatch.context() as patch:
+            callers = record_gbtrs_callers(patch)
+            if path == "uncertified-build":
+                BandResolvent(a, [5.0], skip=False)
+            elif path == "resolvent":
+                band.resolvent(0)
+            else:
+                nonauto.acceptance.criterion_11(7)
+        assert callers and all(code is linop._stacked_solve.__code__ for code in callers)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -647,10 +706,10 @@ class TestMatrixFile:
         path = tmp_path / "bad.txt"
         path.write_text("matrix 2\n1 0\n0 1\n")
         with pytest.raises(ValueError):
-            read_matrix(path)
+            read_matrix(path, NormKind.TWO)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("dim 2\n1 0\n1\n")
         with pytest.raises(ValueError):
-            read_matrix(path)
+            read_matrix(path, NormKind.TWO)

@@ -464,7 +464,7 @@ class TestAssumptions:
         # quotient and one norm per (mu, t), the same arithmetic in a loop: equal to the bit.
         a = op2([[-1.0, 0.4], [0.0, -2.0]])
         b0 = np.array([[0.5, 1.0], [-0.3, 0.2]])
-        fam = CallableFamily((0.0, 1.0), lambda t: math.sin(t) * b0, dim=2)
+        fam = CallableFamily((0.0, 1.0), lambda t: math.sin(t) * b0, dim=2, norm_kind=NormKind.TWO)
         report = check_assumptions(fam, a, GrowthBound(1.0, -1.0))
         h = report.h_fd
         for mu, sup in report.a2_derivative_sup:
