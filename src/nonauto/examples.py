@@ -86,13 +86,24 @@ class GridSpec:
 
 
 def _stencil(which: str, g: GridSpec) -> dict:
-    """Diagonals {offset: value} of the named model generator on grid g: the one source of its entries."""
+    """Diagonals {offset: value} of the named model generator on grid g: the one source of its entries.
+
+    A cell width whose entries are not finite doubles is refused.
+    """
+    if which not in ("translation", "heat"):
+        raise PreconditionViolated(f"unknown example {which!r}")
     h = g.h
-    if which == "translation":
-        return {-1: 1.0 / h, 0: -1.0 / h}
-    if which == "heat":
-        return {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}
-    raise PreconditionViolated(f"unknown example {which!r}")
+    try:
+        if which == "translation":
+            stencil = {-1: 1.0 / h, 0: -1.0 / h}
+        else:
+            stencil = {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}
+        finite = all(map(math.isfinite, stencil.values()))
+    except (ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise PreconditionViolated(f"the {which} stencil's entries on cells of width {h!r} are not finite doubles")
+    return stencil
 
 
 def _stencil_matrix(stencil: dict, n: int) -> np.ndarray:

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,12 +239,44 @@ def bandwidths(m: np.ndarray) -> tuple:
     return max(int((i - first).max()), 0), max(int((last - i).max()), 0)
 
 
-def _band_lapack() -> tuple:
-    """(dgbtrf, dgbtrs, solve_banded): scipy's band LU and band solver, imported on first use so that a run with no band solve never loads scipy."""
-    from scipy.linalg import solve_banded
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+def _flapack_file():
+    """The path of scipy's LAPACK extension, scipy/linalg/_flapack<suffix>, found without importing scipy; None where it is not there."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
 
-    return dgbtrf, dgbtrs, solve_banded
+
+_LAPACK = None
+
+
+def _band_lapack() -> tuple:
+    """(dgbtrf, dgbtrs, dgtsv, dgbsv): scipy's band LAPACK routines, loaded once on first use.
+
+    They come from scipy's _flapack extension loaded on its own, which costs a
+    few ms and MB where the scipy.linalg package costs about 0.2 s and 28 MB;
+    a later import of scipy.linalg takes the same module and so the same
+    functions. Where the extension lives elsewhere (_flapack_file is None),
+    scipy.linalg.lapack hands them out.
+    """
+    global _LAPACK
+    if _LAPACK is None:
+        name = "scipy.linalg._flapack"
+        module = sys.modules.get(name)
+        path = _flapack_file() if module is None else None
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+        elif module is None:
+            from scipy.linalg import lapack as module
+        _LAPACK = module.dgbtrf, module.dgbtrs, module.dgtsv, module.dgbsv
+    return _LAPACK
 
 
 def shifted_band(diagonals: dict, mus, d: int) -> tuple:
@@ -325,18 +361,30 @@ def _stacked_solve(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, rhs: np.nd
 def _shifted_solves(diagonals: dict, mus, d: int, rhs: np.ndarray):
     """Solutions x_j of (mu_j I - G) x_j = rhs for G's diagonals {offset: values}, yielded as one (chunk, d) array per chunk.
 
-    One solve_banded call (gtsv where G is tridiagonal, else gbsv) per chunk of
-    _mus_per_call mus in shifted_band's block-diagonal storage; as in
+    One LAPACK call per chunk of _mus_per_call mus in shifted_band's
+    block-diagonal storage: gtsv where G is tridiagonal, else gbsv, as
+    scipy.linalg.solve_banded calls them (the sweep's inputs are finite and
+    d >= 2, so its finiteness check and 1 x 1 branch have nothing to do). As in
     _stacked_solve, a block whose solution is not finite is solved again alone.
     """
-    solve_banded = _band_lapack()[2]
+    _, _, dgtsv, dgbsv = _band_lapack()
     kl, ku = max(0, -min(diagonals)), max(0, max(diagonals))
+
+    def solve(ab, b):
+        if kl == ku == 1:
+            x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+        else:
+            x, info = dgbsv(kl, ku, np.concatenate([np.zeros((kl, ab.shape[1])), ab]), b, overwrite_ab=True)[2:]
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return x
+
     step = _mus_per_call(kl, ku, (kl + ku + 1) * d)
     for lo in range(0, len(mus), step):
         chunk = mus[lo : lo + step]
-        x = solve_banded(*shifted_band(diagonals, chunk, d), np.tile(rhs, len(chunk))).reshape(len(chunk), d)
+        x = solve(shifted_band(diagonals, chunk, d)[1], np.tile(rhs, len(chunk))).reshape(len(chunk), d)
         for i in np.flatnonzero(~np.isfinite(x).all(axis=1)):
-            x[i] = solve_banded(*shifted_band(diagonals, chunk[i], d), rhs)
+            x[i] = solve(shifted_band(diagonals, chunk[i], d)[1], rhs)
         yield x
 
 

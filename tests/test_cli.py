@@ -458,6 +458,15 @@ class TestExamplesCommand:
         assert "configuration error" in err and "finite" in err
         assert not list(tmp_path.glob("run_*"))
 
+    @pytest.mark.parametrize("length", ["1e-300", "1e300"])
+    def test_stencil_beyond_doubles_exits_config(self, tmp_path, monkeypatch, capsys, length):
+        # 1 / h**2 raised a bare ZeroDivisionError at L = 1e-300 and OverflowError at 1e300.
+        monkeypatch.chdir(tmp_path)
+        assert main(["examples", "--which", "heat", "--no-pipeline", "--grid", f"64,{length}", "--out", "ex"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "not finite doubles" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("ex_*"))
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, monkeypatch):
@@ -773,8 +782,9 @@ class TestModuleEntryPoint:
         assert "verify-all" in proc.stdout
 
     def test_small_runs_load_no_scipy(self, tmp_path):
-        # scipy serves band LU, the example sweep and criterion 1's reference only;
-        # importing the CLI and a 2 x 2 converge run load none of it.
+        # scipy serves band LU and the example sweep through its LAPACK extension alone, and
+        # criterion 1's reference through scipy.linalg; importing the CLI and a 2 x 2 converge
+        # run load none of it.
         config = {
             "matrix": [[-1.0, 0.0], [0.0, -2.0]],
             "m": 1.0,
@@ -796,6 +806,26 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+
+    def test_band_run_loads_only_the_lapack_extension(self, tmp_path):
+        # Band LU and the example sweep take scipy's _flapack extension on its own, not the
+        # scipy.linalg package; a later import of the package takes the same routines.
+        code = (
+            "import json, sys\n"
+            "import nonauto.cli\n"
+            "from nonauto import linop\n"
+            "rc = nonauto.cli.main(['examples', '--which', 'translation', '--no-pipeline', '--grid', '64,8'])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import scipy.linalg\n"
+            "from nonauto.acceptance import criterion_01\n"
+            "same = linop._band_lapack() == tuple(getattr(scipy.linalg.lapack, n) for n in ('dgbtrf', 'dgbtrs', 'dgtsv', 'dgbsv'))\n"
+            "print(json.dumps([rc, loaded, same, criterion_01(7).passed]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, ["scipy.linalg._flapack"], True, True]
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nonauto import (
     DomainTooSmall,
@@ -89,6 +90,16 @@ class TestGenerators:
         got = build_translation_generator(GridSpec(8.0, points, Domain.HALF_LINE)).entries
         assert got.tobytes() == translation.tobytes()
         assert build_heat_generator(GridSpec(8.0, points, Domain.LINE)).entries.tobytes() == heat.tobytes()
+
+    @pytest.mark.parametrize("build, domain, length", [
+        (build_heat_generator, Domain.LINE, 1e-300),
+        (build_heat_generator, Domain.LINE, 1e300),
+        (build_translation_generator, Domain.HALF_LINE, 1e-310),
+    ])
+    def test_stencil_beyond_doubles_refused(self, build, domain, length):
+        # h**2 underflows to 0 at L = 1e-300 and overflows at 1e300; 1 / h overflows at 1e-310.
+        with pytest.raises(PreconditionViolated, match="not finite doubles"):
+            build(GridSpec(length, 64, domain))
 
     def test_unknown_generator_refused(self):
         # An unknown name used to build the heat generator.
@@ -227,7 +238,7 @@ class TestScaledResolventSweep:
     @pytest.mark.parametrize("points", [128, 256, 2048, 4096])
     @pytest.mark.parametrize("which", ["translation", "heat"])
     def test_stacked_solves_equal_one_mu_calls(self, which, points):
-        # One solve_banded call per chunk of BLOCK_BYTES of band storage gives every mu's
+        # One gtsv or gbsv call per chunk of BLOCK_BYTES of band storage gives every mu's
         # solution to the bit, on 141 mus (the heat sweep's grid at n_max = 3), which no
         # chunk length divides.
         g = GridSpec(8.0, points, Domain.HALF_LINE if which == "translation" else Domain.LINE)
@@ -236,8 +247,7 @@ class TestScaledResolventSweep:
         mus = np.geomspace(1.0, 1e7, 141)
         step = linop.BLOCK_BYTES // (8 * len(transpose) * points)
         assert step < 141 and 141 % step
-        solve_banded = linop._band_lapack()[2]
-        want = np.array([solve_banded(*shifted_band(transpose, mu, points), b) for mu in mus])
+        want = np.array([scipy.linalg.solve_banded(*shifted_band(transpose, mu, points), b) for mu in mus])
         assert np.array_equal(np.concatenate(list(linop._shifted_solves(transpose, mus, points, b))), want)
         assert scaled_resolvent_sweep(which, g, b, mus) == [(float(mu), float(mu * x.max())) for mu, x in zip(mus, want)]
 
@@ -249,8 +259,7 @@ class TestScaledResolventSweep:
         transpose = {-k: v for k, v in _stencil(which, g).items()}
         b, mus = np.full(64, 3e306), np.array([2.0, 1e-4, 3.0, 1e-5, 4.0, 5.0])
         got = np.concatenate(list(linop._shifted_solves(transpose, mus, 64, b)))
-        solve_banded = linop._band_lapack()[2]
-        want = np.array([solve_banded(*shifted_band(transpose, mu, 64), b) for mu in mus])
+        want = np.array([scipy.linalg.solve_banded(*shifted_band(transpose, mu, 64), b) for mu in mus])
         assert np.array_equal(np.isfinite(got).all(axis=1), [True, False, True, False, True, True])
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -349,7 +358,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
 # The three jobs that the examples-dense benchmark workload draws at seed 3.
 @pytest.mark.parametrize("which, points, n_max", [("translation", 128, 2), ("translation", 192, 3), ("heat", 256, 2)])
 def test_report_makes_few_band_lapack_calls(monkeypatch, which, points, n_max):
-    # One gbtrf, gbtrs or solve_banded call per chunk of mus: 13 to 27 calls per report,
+    # One gbtrf, gbtrs, gtsv or gbsv call per chunk of mus: 13 to 27 calls per report,
     # where one call per mu made 777 to 797.
     calls = record_band_calls(monkeypatch)
     g = GridSpec(8.0, points, Domain.HALF_LINE if which == "translation" else Domain.LINE)

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -345,8 +346,8 @@ class TestNonFiniteGenerator:
 
 
 def record_band_calls(patch) -> list:
-    """Patch linop._band_lapack to log ("gbtrf", columns), ("gbtrs", rhs shape) or ("solve_banded", rhs shape) per call."""
-    calls, (dgbtrf, dgbtrs, solve_banded) = [], linop._band_lapack()
+    """Patch linop._band_lapack to log ("gbtrf", columns), ("gbtrs", rhs shape), ("gtsv", rhs shape) or ("gbsv", rhs shape) per call."""
+    calls, (dgbtrf, dgbtrs, dgtsv, dgbsv) = [], linop._band_lapack()
 
     def factored(ab, kl, ku):
         calls.append(("gbtrf", ab.shape[1]))
@@ -356,23 +357,27 @@ def record_band_calls(patch) -> list:
         calls.append(("gbtrs", rhs.shape))
         return dgbtrs(lu, kl, ku, rhs, piv, trans=trans)
 
-    def swept(widths, ab, rhs):
-        calls.append(("solve_banded", rhs.shape))
-        return solve_banded(widths, ab, rhs)
+    def tridiagonal(dl, d, du, rhs):
+        calls.append(("gtsv", rhs.shape))
+        return dgtsv(dl, d, du, rhs)
 
-    patch.setattr(linop, "_band_lapack", lambda: (factored, solved, swept))
+    def banded(kl, ku, ab, rhs, overwrite_ab=0):
+        calls.append(("gbsv", rhs.shape))
+        return dgbsv(kl, ku, ab, rhs, overwrite_ab=overwrite_ab)
+
+    patch.setattr(linop, "_band_lapack", lambda: (factored, solved, tridiagonal, banded))
     return calls
 
 
 def record_gbtrs_callers(patch) -> list:
     """Patch linop._band_lapack to log the code object of the function that makes each gbtrs call."""
-    callers, (dgbtrf, dgbtrs, solve_banded) = [], linop._band_lapack()
+    callers, (dgbtrf, dgbtrs, *sweep) = [], linop._band_lapack()
 
     def solved(*args, **kwargs):
         callers.append(sys._getframe(1).f_code)
         return dgbtrs(*args, **kwargs)
 
-    patch.setattr(linop, "_band_lapack", lambda: (dgbtrf, solved, solve_banded))
+    patch.setattr(linop, "_band_lapack", lambda: (dgbtrf, solved, *sweep))
     return callers
 
 
@@ -532,7 +537,7 @@ class TestBandResolvent:
         d = 128
         a = random_sign_tridiagonal(d)
         assert isinstance(linop.resolvents(a, [5.0]), BandResolvent)
-        dgbtrf, dgbtrs, solve_banded = linop._band_lapack()
+        dgbtrf, dgbtrs, *sweep = linop._band_lapack()
         solved = []
 
         def counted(lu, kl, ku, rhs, piv, trans=0):
@@ -540,7 +545,7 @@ class TestBandResolvent:
             return solved[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(linop, "_band_lapack", lambda: (dgbtrf, counted, solve_banded))
+            patch.setattr(linop, "_band_lapack", lambda: (dgbtrf, counted, *sweep))
             r = resolvent(op2(a), 5.0).entries
         assert [x.shape[1] for x, _ in solved] == [d, d]
         assert np.array_equal(solved[0][0], r)
@@ -658,6 +663,63 @@ class TestBandResolvent:
         c = rng.uniform(0.5, 1.0, d)
         for kind in (NormKind.ONE, NormKind.INF):
             assert np.array_equal(band.norms(np.diag(c)[None], kind), ref.norms(np.diag(c)[None], kind))
+
+
+class TestBandLapack:
+    """linop's band LAPACK results against scipy.linalg's, bit for bit, whichever way _band_lapack found the routines."""
+
+    WIDTHS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+
+    @pytest.fixture(params=["extension", "fallback"], autouse=True)
+    def source(self, request, monkeypatch):
+        # A fresh lookup: the extension loaded from its file, or, where the file is not
+        # found, scipy.linalg.lapack's routines.
+        monkeypatch.setattr(linop, "_LAPACK", None)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        if request.param == "fallback":
+            monkeypatch.setattr(linop, "_flapack_file", lambda: None)
+        else:
+            assert linop._flapack_file() is not None
+        return request.param
+
+    @staticmethod
+    def diagonals(kl: int, ku: int, d: int) -> dict:
+        """Random diagonals {offset: values} of a band G: mu I - G takes row interchanges."""
+        rng = np.random.default_rng(10 * kl + ku)
+        return {k: rng.standard_normal(d - abs(k)) for k in range(-kl, ku + 1)}
+
+    def test_routines_are_scipys(self):
+        names = ("dgbtrf", "dgbtrs", "dgtsv", "dgbsv")
+        assert linop._band_lapack() == tuple(getattr(scipy.linalg.lapack, n) for n in names)
+
+    @pytest.mark.parametrize("kl, ku", WIDTHS)
+    @pytest.mark.parametrize("mus", [[1.5], np.linspace(0.5, 4.0, 9)], ids=["one-mu", "chunk"])
+    def test_shifted_solves_match_solve_banded(self, kl, ku, mus):
+        d = 24
+        diagonals, rhs = self.diagonals(kl, ku, d), np.linspace(-1.0, 2.0, d)
+        mus = np.asarray(mus)
+        got = np.concatenate(list(linop._shifted_solves(diagonals, mus, d, rhs)))
+        want = [scipy.linalg.solve_banded(*shifted_band(diagonals, mu, d), rhs) for mu in mus]
+        assert np.isfinite(got).all() and np.array_equal(got, want)
+        if len(mus) > 1 and max(kl, ku) <= 1:
+            stacked = scipy.linalg.solve_banded(*shifted_band(diagonals, mus, d), np.tile(rhs, len(mus)))
+            assert np.array_equal(got.ravel(), stacked)
+
+    @pytest.mark.parametrize("kl, ku", WIDTHS)
+    @pytest.mark.parametrize("mus", [[1.5], np.linspace(0.5, 4.0, 9)], ids=["one-mu", "chunk"])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_factors_and_solves_match_gbtrf_and_gbtrs(self, kl, ku, mus, trans):
+        d = 24
+        n = len(mus)
+        ab = shifted_band(self.diagonals(kl, ku, d), mus, d)[1]
+        rhs = np.column_stack([np.linspace(-1.0, 2.0, d), np.ones(d)])
+        lu, piv = linop._factor_blocks(ab, kl, ku, d)
+        ref_lu, ref_piv, info = scipy.linalg.lapack.dgbtrf(np.concatenate([np.zeros((kl, n * d)), ab]), kl, ku)
+        assert info == 0 and np.array_equal(lu, ref_lu)
+        assert np.array_equal(piv + np.repeat(np.arange(n) * d, d), ref_piv)
+        got = linop._stacked_solve(lu, piv, kl, ku, rhs, trans)
+        want, info = scipy.linalg.lapack.dgbtrs(ref_lu, kl, ku, np.tile(rhs, (n, 1)), ref_piv, trans=trans)
+        assert info == 0 and np.isfinite(got).all() and np.array_equal(got, want.reshape(n, d, 2))
 
 
 class TestSpectrum:
